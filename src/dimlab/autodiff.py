@@ -365,12 +365,6 @@ def backward_pass(root: Node) -> None:
             node._backward(node.grad)
 
 
-def zero_grads(nodes) -> None:
-    """Reset the grad buffers of the given nodes in place."""
-    for node in nodes:
-        node.grad[...] = 0.0
-
-
 def gradient_check(loss_fn: Callable[[Node], Node], point, step: float) -> float:
     """Compare the engine's gradient against central finite differences.
 

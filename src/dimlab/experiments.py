@@ -22,11 +22,8 @@ import numpy as np
 from .data import (
     Dataset,
     SyntheticConfig,
-    apply_normalization,
     generate_synthetic,
     load_csv,
-    minmax_normalize,
-    train_test_split,
     write_csv,
 )
 from .errors import (
@@ -35,26 +32,18 @@ from .errors import (
     DataError,
     ParameterError,
 )
-from .models import ModelConfig, build_model, save_model
-from .penalty import (
-    COMPLIANCE_ATOL,
-    MonotonicitySpec,
-    adjacent_violations,
-    compliance_score,
-    fit_linear_baseline,
-    monotonicity_penalty,
-    sort_by_predictions,
-)
+from .models import ModelConfig, save_model
+from .penalty import COMPLIANCE_ATOL, MonotonicitySpec, fit_batch
 from .training import (
     LAMBDA_GRID_DEFAULT,
     RunReport,
     TrainConfig,
-    evaluate,
+    fit_cell,
     lambda_grid_search,
     report_from_json,
     report_to_json,
     select_lambda,
-    train,
+    split_for_seed,
 )
 
 log = logging.getLogger(__name__)
@@ -375,23 +364,12 @@ def run_single(cfg: ExperimentConfig, lam: float, seed: int) -> RunReport:
                               f"got {len(cfg.monotonic_sets)}")
         base = with_monotonic_names(base, cfg.monotonic_sets[0])
     model_cfg = build_model_config(cfg, base.X.shape[1])
-
-    train_raw, test_raw = train_test_split(base, cfg.train_frac, seed=seed)
-    train_n = minmax_normalize(train_raw)
-    if cfg.norm_fit_on_train:
-        test_n = apply_normalization(test_raw, train_n.norm_params)
-    else:
-        test_n = minmax_normalize(test_raw)
-    model = build_model(replace(model_cfg, seed=seed))
-    t_cfg = replace(cfg.train, lam=float(lam), seed=seed)
-    trained, report = train(model, train_n, t_cfg,
-                            val_ds=test_n if cfg.validate_on_test else None)
-    report = replace(report, test_metrics=evaluate(trained, test_n))
-
-    stem = _cell_stem(lam, seed)
-    (out / f"{stem}.json").write_text(report_to_json(report), encoding="utf-8")
-    _write_epochs_csv(report, out / f"{stem}.csv")
-    save_model(trained, out / f"{stem}.npz")
+    train_n, test_n = split_for_seed(base, cfg.train_frac, seed,
+                                     cfg.norm_fit_on_train)
+    trained, report = fit_cell(lam, seed, model_cfg, cfg.train, train_n,
+                               test_n, cfg.validate_on_test)
+    write_run_artifacts([report], out)
+    save_model(trained, out / f"{_cell_stem(lam, seed)}.npz")
     return report
 
 
@@ -464,27 +442,29 @@ def audit(predictions_csv, features_csv, monotonic_names, top_k: int = 5) -> dic
     idx = [feat_names.index(n) for n in monotonic_names]
     spec = MonotonicitySpec(idx)
 
-    breakdown = monotonicity_penalty(preds, X, spec)
+    fit = fit_batch(preds, X, spec)
+    breakdown = fit.breakdown()
     try:
-        score = compliance_score(preds, X, spec)
+        score = fit.compliance()
     except ComplianceUndefined:
         score = None
 
     features = {}
     for name, j in zip(monotonic_names, idx):
+        f = fit.features[j]
         entry: dict = {"penalty": breakdown.per_feature[j],
-                       "skipped": j in breakdown.skipped}
-        if j not in breakdown.skipped:
-            baseline = fit_linear_baseline(X[:, j], preds)
-            sorted_preds, xs, perm = sort_by_predictions(preds, X[:, j])
-            v = adjacent_violations(sorted_preds, xs, baseline.slope, feature=j)
-            entry["slope"] = baseline.slope
-            entry["intercept"] = baseline.intercept
-            worst = np.argsort(v.values, kind="stable")[::-1][:top_k]
+                       "skipped": f is None}
+        if f is not None:
+            v = f.violations
+            entry["slope"] = f.baseline.slope
+            entry["intercept"] = f.baseline.intercept
+            # largest first; among equal violations the later pair first
+            worst = sorted(np.flatnonzero(v > COMPLIANCE_ATOL),
+                           key=lambda i: (v[i], i), reverse=True)[:top_k]
             entry["top_violations"] = [
-                {"rows": [int(perm[i]), int(perm[i + 1])],
-                 "violation": float(v.values[i])}
-                for i in worst if v.values[i] > COMPLIANCE_ATOL]
+                {"rows": [int(fit.perm[i]), int(fit.perm[i + 1])],
+                 "violation": float(v[i])}
+                for i in worst]
         features[name] = entry
 
     return {

@@ -95,10 +95,6 @@ def build_model(config: ModelConfig) -> Model:
     return Model(config=config, parameters=params)
 
 
-def param_count(model: Model) -> int:
-    return sum(p.size for p in model.parameters.values())
-
-
 def forward_with_params(model: Model, batch, training: bool = False,
                         rng: np.random.Generator | None = None):
     """Run the network on a batch, returning the prediction node and the

@@ -11,6 +11,7 @@ over features, divided by the batch size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,14 +66,6 @@ class MonotonicitySpec:
 
 
 @dataclass(frozen=True)
-class ViolationVector:
-    """Per-adjacent-pair shortfalls v[i] >= 0 for one feature column."""
-
-    values: np.ndarray
-    feature: int = -1
-
-
-@dataclass(frozen=True)
 class PenaltyBreakdown:
     """Penalty decomposition for one batch.
 
@@ -87,13 +80,6 @@ class PenaltyBreakdown:
     skipped: tuple[int, ...] = ()
 
 
-def _check_column_pair(x_col: np.ndarray, preds: np.ndarray, op: str) -> None:
-    if x_col.ndim != 1 or preds.ndim != 1 or x_col.shape != preds.shape:
-        raise DimensionError(
-            f"{op} expects equal-length vectors, got {x_col.shape} and "
-            f"{preds.shape}")
-
-
 def fit_linear_baseline(x_col, preds) -> LinearBaseline:
     """Least-squares line from one feature column to the predictions.
 
@@ -103,7 +89,10 @@ def fit_linear_baseline(x_col, preds) -> LinearBaseline:
     """
     x_col = np.asarray(x_col, dtype=np.float64)
     preds = np.asarray(preds, dtype=np.float64)
-    _check_column_pair(x_col, preds, "fit_linear_baseline")
+    if x_col.ndim != 1 or preds.ndim != 1 or x_col.shape != preds.shape:
+        raise DimensionError(
+            f"fit_linear_baseline expects equal-length vectors, got "
+            f"{x_col.shape} and {preds.shape}")
     n = x_col.shape[0]
     if n < 2:
         raise DegenerateFeature(f"need at least 2 rows to fit a line, got {n}")
@@ -119,52 +108,103 @@ def fit_linear_baseline(x_col, preds) -> LinearBaseline:
     return LinearBaseline(slope=float(slope), intercept=float(mean_p - slope * mean_x))
 
 
-def sort_by_predictions(preds, x_col):
-    """Stable ascending sort of predictions, carrying the feature along.
-
-    Returns ``(sorted_preds, reordered_x, perm)`` with
-    ``reordered_x[i] = x_col[perm[i]]``; ties keep original order.
-    """
-    preds = np.asarray(preds, dtype=np.float64)
-    x_col = np.asarray(x_col, dtype=np.float64)
-    _check_column_pair(x_col, preds, "sort_by_predictions")
-    perm = np.argsort(preds, kind="stable")
-    return preds[perm], x_col[perm], perm
-
-
-def reference_predictions(baseline: LinearBaseline, x) -> np.ndarray:
-    """Evaluate the fitted line elementwise: slope * x + intercept."""
-    return baseline.slope * np.asarray(x, dtype=np.float64) + baseline.intercept
-
-
-def adjacent_violations(sorted_preds, reordered_x, slope: float,
-                        feature: int = -1) -> ViolationVector:
+def adjacent_violations(dpred: np.ndarray, dx: np.ndarray,
+                        slope: float) -> np.ndarray:
     """Shortfall of each adjacent sorted-prediction increment.
 
-    For pair i: v[i] = max(0, slope * dx[i] - dpred[i]). The intercept
-    cancels in increments. N < 2 yields an empty vector.
+    ``dpred`` holds the increments of the sorted predictions and ``dx``
+    those of the feature carried along the same order. For pair i:
+    v[i] = max(0, slope * dx[i] - dpred[i]); the intercept cancels in
+    increments.
     """
-    sorted_preds = np.asarray(sorted_preds, dtype=np.float64)
-    reordered_x = np.asarray(reordered_x, dtype=np.float64)
-    _check_column_pair(reordered_x, sorted_preds, "adjacent_violations")
-    dg = slope * np.diff(reordered_x)
-    dfhat = np.diff(sorted_preds)
-    return ViolationVector(values=np.maximum(dg - dfhat, 0.0), feature=feature)
+    return np.maximum(slope * dx - dpred, 0.0)
 
 
-def feature_penalty(v: ViolationVector) -> float:
-    """Violation energy for one feature: sum of squared shortfalls."""
-    return float(np.sum(v.values * v.values))
+class FeatureFit(NamedTuple):
+    """One non-degenerate feature of a batch, in prediction-sorted order."""
+
+    baseline: LinearBaseline
+    dx: np.ndarray     # diff(x[perm])
+    dpred: np.ndarray  # diff(preds[perm]), shared by the batch's features
+
+    @property
+    def violations(self) -> np.ndarray:
+        # computed on access: the graph path builds its own and skips this
+        return adjacent_violations(self.dpred, self.dx, self.baseline.slope)
 
 
-def _penalty_inputs(preds, X, spec: MonotonicitySpec):
+@dataclass(frozen=True)
+class BatchFit:
+    """The shared per-batch work of every penalty and compliance path.
+
+    ``features`` maps each monotonic feature, in spec order, to its fit,
+    or to None when the feature is degenerate in the batch (skipped).
+    """
+
+    batch_size: int
+    perm: np.ndarray  # stable ascending sort of the predictions
+    features: dict[int, FeatureFit | None]
+
+    @property
+    def skipped(self) -> tuple[int, ...]:
+        return tuple(j for j, f in self.features.items() if f is None)
+
+    def breakdown(self) -> PenaltyBreakdown:
+        """Violation energy (sum of squared shortfalls) per feature, and
+        their sum divided by the batch size."""
+        n = self.batch_size
+        if n < 1:
+            raise DimensionError("monotonicity_penalty needs at least one row")
+        per_feature: dict[int, float] = {}
+        p_sum = 0.0
+        for j, f in self.features.items():
+            v = None if f is None else f.violations
+            p_j = 0.0 if v is None else float(np.sum(v * v))
+            per_feature[j] = p_j
+            p_sum += p_j
+        return PenaltyBreakdown(per_feature=per_feature, total=p_sum * (1.0 / n),
+                                batch_size=n, skipped=self.skipped)
+
+    def compliance(self) -> float:
+        """Share of adjacent pairs, pooled over non-degenerate features,
+        whose violation is zero within COMPLIANCE_ATOL."""
+        pairs = 0
+        compliant = 0
+        for f in self.features.values():
+            if f is not None:
+                v = f.violations
+                pairs += v.size
+                compliant += int(np.count_nonzero(v <= COMPLIANCE_ATOL))
+        if pairs == 0:
+            raise ComplianceUndefined("no adjacent pairs with a usable baseline")
+        return compliant / pairs
+
+
+def fit_batch(preds, X, spec: MonotonicitySpec) -> BatchFit:
+    """Validate a batch, sort it once by prediction, and fit every
+    monotonic feature against that one order.
+
+    Degenerate features (constant in the batch, or N < 2) are recorded
+    as skipped rather than raising.
+    """
     preds = np.asarray(preds, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
     if preds.ndim != 1 or X.ndim != 2 or X.shape[0] != preds.shape[0]:
         raise DimensionError(
             f"expected preds (N,) and X (N, d), got {preds.shape} and {X.shape}")
     spec.validate_for(X.shape[1])
-    return preds, X
+    perm = np.argsort(preds, kind="stable")
+    dpred = np.diff(preds[perm])
+    features: dict[int, FeatureFit | None] = {}
+    for j in spec.indices:
+        x_col = X[:, j]
+        try:
+            baseline = fit_linear_baseline(x_col, preds)
+        except DegenerateFeature:
+            features[j] = None
+            continue
+        features[j] = FeatureFit(baseline, np.diff(x_col[perm]), dpred)
+    return BatchFit(batch_size=preds.shape[0], perm=perm, features=features)
 
 
 def monotonicity_penalty(preds, X, spec: MonotonicitySpec) -> PenaltyBreakdown:
@@ -174,53 +214,23 @@ def monotonicity_penalty(preds, X, spec: MonotonicitySpec) -> PenaltyBreakdown:
     Degenerate features (constant in the batch, or N < 2) contribute 0
     and are reported in ``skipped`` rather than raising.
     """
-    preds, X = _penalty_inputs(preds, X, spec)
-    n = preds.shape[0]
-    if n < 1:
-        raise DimensionError("monotonicity_penalty needs at least one row")
-    perm = np.argsort(preds, kind="stable")
-    sorted_preds = preds[perm]
-    per_feature: dict[int, float] = {}
-    skipped: list[int] = []
-    p_sum = 0.0
-    for j in spec.indices:
-        try:
-            baseline = fit_linear_baseline(X[:, j], preds)
-        except DegenerateFeature:
-            per_feature[j] = 0.0
-            skipped.append(j)
-            continue
-        v = adjacent_violations(sorted_preds, X[perm, j], baseline.slope, feature=j)
-        p_j = feature_penalty(v)
-        per_feature[j] = p_j
-        p_sum += p_j
-    return PenaltyBreakdown(per_feature=per_feature, total=p_sum * (1.0 / n),
-                            batch_size=n, skipped=tuple(skipped))
+    return fit_batch(preds, X, spec).breakdown()
 
 
 def compliance_score(preds, X, spec: MonotonicitySpec) -> float:
     """Fraction of adjacent sorted pairs, pooled over non-degenerate
     monotonic features, whose violation is zero within 1e-12 absolute.
 
+    That is the share of prediction-sorted adjacent pairs whose prediction
+    increment covers the fitted trend's increment ``slope * dx``. It is
+    not a pointwise monotonicity check: it never varies a feature with the
+    other features held fixed, and the true targets of a monotone function
+    can score well below 1.
+
     Raises :class:`ComplianceUndefined` when no valid pairs exist (all
     features degenerate, empty spec, or N < 2).
     """
-    preds, X = _penalty_inputs(preds, X, spec)
-    perm = np.argsort(preds, kind="stable")
-    sorted_preds = preds[perm]
-    pairs = 0
-    compliant = 0
-    for j in spec.indices:
-        try:
-            baseline = fit_linear_baseline(X[:, j], preds)
-        except DegenerateFeature:
-            continue
-        v = adjacent_violations(sorted_preds, X[perm, j], baseline.slope, feature=j)
-        pairs += v.values.size
-        compliant += int(np.count_nonzero(v.values <= COMPLIANCE_ATOL))
-    if pairs == 0:
-        raise ComplianceUndefined("no adjacent pairs with a usable baseline")
-    return compliant / pairs
+    return fit_batch(preds, X, spec).compliance()
 
 
 @dataclass(frozen=True)
@@ -252,59 +262,55 @@ def build_loss_terms(preds: Node, y, X, spec: MonotonicitySpec, lam: float,
         raise ParameterError(
             f"baseline_mode must be one of {BASELINE_MODES}, got {baseline_mode!r}")
     y = np.asarray(y, dtype=np.float64)
-    p_val, X = _penalty_inputs(preds.value, X, spec)
-    if y.shape != p_val.shape:
+    X = np.asarray(X, dtype=np.float64)
+    fit = fit_batch(preds.value, X, spec)
+    if y.shape != preds.value.shape:
         raise DimensionError(
-            f"targets shape {y.shape} does not match predictions {p_val.shape}")
-    n = p_val.shape[0]
+            f"targets shape {y.shape} does not match predictions "
+            f"{preds.value.shape}")
+    n = fit.batch_size
 
     residual = preds - ad.constant(y)
     mse = ad.scale(ad.sum_all(ad.square(residual)), 1.0 / n)
 
     if lam == 0:
         # penalty not built into the graph; report the decomposition anyway
-        breakdown = monotonicity_penalty(p_val, X, spec)
-        return LossTerms(total=mse, mse=mse, penalty=None, breakdown=breakdown)
+        return LossTerms(total=mse, mse=mse, penalty=None,
+                         breakdown=fit.breakdown())
 
-    perm = np.argsort(p_val, kind="stable")
     per_feature: dict[int, float] = {}
-    skipped: list[int] = []
     p_sum_node: Node | None = None
-    sorted_preds = ad.gather_rows(preds, perm)
+    sorted_preds = ad.gather_rows(preds, fit.perm)
     dfhat = ad.adjacent_diff(sorted_preds)
-    for j in spec.indices:
-        x_col = X[:, j]
-        try:
-            baseline = fit_linear_baseline(x_col, p_val)
-        except DegenerateFeature:
+    for j, f in fit.features.items():
+        if f is None:
             per_feature[j] = 0.0
-            skipped.append(j)
             continue
-        dx = np.diff(x_col[perm])
         if baseline_mode == "frozen":
-            dg = ad.constant(baseline.slope * dx)
+            dg = ad.constant(f.baseline.slope * f.dx)
         else:
             # slope = sum(c * preds) with c = (x - mean_x) / (N * var);
             # the mean-of-preds term drops out since sum(c) = 0
+            x_col = X[:, j]
             mean_x = x_col.mean()
             var = ((x_col - mean_x) ** 2).mean()
             coeffs = (x_col - mean_x) / (n * var)
             slope_node = ad.sum_all(preds * ad.constant(coeffs))
-            dg = slope_node * ad.constant(dx)
+            dg = slope_node * ad.constant(f.dx)
         p_j = ad.sum_all(ad.square(ad.relu(dg - dfhat)))
         per_feature[j] = p_j.value.item()
         p_sum_node = p_j if p_sum_node is None else p_sum_node + p_j
 
     if p_sum_node is None:
         breakdown = PenaltyBreakdown(per_feature=per_feature, total=0.0,
-                                     batch_size=n, skipped=tuple(skipped))
+                                     batch_size=n, skipped=fit.skipped)
         return LossTerms(total=mse, mse=mse, penalty=None, breakdown=breakdown)
 
     penalty = ad.scale(p_sum_node, 1.0 / n)
     total = mse + ad.scale(penalty, lam)
     breakdown = PenaltyBreakdown(per_feature=per_feature,
                                  total=penalty.value.item(),
-                                 batch_size=n, skipped=tuple(skipped))
+                                 batch_size=n, skipped=fit.skipped)
     return LossTerms(total=total, mse=mse, penalty=penalty, breakdown=breakdown)
 
 

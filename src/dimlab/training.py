@@ -25,6 +25,7 @@ from .errors import (
     ComplianceUndefined,
     ConfigError,
     DataError,
+    DimlabError,
     NumericError,
     ParameterError,
     SchemaError,
@@ -230,9 +231,16 @@ def _val_mse(model: Model, X: np.ndarray, y: np.ndarray) -> float:
 
 # ---------------------------------------------------------------- training
 
-def _config_snapshot(model_config: ModelConfig, config: TrainConfig) -> dict:
+def _config_snapshot(model_config: ModelConfig, config: TrainConfig,
+                     cell: tuple[float, int] | None = None) -> dict:
+    """Report config; ``cell`` = (lam, seed) overrides those fields on the
+    dicts, unvalidated, so a cell with an invalid lam is still recorded."""
     snap = {"model": asdict(model_config), "train": asdict(config)}
     snap["model"]["hidden_sizes"] = list(model_config.hidden_sizes)
+    if cell is not None:
+        lam, seed = cell
+        snap["model"]["seed"] = seed
+        snap["train"].update(lam=float(lam), seed=seed)
     return snap
 
 
@@ -333,27 +341,41 @@ def train(model: Model, train_ds: Dataset, config: TrainConfig,
 
 # ---------------------------------------------------------------- protocol
 
+def split_for_seed(dataset: Dataset, train_frac: float, seed: int,
+                   norm_fit_on_train: bool) -> tuple[Dataset, Dataset]:
+    """Seeded train/test split, min-max normalized; the test split uses
+    its own min/max unless ``norm_fit_on_train``."""
+    train_raw, test_raw = train_test_split(dataset, train_frac, seed=seed)
+    train_n = minmax_normalize(train_raw)
+    if norm_fit_on_train:
+        test_n = apply_normalization(test_raw, train_n.norm_params)
+    else:
+        test_n = minmax_normalize(test_raw)
+    return train_n, test_n
+
+
+def fit_cell(lam: float, seed: int, model_config: ModelConfig,
+             train_config: TrainConfig, train_n: Dataset, test_n: Dataset,
+             validate_on_test: bool) -> tuple[Model, RunReport]:
+    """Build, train and test-evaluate one (lambda, seed) grid cell."""
+    model = build_model(replace(model_config, seed=seed))
+    t_cfg = replace(train_config, lam=float(lam), seed=seed)
+    trained, report = train(model, train_n, t_cfg,
+                            val_ds=test_n if validate_on_test else None)
+    return trained, replace(report, test_metrics=evaluate(trained, test_n))
+
+
 def _run_cell(lam: float, seed: int, model_config: ModelConfig,
               train_config: TrainConfig, train_n: Dataset, test_n: Dataset,
               validate_on_test: bool) -> RunReport:
-    snapshot = {
-        "model": {**asdict(model_config),
-                  "hidden_sizes": list(model_config.hidden_sizes),
-                  "seed": seed},
-        "train": {**asdict(train_config), "lam": float(lam), "seed": seed},
-    }
     try:
-        m_cfg = replace(model_config, seed=seed)
-        t_cfg = replace(train_config, lam=float(lam), seed=seed)
-        model = build_model(m_cfg)
-        trained, report = train(
-            model, train_n, t_cfg,
-            val_ds=test_n if validate_on_test else None)
-        return replace(report, test_metrics=evaluate(trained, test_n))
-    except Exception as exc:  # keep sweeping the other cells
+        return fit_cell(lam, seed, model_config, train_config, train_n,
+                        test_n, validate_on_test)[1]
+    except DimlabError as exc:  # keep sweeping the other cells
         log.warning("cell lam=%s seed=%s failed: %s", lam, seed, exc)
-        return RunReport(config=snapshot, history=(), best_epoch=-1,
-                         error=str(exc))
+        return RunReport(
+            config=_config_snapshot(model_config, train_config, (lam, seed)),
+            history=(), best_epoch=-1, error=str(exc))
 
 
 def lambda_grid_search(dataset: Dataset, model_config: ModelConfig,
@@ -366,8 +388,9 @@ def lambda_grid_search(dataset: Dataset, model_config: ModelConfig,
     """One full train+evaluate per (lambda, seed).
 
     Within a seed every lambda shares the same split, normalization, and
-    initial parameters. Cell failures are recorded on the report (error
-    field) and do not stop the sweep. Cells are independent and share
+    initial parameters. A cell that raises a DimlabError is recorded on
+    its report (error field) and does not stop the sweep; any other
+    exception is a bug and propagates. Cells are independent and share
     only frozen datasets, so with max_workers > 1 the grid runs on a
     thread pool; reports come back in grid order either way.
     """
@@ -382,12 +405,8 @@ def lambda_grid_search(dataset: Dataset, model_config: ModelConfig,
 
     reports: list[RunReport] = []
     for seed in seeds:
-        train_raw, test_raw = train_test_split(dataset, train_frac, seed=seed)
-        train_n = minmax_normalize(train_raw)
-        if norm_fit_on_train:
-            test_n = apply_normalization(test_raw, train_n.norm_params)
-        else:
-            test_n = minmax_normalize(test_raw)
+        train_n, test_n = split_for_seed(dataset, train_frac, seed,
+                                         norm_fit_on_train)
 
         def run_cell(lam, seed=seed, train_n=train_n, test_n=test_n):
             return _run_cell(lam, seed, model_config, train_config,

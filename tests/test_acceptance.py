@@ -241,14 +241,15 @@ def test_ac4_hand_batch_exact():
     assert abs(base.slope - 1.5) <= 1e-12
     assert abs(base.intercept - 0.5) <= 1e-12
 
-    sorted_preds, reordered_x, perm = pen.sort_by_predictions(preds, x)
-    assert np.array_equal(perm, [0, 1, 2])  # stable tie keeps order
-    v = pen.adjacent_violations(sorted_preds, reordered_x, base.slope)
-    assert v.values[0] == 0.0
-    assert abs(v.values[1] - 1.5) <= 1e-12
-    assert abs(pen.feature_penalty(v) - 2.25) <= 1e-12
-
     spec = MonotonicitySpec([0])
+    fit = pen.fit_batch(preds, x[:, None], spec)
+    assert fit.features[0].baseline == base
+    assert np.array_equal(fit.perm, [0, 1, 2])  # stable tie keeps order
+    v = fit.features[0].violations
+    assert v[0] == 0.0
+    assert abs(v[1] - 1.5) <= 1e-12
+    assert abs(fit.breakdown().per_feature[0] - 2.25) <= 1e-12
+
     breakdown = pen.monotonicity_penalty(preds, x[:, None], spec)
     assert abs(breakdown.total - 0.75) <= 1e-12
     assert abs(pen.compliance_score(preds, x[:, None], spec) - 0.5) <= 1e-12

@@ -1,0 +1,79 @@
+"""The names perfbench/ looks up on dimlab at call time.
+
+The benchmark times dimlab from outside by replacing module attributes
+(perfbench/tracer.py) and captures reports by replacing
+``experiments.lambda_grid_search`` (perfbench/worker.py). A refactor that
+moves a call to another module, or renames it, silently drops it from
+the benchmark; these tests fail instead.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import dimlab.autodiff as ad
+import dimlab.experiments as ex
+import dimlab.models as mz
+import dimlab.penalty as pen
+import dimlab.training as tr
+
+TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+MODULES = {"autodiff": ad, "experiments": ex, "models": mz, "penalty": pen,
+           "training": tr}
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def tiny_experiment(tmp_path):
+    return ex.ExperimentConfig(
+        dataset={"synthetic": {"n": 60, "seed": 1}},
+        model={"architecture": "ann"},
+        train=tr.TrainConfig(batch_size=32, max_epochs=1),
+        grid=(0.0, 1.0), seeds=(0,), monotonic_sets=(("x3",),),
+        output_dir=str(tmp_path / "out"), norm_fit_on_train=True)
+
+
+def test_every_traced_name_resolves():
+    tracer = load_tracer()
+    for module, attr, _ in tracer.SPANS:
+        assert callable(getattr(MODULES[module], attr)), (module, attr)
+    for attr in ("train", "backward_pass"):
+        assert callable(getattr(tr, attr)), attr
+    for op in tracer.ALL_OPS:
+        assert callable(getattr(ad, op)), op
+
+
+def test_cell_pipeline_runs_through_traced_names(tmp_path):
+    tracer_mod = load_tracer()
+    tracer = tracer_mod.Tracer(MODULES)
+    with tracer:
+        ex.run_experiment(tiny_experiment(tmp_path))
+    assert tracer.restored()
+    names = {span[1] for span in tracer.spans}
+    for name in ("data.train_test_split", "data.minmax_normalize",
+                 "data.apply_normalization", "models.build_model",
+                 "training.train", "training.evaluate",
+                 "penalty.build_loss_terms", "penalty.fit_linear_baseline",
+                 "penalty.compliance_score", "training.adam_step",
+                 "autodiff.backward_pass", "experiments.write_run_artifacts"):
+        assert name in names, name
+
+
+def test_run_experiment_calls_module_level_grid_search(tmp_path, monkeypatch):
+    captured = []
+    real = ex.lambda_grid_search
+
+    def capture(*args, **kwargs):
+        reports = real(*args, **kwargs)
+        captured.extend(reports)
+        return reports
+
+    monkeypatch.setattr(ex, "lambda_grid_search", capture)
+    result = ex.run_experiment(tiny_experiment(tmp_path))
+    assert result.all_cells_ok
+    assert sorted(r.lam for r in captured) == [0.0, 1.0]

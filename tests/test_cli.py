@@ -6,6 +6,7 @@ import pytest
 
 import dimlab.training as tr
 from dimlab.cli import main
+from dimlab.errors import NumericError
 
 
 def write_config(tmp_path, **overrides):
@@ -96,7 +97,7 @@ def test_sweep_failed_cell_exits_one(tmp_path, monkeypatch, capsys):
 
     def failing(model, ds, config, val_ds=None):
         if config.lam > 0:
-            raise RuntimeError("boom")
+            raise NumericError("boom")
         return real_train(model, ds, config, val_ds=val_ds)
 
     monkeypatch.setattr(tr, "train", failing)

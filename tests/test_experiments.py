@@ -300,6 +300,18 @@ def test_run_single_writes_report_and_checkpoint(tmp_path):
     assert loaded.config.architecture == "ann"
 
 
+@pytest.mark.parametrize("flags", [False, True])
+def test_run_single_report_matches_sweep_cell(tmp_path, flags):
+    kw = dict(norm_fit_on_train=flags, validate_on_test=flags)
+    swept = small_experiment(tmp_path / "sweep", **kw)
+    ex.run_experiment(swept)
+    single = small_experiment(tmp_path / "single", **kw)
+    ex.run_single(single, 0.5, 0)
+    stem = "run_lam0.5_seed0.json"
+    assert ((Path(single.output_dir) / stem).read_bytes()
+            == (Path(swept.output_dir) / "x3" / stem).read_bytes())
+
+
 def test_run_single_rejects_multiple_sets(tmp_path):
     cfg = small_experiment(tmp_path, monotonic_sets=(("x1",), ("x3",)))
     with pytest.raises(ConfigError, match="exactly one"):

@@ -12,7 +12,8 @@ def cfg(arch, d=4, **kw):
 
 def test_ann_parameter_count():
     model = mz.build_model(cfg("ann"))
-    assert mz.param_count(model) == 4 * 128 + 128 + 128 * 1 + 1  # 769
+    n_params = sum(p.size for p in model.parameters.values())
+    assert n_params == 4 * 128 + 128 + 128 * 1 + 1  # 769
 
 
 def test_mlp3_layer_shapes():

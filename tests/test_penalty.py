@@ -83,45 +83,35 @@ def test_fit_passes_through_centroid():
 
 # ---------------------------------------------------------------- sorting
 
+def sort_one(preds, x):
+    """(sorted preds, reordered x, perm) as the batch kernel orders them."""
+    fit = pen.fit_batch(preds, np.asarray(x, dtype=np.float64)[:, None],
+                        spec_for(0))
+    preds = np.asarray(preds, dtype=np.float64)
+    return preds[fit.perm], np.asarray(x)[fit.perm], fit.perm
+
+
 def test_sort_identity_when_sorted():
-    sp, xs, perm = pen.sort_by_predictions([1.0, 2.0, 3.0], [9.0, 8.0, 7.0])
+    sp, xs, perm = sort_one([1.0, 2.0, 3.0], [9.0, 8.0, 7.0])
     assert np.array_equal(perm, [0, 1, 2])
     assert np.array_equal(xs, [9.0, 8.0, 7.0])
 
 
 def test_sort_three_elements():
-    sp, xs, perm = pen.sort_by_predictions([3.0, 1.0, 2.0], [10.0, 20.0, 30.0])
+    sp, xs, perm = sort_one([3.0, 1.0, 2.0], [10.0, 20.0, 30.0])
     assert np.array_equal(sp, [1.0, 2.0, 3.0])
     assert np.array_equal(xs, [20.0, 30.0, 10.0])
 
 
 def test_sort_stable_on_ties():
-    sp, xs, perm = pen.sort_by_predictions([0.0, 3.0, 3.0], [0.0, 1.0, 2.0])
+    sp, xs, perm = sort_one([0.0, 3.0, 3.0], [0.0, 1.0, 2.0])
     assert np.array_equal(perm, [0, 1, 2])
     assert np.array_equal(xs, [0.0, 1.0, 2.0])
 
 
 def test_sort_length_mismatch():
     with pytest.raises(DimensionError):
-        pen.sort_by_predictions([1.0, 2.0], [1.0])
-
-
-# ---------------------------------------------------------------- reference
-
-def test_reference_flat():
-    out = pen.reference_predictions(pen.LinearBaseline(0.0, 4.0), [1.0, 9.0])
-    assert np.array_equal(out, [4.0, 4.0])
-
-
-def test_reference_identity_line():
-    x = np.array([0.5, -2.0, 3.0])
-    out = pen.reference_predictions(pen.LinearBaseline(1.0, 0.0), x)
-    assert np.array_equal(out, x)
-
-
-def test_reference_hand_case():
-    out = pen.reference_predictions(pen.LinearBaseline(1.5, 0.5), [0.0, 1.0, 2.0])
-    assert np.allclose(out, [0.5, 2.0, 3.5], atol=1e-12)
+        pen.fit_batch([1.0, 2.0], np.array([[1.0]]), spec_for(0))
 
 
 # ---------------------------------------------------------------- violations
@@ -129,23 +119,25 @@ def test_reference_hand_case():
 def test_violations_self_consistent_line():
     x = np.array([0.0, 1.0, 2.0, 3.0])
     preds = 2.0 * x + 1.0
-    v = pen.adjacent_violations(preds, x, 2.0)
-    assert np.array_equal(v.values, np.zeros(3))
+    v = pen.adjacent_violations(np.diff(preds), np.diff(x), 2.0)
+    assert np.array_equal(v, np.zeros(3))
 
 
 def test_violations_hand_case():
-    v = pen.adjacent_violations([0.0, 3.0, 3.0], [0.0, 1.0, 2.0], 1.5)
-    assert np.allclose(v.values, [0.0, 1.5], atol=1e-12)
+    v = pen.adjacent_violations(np.diff([0.0, 3.0, 3.0]),
+                                np.diff([0.0, 1.0, 2.0]), 1.5)
+    assert np.allclose(v, [0.0, 1.5], atol=1e-12)
 
 
 def test_violations_nonpositive_slope():
-    v = pen.adjacent_violations([1.0, 2.0, 5.0], [0.0, 3.0, 3.5], -0.7)
-    assert np.array_equal(v.values, np.zeros(2))
+    v = pen.adjacent_violations(np.diff([1.0, 2.0, 5.0]),
+                                np.diff([0.0, 3.0, 3.5]), -0.7)
+    assert np.array_equal(v, np.zeros(2))
 
 
 def test_violations_single_row_empty():
-    v = pen.adjacent_violations([1.0], [1.0], 2.0)
-    assert v.values.size == 0
+    v = pen.adjacent_violations(np.diff([1.0]), np.diff([1.0]), 2.0)
+    assert v.size == 0
 
 
 def test_violations_nonnegative():
@@ -154,16 +146,23 @@ def test_violations_nonnegative():
         n = rng.integers(2, 20)
         p = np.sort(rng.normal(size=n))
         x = rng.normal(size=n)
-        v = pen.adjacent_violations(p, x, rng.normal())
-        assert np.all(v.values >= 0)
+        v = pen.adjacent_violations(np.diff(p), np.diff(x), rng.normal())
+        assert np.all(v >= 0)
 
 
 # ---------------------------------------------------------------- feature sum
 
 def test_feature_penalty_values():
-    assert pen.feature_penalty(pen.ViolationVector(np.zeros(5))) == 0.0
-    assert pen.feature_penalty(pen.ViolationVector(np.array([0.0, 1.5]))) == 2.25
-    assert pen.feature_penalty(pen.ViolationVector(np.ones(3))) == 3.0
+    def feature_penalty(violations):
+        # slope 1 and no prediction increments: violations == dx
+        fit = pen.BatchFit(batch_size=1, perm=np.arange(1), features={
+            0: pen.FeatureFit(pen.LinearBaseline(1.0, 0.0), dx=violations,
+                              dpred=np.zeros_like(violations))})
+        return fit.breakdown().per_feature[0]
+
+    assert feature_penalty(np.zeros(5)) == 0.0
+    assert feature_penalty(np.array([0.0, 1.5])) == 2.25
+    assert feature_penalty(np.ones(3)) == 3.0
 
 
 # ---------------------------------------------------------------- batch penalty

@@ -309,6 +309,17 @@ def test_grid_search_failed_cell_marked_and_sweep_continues():
     assert bad[0].config["train"]["lam"] == -1.0
 
 
+def test_grid_search_programming_error_propagates(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("not a cell failure")
+
+    monkeypatch.setattr(tr, "train", broken)
+    ds = linear_dataset(n=60)
+    with pytest.raises(TypeError, match="not a cell failure"):
+        tr.lambda_grid_search(ds, mz.ModelConfig("ann", 1, seed=0),
+                              small_cfg(max_epochs=1), grid=(0.0,), seeds=(0,))
+
+
 # ---------------------------------------------------------------- selection
 
 def test_select_lambda_dominance():
