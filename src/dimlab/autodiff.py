@@ -1,8 +1,10 @@
 """Dense float64 tensors and a minimal define-by-run reverse-mode engine.
 
 Values are plain numpy float64 arrays; the graph is a DAG of :class:`Node`
-objects built fresh on every forward pass. Each op attaches a backward
-closure that accumulates gradients into its parents' ``grad`` buffers.
+objects built fresh on every forward pass. Every op is built by ``_op``
+from its value and one vector-Jacobian product per parent; a node's
+``grad`` is None until the backward pass reaches it, and is never written
+in place.
 """
 
 from __future__ import annotations
@@ -28,22 +30,22 @@ def as_tensor(x) -> np.ndarray:
 class Node:
     """A vertex of the computation graph.
 
-    Carries the forward value, a zero-initialized gradient buffer of the
-    same shape, the tag of the op that produced it, and its parent nodes.
-    Nodes are write-once apart from ``grad``; ops never mutate their
-    inputs' value arrays.
+    Carries the forward value, the tag of the op that produced it, its
+    parent nodes, and ``grad``: None until the backward pass reaches the
+    node, then the summed gradient, replaced (never written in place) by
+    each further contribution. Nodes are write-once apart from ``grad``;
+    ops never mutate their inputs' value arrays.
     """
 
     __slots__ = ("value", "grad", "op_tag", "parents", "requires_grad", "_backward")
 
-    def __init__(self, value, parents=(), op_tag="leaf", requires_grad=False,
-                 backward=None):
+    def __init__(self, value, parents=(), op_tag="leaf", requires_grad=False):
         self.value = as_tensor(value)
-        self.grad = np.zeros_like(self.value)
+        self.grad = None
         self.op_tag = op_tag
         self.parents = tuple(parents)
         self.requires_grad = bool(requires_grad)
-        self._backward = backward
+        self._backward = None
 
     @property
     def shape(self):
@@ -91,15 +93,29 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _binary(a: Node, b: Node, value, tag, da, db) -> Node:
-    out = Node(value, parents=(a, b), op_tag=tag,
-               requires_grad=a.requires_grad or b.requires_grad)
+def _accumulate(node: Node, g: np.ndarray) -> None:
+    """Add one gradient contribution to ``node.grad``, its only writer.
+
+    Never in place: a contribution may be shared with another node (``add``
+    hands the same ``g`` to both parents) or be a read-only broadcast view
+    (``global_avg_pool``).
+    """
+    node.grad = g if node.grad is None else node.grad + g
+
+
+def _op(tag: str, value, *edges) -> Node:
+    """The output node of one op over (parent, vjp) ``edges``.
+
+    A vjp maps the output gradient to that parent's contribution; it runs
+    only when the parent requires a gradient.
+    """
+    out = Node(value, parents=tuple(p for p, _ in edges), op_tag=tag,
+               requires_grad=any(p.requires_grad for p, _ in edges))
 
     def backward(g):
-        if a.requires_grad:
-            a.grad += _unbroadcast(da(g), a.value.shape)
-        if b.requires_grad:
-            b.grad += _unbroadcast(db(g), b.value.shape)
+        for parent, vjp in edges:
+            if parent.requires_grad:
+                _accumulate(parent, vjp(g))
 
     out._backward = backward
     return out
@@ -107,71 +123,45 @@ def _binary(a: Node, b: Node, value, tag, da, db) -> Node:
 
 def add(a: Node, b: Node) -> Node:
     """Elementwise sum with numpy broadcasting."""
-    return _binary(a, b, a.value + b.value, "add", lambda g: g, lambda g: g)
+    return _op("add", a.value + b.value,
+               (a, lambda g: _unbroadcast(g, a.value.shape)),
+               (b, lambda g: _unbroadcast(g, b.value.shape)))
 
 
 def sub(a: Node, b: Node) -> Node:
     """Elementwise difference with numpy broadcasting."""
-    return _binary(a, b, a.value - b.value, "sub", lambda g: g, lambda g: -g)
+    return _op("sub", a.value - b.value,
+               (a, lambda g: _unbroadcast(g, a.value.shape)),
+               (b, lambda g: _unbroadcast(-g, b.value.shape)))
 
 
 def mul(a: Node, b: Node) -> Node:
     """Elementwise product with numpy broadcasting."""
-    return _binary(a, b, a.value * b.value, "mul",
-                   lambda g: g * b.value, lambda g: g * a.value)
+    return _op("mul", a.value * b.value,
+               (a, lambda g: _unbroadcast(g * b.value, a.value.shape)),
+               (b, lambda g: _unbroadcast(g * a.value, b.value.shape)))
 
 
 def square(a: Node) -> Node:
     """Elementwise x**2."""
-    out = Node(a.value * a.value, parents=(a,), op_tag="square",
-               requires_grad=a.requires_grad)
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad += 2.0 * a.value * g
-
-    out._backward = backward
-    return out
+    return _op("square", a.value * a.value, (a, lambda g: 2.0 * a.value * g))
 
 
 def scale(a: Node, c: float) -> Node:
     """Multiply by a python float constant."""
     c = float(c)
-    out = Node(a.value * c, parents=(a,), op_tag="scale",
-               requires_grad=a.requires_grad)
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad += c * g
-
-    out._backward = backward
-    return out
+    return _op("scale", a.value * c, (a, lambda g: c * g))
 
 
 def sum_all(a: Node) -> Node:
     """Sum every entry into a scalar (shape ()) node."""
-    out = Node(a.value.sum(), parents=(a,), op_tag="sum",
-               requires_grad=a.requires_grad)
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad += g  # g is 0-d; broadcasts over the full buffer
-
-    out._backward = backward
-    return out
+    return _op("sum", a.value.sum(), (a, lambda g: np.full_like(a.value, g)))
 
 
 def reshape(a: Node, shape) -> Node:
     """View the same entries under a new shape."""
-    out = Node(a.value.reshape(shape), parents=(a,), op_tag="reshape",
-               requires_grad=a.requires_grad)
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad += g.reshape(a.value.shape)
-
-    out._backward = backward
-    return out
+    return _op("reshape", a.value.reshape(shape),
+               (a, lambda g: g.reshape(a.value.shape)))
 
 
 def matmul(a: Node, b: Node) -> Node:
@@ -179,31 +169,16 @@ def matmul(a: Node, b: Node) -> Node:
     if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
         raise DimensionError(
             f"matmul expects (m,k)@(k,n), got {a.value.shape} @ {b.value.shape}")
-    out = Node(a.value @ b.value, parents=(a, b), op_tag="matmul",
-               requires_grad=a.requires_grad or b.requires_grad)
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad += g @ b.value.T
-        if b.requires_grad:
-            b.grad += a.value.T @ g
-
-    out._backward = backward
-    return out
+    return _op("matmul", a.value @ b.value,
+               (a, lambda g: g @ b.value.T),
+               (b, lambda g: a.value.T @ g))
 
 
 def relu(a: Node) -> Node:
     """Elementwise max(0, x); at exactly 0 the subgradient 0 is used."""
     mask = a.value > 0
-    out = Node(np.where(mask, a.value, 0.0), parents=(a,), op_tag="relu",
-               requires_grad=a.requires_grad)
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad += np.where(mask, g, 0.0)
-
-    out._backward = backward
-    return out
+    return _op("relu", np.where(mask, a.value, 0.0),
+               (a, lambda g: np.where(mask, g, 0.0)))
 
 
 def gather_rows(a: Node, perm: Sequence[int]) -> Node:
@@ -217,31 +192,24 @@ def gather_rows(a: Node, perm: Sequence[int]) -> Node:
     if idx.ndim != 1 or idx.shape[0] != n or np.any(idx < 0) or np.any(idx >= n) \
             or np.any(np.bincount(idx, minlength=n) != 1):
         raise PermutationError(f"index list is not a permutation of 0..{n - 1}")
-    out = Node(a.value[idx], parents=(a,), op_tag="gather_rows",
-               requires_grad=a.requires_grad)
 
-    def backward(g):
-        if a.requires_grad:
-            a.grad[idx] += g
+    def vjp(g):
+        scattered = np.empty_like(a.value)
+        scattered[idx] = g
+        return scattered
 
-    out._backward = backward
-    return out
+    return _op("gather_rows", a.value[idx], (a, vjp))
 
 
 def adjacent_diff(a: Node) -> Node:
     """First differences of a 1-D node: out[i] = a[i+1] - a[i]."""
     if a.value.ndim != 1:
         raise DimensionError(f"adjacent_diff expects a vector, got {a.value.shape}")
-    out = Node(np.diff(a.value), parents=(a,), op_tag="adjacent_diff",
-               requires_grad=a.requires_grad)
 
-    def backward(g):
-        if a.requires_grad:
-            a.grad[1:] += g
-            a.grad[:-1] -= g
+    def vjp(g):  # the transpose of differencing: in[i] gets g[i-1] - g[i]
+        return np.concatenate(([0.0], g)) - np.concatenate((g, [0.0]))
 
-    out._backward = backward
-    return out
+    return _op("adjacent_diff", np.diff(a.value), (a, vjp))
 
 
 def conv1d_same(x: Node, kernels: Node, bias: Node) -> Node:
@@ -267,25 +235,18 @@ def conv1d_same(x: Node, kernels: Node, bias: Node) -> Node:
     for k in range(3):
         value += padded[:, k:k + length, :] @ kernels.value[:, :, k].T
 
-    out = Node(value, parents=(x, kernels, bias), op_tag="conv1d_same",
-               requires_grad=(x.requires_grad or kernels.requires_grad
-                              or bias.requires_grad))
+    def x_vjp(g):
+        g_padded = np.zeros_like(padded)
+        for k in range(3):
+            g_padded[:, k:k + length, :] += g @ kernels.value[:, :, k]
+        return g_padded[:, 1:-1, :]
 
-    def backward(g):
-        if bias.requires_grad:
-            bias.grad += g.sum(axis=(0, 1))
-        if kernels.requires_grad:
-            for k in range(3):
-                kernels.grad[:, :, k] += np.einsum(
-                    "blo,blc->oc", g, padded[:, k:k + length, :])
-        if x.requires_grad:
-            g_padded = np.zeros_like(padded)
-            for k in range(3):
-                g_padded[:, k:k + length, :] += g @ kernels.value[:, :, k]
-            x.grad += g_padded[:, 1:-1, :]
+    def kernels_vjp(g):
+        return np.stack([np.einsum("blo,blc->oc", g, padded[:, k:k + length, :])
+                         for k in range(3)], axis=2)
 
-    out._backward = backward
-    return out
+    return _op("conv1d_same", value, (x, x_vjp), (kernels, kernels_vjp),
+               (bias, lambda g: g.sum(axis=(0, 1))))
 
 
 def global_avg_pool(x: Node) -> Node:
@@ -295,15 +256,9 @@ def global_avg_pool(x: Node) -> Node:
     length = x.value.shape[1]
     if length < 1:
         raise DimensionError("global_avg_pool needs length >= 1")
-    out = Node(x.value.mean(axis=1), parents=(x,), op_tag="global_avg_pool",
-               requires_grad=x.requires_grad)
-
-    def backward(g):
-        if x.requires_grad:
-            x.grad += g[:, None, :] / length
-
-    out._backward = backward
-    return out
+    return _op("global_avg_pool", x.value.mean(axis=1),
+               (x, lambda g: np.broadcast_to(g[:, None, :] / length,
+                                             x.value.shape)))
 
 
 def dropout(a: Node, rate: float, training: bool,
@@ -319,15 +274,7 @@ def dropout(a: Node, rate: float, training: bool,
     keep = rng.random(a.value.shape) >= rate
     factor = 1.0 / (1.0 - rate)
     mask = np.where(keep, factor, 0.0)
-    out = Node(a.value * mask, parents=(a,), op_tag="dropout",
-               requires_grad=a.requires_grad)
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad += g * mask
-
-    out._backward = backward
-    return out
+    return _op("dropout", a.value * mask, (a, lambda g: g * mask))
 
 
 def _topo_order(root: Node) -> list[Node]:
@@ -353,15 +300,15 @@ def backward_pass(root: Node) -> None:
     """Reverse-accumulate gradients from a scalar root through the graph.
 
     Gradients sum across multiple uses of a node. The root's own grad is
-    seeded with 1.
+    seeded with 1; nodes the root does not depend on keep ``grad`` None.
     """
     if root.value.size != 1:
         raise ContractError(
             f"backward_pass needs a scalar root, got shape {root.value.shape}")
     order = _topo_order(root)
-    root.grad += np.ones_like(root.value)
+    _accumulate(root, np.ones_like(root.value))
     for node in reversed(order):
-        if node._backward is not None and node.requires_grad:
+        if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
 
 
@@ -370,14 +317,15 @@ def gradient_check(loss_fn: Callable[[Node], Node], point, step: float) -> float
 
     ``loss_fn`` must be a pure function mapping a leaf node (same shape as
     ``point``) to a scalar node. Returns
-    max_i |g_a,i - g_fd,i| / max(1e-8, |g_a,i| + |g_fd,i|).
+    max_i |g_a,i - g_fd,i| / max(1e-8, |g_a,i| + |g_fd,i|); a point the
+    loss does not reach has analytic gradient 0.
     """
     if step <= 0:
         raise ParameterError(f"step must be positive, got {step}")
     base = as_tensor(point)
     p = leaf(base, requires_grad=True)
     backward_pass(loss_fn(p))
-    g_analytic = p.grad.ravel().copy()
+    g_analytic = np.zeros(base.size) if p.grad is None else p.grad.ravel()
 
     flat = base.ravel().copy()
     g_fd = np.empty_like(flat)

@@ -154,6 +154,9 @@ def load_csv(path, target_column: str, monotonic_columns=()) -> Dataset:
         rows = list(reader)
 
     header = [h.strip() for h in header]
+    duplicates = sorted({h for h in header if header.count(h) > 1})
+    if duplicates:
+        raise SchemaError(f"{path}: duplicate column names {duplicates}")
     if target_column not in header:
         raise SchemaError(f"{path}: no column named {target_column!r}")
     feature_names = [h for h in header

@@ -93,6 +93,14 @@ class ExperimentConfig:
                 f"train_frac must be in (0, 1), got {self.train_frac}")
         object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        # each cell writes to files named by its (lam, seed) stem
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be distinct, got {self.seeds}")
+        stems = {_cell_stem(lam, 0) for lam in self.grid}
+        if len(stems) != len(self.grid) or len(set(self.grid)) != len(self.grid):
+            raise ConfigError(
+                f"grid values must be distinct, also in their artifact names "
+                f"(6 significant digits), got {self.grid}")
         if self.monotonic_sets is not None:
             sets = tuple(tuple(str(n) for n in names)
                          for names in self.monotonic_sets)

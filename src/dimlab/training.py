@@ -276,7 +276,10 @@ def train(model: Model, train_ds: Dataset, config: TrainConfig,
     shuffle_rng = np.random.default_rng([SHUFFLE_STREAM, config.seed])
     dropout_rng = np.random.default_rng([DROPOUT_STREAM, config.seed])
 
-    params = {k: v.copy() for k, v in model.parameters.items()}
+    # one working model for the whole run; Adam replaces its arrays
+    working = Model(config=model.config,
+                    parameters={k: v.copy() for k, v in model.parameters.items()})
+    params = working.parameters
     state = AdamState.init_like(params)
     best_params = {k: v.copy() for k, v in params.items()}
     best_val = np.inf
@@ -288,7 +291,6 @@ def train(model: Model, train_ds: Dataset, config: TrainConfig,
         order = shuffle_rng.permutation(n)
         loss_sum = 0.0
         penalty_sum = 0.0
-        working = Model(config=model.config, parameters=params)
         for start in range(0, n, config.batch_size):
             rows = order[start:start + config.batch_size]
             xb, yb = X_tr[rows], y_tr[rows]
@@ -302,8 +304,8 @@ def train(model: Model, train_ds: Dataset, config: TrainConfig,
                     f"non-finite loss at epoch {epoch}, batch row {start}")
             backward_pass(terms.total)
             grads = {name: node.grad for name, node in nodes.items()}
-            params, state = adam_step(params, grads, state, config.learning_rate)
-            working = Model(config=model.config, parameters=params)
+            updated, state = adam_step(params, grads, state, config.learning_rate)
+            params.update(updated)
             loss_sum += loss * rows.size
             penalty_sum += terms.breakdown.total * rows.size
 
@@ -390,9 +392,10 @@ def lambda_grid_search(dataset: Dataset, model_config: ModelConfig,
     Within a seed every lambda shares the same split, normalization, and
     initial parameters. A cell that raises a DimlabError is recorded on
     its report (error field) and does not stop the sweep; any other
-    exception is a bug and propagates. Cells are independent and share
-    only frozen datasets, so with max_workers > 1 the grid runs on a
-    thread pool; reports come back in grid order either way.
+    exception is a bug and propagates. Every seed is split first; cells
+    are independent and share only frozen datasets, so with
+    max_workers > 1 all (seed, lambda) cells run on one thread pool.
+    Reports come back seed-major, in grid order, either way.
     """
     if not grid:
         raise ParameterError("lambda grid must be non-empty")
@@ -403,21 +406,19 @@ def lambda_grid_search(dataset: Dataset, model_config: ModelConfig,
     if max_workers < 1:
         raise ParameterError(f"max_workers must be >= 1, got {max_workers}")
 
-    reports: list[RunReport] = []
-    for seed in seeds:
-        train_n, test_n = split_for_seed(dataset, train_frac, seed,
-                                         norm_fit_on_train)
+    splits = {seed: split_for_seed(dataset, train_frac, seed, norm_fit_on_train)
+              for seed in seeds}
 
-        def run_cell(lam, seed=seed, train_n=train_n, test_n=test_n):
-            return _run_cell(lam, seed, model_config, train_config,
-                             train_n, test_n, validate_on_test)
+    def run_cell(cell):
+        lam, seed = cell
+        return _run_cell(lam, seed, model_config, train_config, *splits[seed],
+                         validate_on_test)
 
-        if max_workers > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                reports.extend(pool.map(run_cell, grid))
-        else:
-            reports.extend(run_cell(lam) for lam in grid)
-    return reports
+    cells = [(lam, seed) for seed in seeds for lam in grid]
+    if max_workers == 1:
+        return list(map(run_cell, cells))
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        return list(pool.map(run_cell, cells))
 
 
 def select_lambda(reports, compliance_drop_tolerance: float = 0.05) -> float:

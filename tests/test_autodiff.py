@@ -297,6 +297,25 @@ def test_backward_k_fold_accumulation():
     assert x.grad == 7.0
 
 
+def test_backward_shared_gradient_is_not_written_in_place():
+    # add hands one gradient array to both parents; the later scale
+    # contribution to a must not reach b through it
+    a = ad.leaf(np.zeros(3), requires_grad=True)
+    b = ad.leaf(np.zeros(3), requires_grad=True)
+    ad.backward_pass(ad.sum_all(a + b) + ad.sum_all(ad.scale(a, 3.0)))
+    assert np.array_equal(a.grad, np.full(3, 4.0))
+    assert np.array_equal(b.grad, np.ones(3))
+
+
+def test_backward_leaves_constants_and_unreached_nodes_without_grad():
+    x = ad.leaf([1.0, 2.0], requires_grad=True)
+    c = ad.constant([3.0, 4.0])
+    unused = ad.leaf([5.0], requires_grad=True)
+    ad.backward_pass(ad.sum_all(x * c))
+    assert np.array_equal(x.grad, [3.0, 4.0])
+    assert c.grad is None and unused.grad is None
+
+
 def test_backward_rejects_non_scalar_root():
     with pytest.raises(ContractError):
         ad.backward_pass(ad.leaf([1.0, 2.0], requires_grad=True))
@@ -327,6 +346,13 @@ def test_gradient_check_linear_is_exact_to_rounding():
     err = ad.gradient_check(
         lambda p: ad.sum_all(p * c), np.array([1.0, 4.0, -2.0]), step=1e-4)
     assert err < 1e-9
+
+
+def test_gradient_check_unreached_point_has_zero_gradient():
+    c = ad.constant([3.0, -2.0])
+    err = ad.gradient_check(lambda p: ad.sum_all(c), np.array([1.0, 4.0]),
+                            step=1e-4)
+    assert err == 0.0
 
 
 def test_gradient_check_rejects_bad_step():

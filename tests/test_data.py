@@ -129,6 +129,13 @@ def test_load_csv_missing_columns(tmp_path):
         dp.load_csv(p, "b", monotonic_columns=("c",))
 
 
+def test_load_csv_rejects_duplicate_columns(tmp_path):
+    p = tmp_path / "toy.csv"
+    p.write_text("a, a,y\n1,2,3\n")
+    with pytest.raises(SchemaError, match="duplicate column names \\['a'\\]"):
+        dp.load_csv(p, "y")
+
+
 def test_load_csv_no_usable_rows(tmp_path):
     p = tmp_path / "toy.csv"
     p.write_text("a,y\nNA,1\n,2\n")

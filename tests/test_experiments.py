@@ -76,6 +76,16 @@ def test_experiment_config_rejects_empty_seeds():
         ex.ExperimentConfig(seeds=())
 
 
+def test_experiment_config_rejects_cells_sharing_artifacts():
+    # two cells with one (lam, seed) file stem would overwrite each other
+    with pytest.raises(ConfigError, match="seeds"):
+        ex.ExperimentConfig(seeds=(1, 1, 2))
+    for grid in ((0.0, 0.5, 0.5), (0.0, 0.1234567, 0.1234568), (0.0, -0.0)):
+        with pytest.raises(ConfigError, match="grid"):
+            ex.ExperimentConfig(grid=grid)
+    assert ex.ExperimentConfig(grid=(0.0, 0.5, 0.50001)).grid[2] == 0.50001
+
+
 def test_experiment_config_rejects_missing_csv_path(tmp_path):
     with pytest.raises(ConfigError, match="does not exist"):
         ex.ExperimentConfig(dataset={"csv": {"path": str(tmp_path / "no.csv"),
