@@ -64,9 +64,6 @@ class Node:
     def __mul__(self, other):
         return mul(self, _lift(other))
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def leaf(value, requires_grad=False) -> Node:
     """Create a graph input holding ``value``."""

@@ -124,7 +124,7 @@ def cmd_train(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _run_stage("config", _load_config, args)
     result = _run_stage("sweep", run_experiment, cfg)
-    sys.stdout.write(summary_to_csv(result.table))
+    sys.stdout.write(summary_to_csv(result.rows))
     print(f"selected lambdas: {json.dumps(result.selections, sort_keys=True)}",
           file=sys.stderr)
     print(f"artifacts in {cfg.output_dir}", file=sys.stderr)
@@ -159,8 +159,7 @@ def cmd_report(args) -> int:
     if run_dir is None:
         raise _StageFailure("config", ConfigError(
             "report needs a run directory (positional, --out, or --config)"))
-    table = _run_stage("report", rebuild_summary, run_dir)
-    text = summary_to_csv(table)
+    text = summary_to_csv(_run_stage("report", rebuild_summary, run_dir))
     _run_stage("report", (Path(run_dir) / "summary.csv").write_text,
                text, encoding="utf-8")
     sys.stdout.write(text)

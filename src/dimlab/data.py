@@ -138,6 +138,18 @@ def _is_id_column(name: str) -> bool:
     return low == "id" or low.endswith("_id")
 
 
+def read_header(reader, path) -> list[str]:
+    """The stripped first row of a CSV reader; the names must be distinct."""
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    duplicates = sorted({h for h in header if header.count(h) > 1})
+    if duplicates:
+        raise SchemaError(f"{path}: duplicate column names {duplicates}")
+    return header
+
+
 def load_csv(path, target_column: str, monotonic_columns=()) -> Dataset:
     """Read a UTF-8, comma-separated, header-first numeric table.
 
@@ -147,16 +159,9 @@ def load_csv(path, target_column: str, monotonic_columns=()) -> Dataset:
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+        header = read_header(reader, path)
         rows = list(reader)
 
-    header = [h.strip() for h in header]
-    duplicates = sorted({h for h in header if header.count(h) > 1})
-    if duplicates:
-        raise SchemaError(f"{path}: duplicate column names {duplicates}")
     if target_column not in header:
         raise SchemaError(f"{path}: no column named {target_column!r}")
     feature_names = [h for h in header

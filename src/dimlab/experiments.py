@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import logging
-from dataclasses import dataclass, asdict, field, replace
+from dataclasses import dataclass, asdict, astuple, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,7 @@ from .data import (
     SyntheticConfig,
     generate_synthetic,
     load_csv,
+    read_header,
     write_csv,
 )
 from .errors import (
@@ -36,10 +37,12 @@ from .models import ModelConfig, save_model
 from .penalty import COMPLIANCE_ATOL, MonotonicitySpec, fit_batch
 from .training import (
     LAMBDA_GRID_DEFAULT,
+    EpochRecord,
     RunReport,
     TrainConfig,
     fit_cell,
     lambda_grid_search,
+    lambda_medians,
     report_from_json,
     report_to_json,
     select_lambda,
@@ -49,10 +52,6 @@ from .training import (
 log = logging.getLogger(__name__)
 
 TABLE_DECIMALS = 5
-
-SUMMARY_HEADER = ("features", "model", "baseline_mse", "best_mse",
-                  "best_lambda", "drop_mse_pct", "drop_mae_pct",
-                  "drop_mape_pct")
 
 
 @dataclass(frozen=True)
@@ -111,10 +110,7 @@ class ExperimentConfig:
 
 def experiment_config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a config from parsed JSON, applying defaults for absent keys."""
-    known = {"dataset", "model", "train", "grid", "seeds", "monotonic_sets",
-             "output_dir", "train_frac", "norm_fit_on_train",
-             "validate_on_test"}
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     kwargs = dict(raw)
@@ -123,12 +119,6 @@ def experiment_config_from_dict(raw: dict) -> ExperimentConfig:
             kwargs["train"] = TrainConfig(**kwargs["train"])
         except TypeError as exc:
             raise ConfigError(f"bad train section: {exc}") from exc
-    if "grid" in kwargs:
-        kwargs["grid"] = tuple(kwargs["grid"])
-    if "seeds" in kwargs:
-        kwargs["seeds"] = tuple(kwargs["seeds"])
-    if kwargs.get("monotonic_sets") is not None:
-        kwargs["monotonic_sets"] = tuple(tuple(s) for s in kwargs["monotonic_sets"])
     return ExperimentConfig(**kwargs)
 
 
@@ -139,15 +129,6 @@ def load_experiment_config(path) -> ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return experiment_config_from_dict(raw)
-
-
-def experiment_config_to_dict(cfg: ExperimentConfig) -> dict:
-    out = asdict(cfg)
-    out["grid"] = list(cfg.grid)
-    out["seeds"] = list(cfg.seeds)
-    if cfg.monotonic_sets is not None:
-        out["monotonic_sets"] = [list(s) for s in cfg.monotonic_sets]
-    return out
 
 
 def resolve_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -203,11 +184,6 @@ class SummaryRow:
     drop_mape_pct: float
 
 
-@dataclass(frozen=True)
-class SummaryTable:
-    rows: tuple[SummaryRow, ...]
-
-
 def percent_drop(baseline: float, best: float) -> float:
     """Relative improvement in percent; negative means worsening."""
     if baseline <= 0:
@@ -215,60 +191,47 @@ def percent_drop(baseline: float, best: float) -> float:
     return 100.0 * (baseline - best) / baseline
 
 
-def _median_by_lambda(reports, metric) -> dict[float, float]:
-    by_lam: dict[float, list[float]] = {}
-    for r in reports:
-        if r.error is None and r.test_metrics is not None:
-            by_lam.setdefault(r.lam, []).append(getattr(r.test_metrics, metric))
-    return {lam: float(np.median(vals)) for lam, vals in sorted(by_lam.items())}
-
-
 def summarize_row(label: str, model_name: str, reports) -> SummaryRow:
     """Aggregate one sweep into a table row.
 
-    Per-lambda test metrics are medianed across seeds. Each %drop column
-    compares the lambda=0 baseline against the best lambda>0 value of its
-    own metric (the per-metric best, so columns may come from different
-    lambdas); best_lambda reports the MSE winner. A baseline-only grid
-    yields zero drops by definition.
+    Reads the per-lambda test medians (``lambda_medians``). Each %drop
+    column compares the lambda=0 baseline against the best lambda>0 value
+    of its own metric (the per-metric best, so columns may come from
+    different lambdas); best_lambda reports the MSE winner. A
+    baseline-only grid yields zero drops by definition.
     """
-    med_mse = _median_by_lambda(reports, "mse")
-    if 0.0 not in med_mse:
+    med = lambda_medians(reports, "test_metrics")
+    if 0.0 not in med:
         raise DataError(f"row {label!r}: no successful baseline (lambda=0) runs")
-    baseline_mse = med_mse[0.0]
-    positive = [lam for lam in med_mse if lam > 0.0]
-    if positive:
-        best_lambda = min(positive, key=lambda lam: (med_mse[lam], lam))
-        best_mse = med_mse[best_lambda]
-        drops = {}
-        for metric in ("mse", "mae", "mape"):
-            med = _median_by_lambda(reports, metric)
-            best_val = min(med[lam] for lam in positive)
-            drops[metric] = percent_drop(med[0.0], best_val)
-    else:
-        best_lambda = 0.0
-        best_mse = baseline_mse
-        drops = {"mse": 0.0, "mae": 0.0, "mape": 0.0}
-    return SummaryRow(features=label, model=model_name,
-                      baseline_mse=baseline_mse, best_mse=best_mse,
-                      best_lambda=best_lambda, drop_mse_pct=drops["mse"],
-                      drop_mae_pct=drops["mae"], drop_mape_pct=drops["mape"])
+    base = med[0.0]
+    positive = [lam for lam in med if lam > 0.0]
+    if not positive:
+        return SummaryRow(label, model_name, base.mse, base.mse, 0.0,
+                          0.0, 0.0, 0.0)
+    best_lambda = min(positive, key=lambda lam: (med[lam].mse, lam))
+    drops = [percent_drop(getattr(base, metric),
+                          min(getattr(med[lam], metric) for lam in positive))
+             for metric in ("mse", "mae", "mape")]
+    return SummaryRow(label, model_name, base.mse, med[best_lambda].mse,
+                      best_lambda, *drops)
 
 
-def summary_to_csv(table: SummaryTable) -> str:
+def _summary_cell(name: str, value) -> str:
+    if isinstance(value, str):
+        return value
+    if name == "best_lambda":
+        return f"{value:g}"
+    return f"{value:.{TABLE_DECIMALS}f}"
+
+
+def summary_to_csv(rows: tuple[SummaryRow, ...]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SUMMARY_HEADER)
-    for row in table.rows:
-        writer.writerow([
-            row.features, row.model,
-            f"{row.baseline_mse:.{TABLE_DECIMALS}f}",
-            f"{row.best_mse:.{TABLE_DECIMALS}f}",
-            f"{row.best_lambda:g}",
-            f"{row.drop_mse_pct:.{TABLE_DECIMALS}f}",
-            f"{row.drop_mae_pct:.{TABLE_DECIMALS}f}",
-            f"{row.drop_mape_pct:.{TABLE_DECIMALS}f}",
-        ])
+    names = [f.name for f in fields(SummaryRow)]
+    writer.writerow(names)
+    for row in rows:
+        writer.writerow([_summary_cell(name, getattr(row, name))
+                         for name in names])
     return buf.getvalue()
 
 
@@ -281,10 +244,9 @@ def _cell_stem(lam: float, seed: int) -> str:
 def _write_epochs_csv(report: RunReport, path: Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_mse", "penalty"])
+        writer.writerow(["epoch", *(f.name for f in fields(EpochRecord))])
         for i, rec in enumerate(report.history):
-            writer.writerow([i, repr(rec.train_loss), repr(rec.val_mse),
-                             repr(rec.penalty)])
+            writer.writerow([i, *map(repr, astuple(rec))])
 
 
 def write_run_artifacts(reports, row_dir: Path) -> None:
@@ -298,7 +260,7 @@ def write_run_artifacts(reports, row_dir: Path) -> None:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    table: SummaryTable
+    rows: tuple[SummaryRow, ...]
     selections: dict[str, float]  # feature-set label -> chosen lambda
     all_cells_ok: bool
 
@@ -310,14 +272,9 @@ def run_experiment(cfg: ExperimentConfig, max_workers: int = 1) -> ExperimentRes
     and per feature-set <out>/<label>/run_lam*_seed*.{json,csv}. Rows are
     ordered by label so the table is a pure function of the artifacts.
     Grid cells may run on a thread pool (max_workers); all file writes
-    happen here, on the orchestrating thread.
+    happen here, on the orchestrating thread, once the dataset, the model
+    and every row resolve.
     """
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(
-        json.dumps(experiment_config_to_dict(cfg), indent=2, sort_keys=True)
-        + "\n", encoding="utf-8")
-
     base = resolve_dataset(cfg)
     if cfg.monotonic_sets is not None:
         sets = cfg.monotonic_sets
@@ -327,13 +284,27 @@ def run_experiment(cfg: ExperimentConfig, max_workers: int = 1) -> ExperimentRes
             raise ConfigError("dataset designates no monotonic features and "
                               "config requests none")
     model_cfg = build_model_config(cfg, base.X.shape[1])
+    row_data = [(run_label(names), with_monotonic_names(base, names))
+                for names in sorted(sets, key=run_label)]
+    # each row owns the directory <out>/<label>
+    bad = [label for label, _ in row_data
+           if label in ("", ".", "..") or Path(label).name != label]
+    if bad:
+        raise ConfigError(f"row labels {bad} are not plain directory names")
+    if (len({label for label, _ in row_data}) != len(row_data)
+            or len({ds.monotonic for _, ds in row_data}) != len(row_data)):
+        raise ConfigError(
+            f"monotonic sets must name distinct feature sets, got {sets}")
 
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.json").write_text(
+        json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n",
+        encoding="utf-8")
     rows = []
     selections: dict[str, float] = {}
     all_ok = True
-    for names in sorted(sets, key=run_label):
-        label = run_label(names)
-        ds = with_monotonic_names(base, names)
+    for label, ds in row_data:
         log.info("sweep %s: %d lambdas x %d seeds", label, len(cfg.grid),
                  len(cfg.seeds))
         reports = lambda_grid_search(
@@ -347,12 +318,12 @@ def run_experiment(cfg: ExperimentConfig, max_workers: int = 1) -> ExperimentRes
         rows.append(summarize_row(label, model_cfg.architecture, reports))
         selections[label] = select_lambda(reports)
 
-    table = SummaryTable(rows=tuple(rows))
-    (out / "summary.csv").write_text(summary_to_csv(table), encoding="utf-8")
+    rows = tuple(rows)
+    (out / "summary.csv").write_text(summary_to_csv(rows), encoding="utf-8")
     (out / "selection.json").write_text(
         json.dumps(selections, indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
-    return ExperimentResult(table=table, selections=selections,
+    return ExperimentResult(rows=rows, selections=selections,
                             all_cells_ok=all_ok)
 
 
@@ -363,8 +334,6 @@ def run_single(cfg: ExperimentConfig, lam: float, seed: int) -> RunReport:
     cfg.output_dir. When the config names no monotonic set, the dataset's
     own designation is penalized jointly.
     """
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     base = resolve_dataset(cfg)
     if cfg.monotonic_sets is not None:
         if len(cfg.monotonic_sets) != 1:
@@ -376,6 +345,7 @@ def run_single(cfg: ExperimentConfig, lam: float, seed: int) -> RunReport:
                                      cfg.norm_fit_on_train)
     trained, report = fit_cell(lam, seed, model_cfg, cfg.train, train_n,
                                test_n, cfg.validate_on_test)
+    out = Path(cfg.output_dir)
     write_run_artifacts([report], out)
     save_model(trained, out / f"{_cell_stem(lam, seed)}.npz")
     return report
@@ -396,7 +366,7 @@ def read_reports(row_dir: Path) -> list[RunReport]:
     return reports
 
 
-def rebuild_summary(output_dir) -> SummaryTable:
+def rebuild_summary(output_dir) -> tuple[SummaryRow, ...]:
     """Reconstruct the summary table purely from on-disk run reports."""
     out = Path(output_dir)
     rows = []
@@ -408,7 +378,7 @@ def rebuild_summary(output_dir) -> SummaryTable:
         reports = read_reports(d)
         model_name = reports[0].config["model"]["architecture"]
         rows.append(summarize_row(d.name, model_name, reports))
-    return SummaryTable(rows=tuple(rows))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------- audit
@@ -416,7 +386,7 @@ def rebuild_summary(output_dir) -> SummaryTable:
 def _read_table(path):
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
+        header = read_header(reader, path)
         try:
             rows = [[float(c) for c in row] for row in reader if row]
         except ValueError as exc:

@@ -239,7 +239,8 @@ class LossTerms:
 
     ``penalty`` is None when the penalty term is not part of the graph
     (lambda = 0, empty spec, or every feature degenerate); the
-    ``breakdown`` then reports total 0.
+    ``breakdown`` still reports the batch's decomposition, with total 0
+    unless lambda = 0.
     """
 
     total: Node
@@ -273,7 +274,7 @@ def build_loss_terms(preds: Node, y, X, spec: MonotonicitySpec, lam: float,
     residual = preds - ad.constant(y)
     mse = ad.scale(ad.sum_all(ad.square(residual)), 1.0 / n)
 
-    if lam == 0:
+    if lam == 0 or all(f is None for f in fit.features.values()):
         # penalty not built into the graph; report the decomposition anyway
         return LossTerms(total=mse, mse=mse, penalty=None,
                          breakdown=fit.breakdown())
@@ -301,20 +302,9 @@ def build_loss_terms(preds: Node, y, X, spec: MonotonicitySpec, lam: float,
         per_feature[j] = p_j.value.item()
         p_sum_node = p_j if p_sum_node is None else p_sum_node + p_j
 
-    if p_sum_node is None:
-        breakdown = PenaltyBreakdown(per_feature=per_feature, total=0.0,
-                                     batch_size=n, skipped=fit.skipped)
-        return LossTerms(total=mse, mse=mse, penalty=None, breakdown=breakdown)
-
     penalty = ad.scale(p_sum_node, 1.0 / n)
     total = mse + ad.scale(penalty, lam)
     breakdown = PenaltyBreakdown(per_feature=per_feature,
                                  total=penalty.value.item(),
                                  batch_size=n, skipped=fit.skipped)
     return LossTerms(total=total, mse=mse, penalty=penalty, breakdown=breakdown)
-
-
-def combined_loss(preds: Node, y, X, spec: MonotonicitySpec, lam: float,
-                  baseline_mode: str = "frozen") -> Node:
-    """Scalar objective node: MSE plus lambda times the batch penalty."""
-    return build_loss_terms(preds, y, X, spec, lam, baseline_mode).total

@@ -14,7 +14,7 @@ import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
 
@@ -199,10 +199,6 @@ def adam_step(params, grads, state: AdamState, lr: float):
 
 # ---------------------------------------------------------------- evaluation
 
-def predict(model: Model, ds: Dataset) -> np.ndarray:
-    return forward(model, ds.X).value
-
-
 def metrics_from_predictions(preds, ds: Dataset) -> Metrics:
     """Closed-form error metrics plus compliance for given predictions."""
     if ds.n_rows == 0:
@@ -221,11 +217,11 @@ def metrics_from_predictions(preds, ds: Dataset) -> Metrics:
 
 def evaluate(model: Model, ds: Dataset) -> Metrics:
     """Eval-mode metrics over a full split; compliance may be undefined."""
-    return metrics_from_predictions(predict(model, ds), ds)
+    return metrics_from_predictions(forward(model, ds.X).value, ds)
 
 
-def _val_mse(model: Model, X: np.ndarray, y: np.ndarray) -> float:
-    err = forward(model, X).value - y
+def _val_mse(model: Model, ds: Dataset) -> float:
+    err = forward(model, ds.X).value - ds.y
     return float(np.mean(err * err))
 
 
@@ -244,6 +240,25 @@ def _config_snapshot(model_config: ModelConfig, config: TrainConfig,
     return snap
 
 
+def _carve_validation(train_ds: Dataset,
+                      config: TrainConfig) -> tuple[Dataset, Dataset]:
+    """Seeded (fit, validation) rows of the training split; with no
+    held-out rows, early stopping watches the training split itself."""
+    n = train_ds.n_rows
+    if config.val_fraction == 0.0 or n < 2:
+        return train_ds, train_ds
+    perm = np.random.default_rng([CARVE_STREAM, config.seed]).permutation(n)
+    n_val = max(1, int(round(config.val_fraction * n)))
+    if n_val >= n:
+        raise ConfigError(
+            f"val_fraction {config.val_fraction} leaves no training rows")
+
+    def take(idx):
+        return replace(train_ds, X=train_ds.X[idx], y=train_ds.y[idx])
+
+    return take(perm[n_val:]), take(perm[:n_val])
+
+
 def train(model: Model, train_ds: Dataset, config: TrainConfig,
           val_ds: Dataset | None = None):
     """Mini-batch Adam on the combined objective with early stopping.
@@ -254,24 +269,10 @@ def train(model: Model, train_ds: Dataset, config: TrainConfig,
     restores the best parameters. Returns (model, RunReport).
     """
     t0 = time.perf_counter()
+    if val_ds is None:
+        train_ds, val_ds = _carve_validation(train_ds, config)
     spec = train_ds.monotonic
-    if val_ds is not None:
-        X_tr, y_tr = train_ds.X, train_ds.y
-        X_val, y_val = val_ds.X, val_ds.y
-    elif config.val_fraction > 0.0 and train_ds.n_rows >= 2:
-        carve = np.random.default_rng([CARVE_STREAM, config.seed])
-        perm = carve.permutation(train_ds.n_rows)
-        n_val = max(1, int(round(config.val_fraction * train_ds.n_rows)))
-        if n_val >= train_ds.n_rows:
-            raise ConfigError(
-                f"val_fraction {config.val_fraction} leaves no training rows")
-        X_val, y_val = train_ds.X[perm[:n_val]], train_ds.y[perm[:n_val]]
-        X_tr, y_tr = train_ds.X[perm[n_val:]], train_ds.y[perm[n_val:]]
-    else:
-        # no held-out rows; early stopping watches the training split
-        X_tr, y_tr = train_ds.X, train_ds.y
-        X_val, y_val = train_ds.X, train_ds.y
-
+    X_tr, y_tr = train_ds.X, train_ds.y
     n = X_tr.shape[0]
     shuffle_rng = np.random.default_rng([SHUFFLE_STREAM, config.seed])
     dropout_rng = np.random.default_rng([DROPOUT_STREAM, config.seed])
@@ -309,7 +310,7 @@ def train(model: Model, train_ds: Dataset, config: TrainConfig,
             loss_sum += loss * rows.size
             penalty_sum += terms.breakdown.total * rows.size
 
-        val_mse = _val_mse(working, X_val, y_val)
+        val_mse = _val_mse(working, val_ds)
         history.append(EpochRecord(train_loss=loss_sum / n,
                                    val_mse=val_mse,
                                    penalty=penalty_sum / n))
@@ -325,17 +326,11 @@ def train(model: Model, train_ds: Dataset, config: TrainConfig,
                 break
 
     trained = Model(config=model.config, parameters=best_params)
-    val_metrics = None
-    if history:
-        val_split = Dataset(X=X_val, y=y_val,
-                            feature_names=train_ds.feature_names,
-                            monotonic=spec)
-        val_metrics = evaluate(trained, val_split)
     report = RunReport(
         config=_config_snapshot(model.config, config),
         history=tuple(history),
         best_epoch=best_epoch,
-        val_metrics=val_metrics,
+        val_metrics=evaluate(trained, val_ds) if history else None,
         wall_time_s=time.perf_counter() - t0,
     )
     return trained, report
@@ -421,41 +416,48 @@ def lambda_grid_search(dataset: Dataset, model_config: ModelConfig,
         return list(pool.map(run_cell, cells))
 
 
+def lambda_medians(reports, split: str) -> dict[float, Metrics]:
+    """Per-lambda medians, across seeds, of the successful reports'
+    ``split`` metrics ("val_metrics" or "test_metrics"), in ascending
+    lambda order. Compliance is the median of the seeds that define it,
+    or None when none does."""
+    by_lam: dict[float, list[Metrics]] = {}
+    for r in reports:
+        m = getattr(r, split)
+        if r.error is None and m is not None:
+            by_lam.setdefault(r.lam, []).append(m)
+
+    def median(values):
+        defined = [v for v in values if v is not None]
+        return float(np.median(defined)) if defined else None
+
+    return {lam: Metrics(**{f.name: median([getattr(m, f.name) for m in ms])
+                            for f in fields(Metrics)})
+            for lam, ms in sorted(by_lam.items())}
+
+
 def select_lambda(reports, compliance_drop_tolerance: float = 0.05) -> float:
     """Two-stage choice over sweep reports.
 
-    Stage 1 aggregates per-lambda median validation MSE and median
-    compliance across seeds; stage 2 takes the val-MSE argmin among
-    lambdas whose compliance is within the tolerance of the best. Ties
-    go to the smaller lambda. An empty candidate set falls back to the
-    unfiltered argmin with a warning.
+    Stage 1 takes the per-lambda validation medians (``lambda_medians``);
+    stage 2 takes the val-MSE argmin among lambdas whose median
+    compliance is within the tolerance of the best. Ties go to the
+    smaller lambda. An empty candidate set falls back to the unfiltered
+    argmin with a warning.
     """
-    usable = [r for r in reports if r.error is None and r.val_metrics is not None]
-    if not usable:
+    med = lambda_medians(reports, "val_metrics")
+    if not med:
         raise ParameterError("no successful reports to select from")
-    by_lam: dict[float, list[RunReport]] = {}
-    for r in usable:
-        by_lam.setdefault(r.lam, []).append(r)
-
-    lams = sorted(by_lam)
-    med_mse = {}
-    med_comp = {}
-    for lam in lams:
-        med_mse[lam] = float(np.median([r.val_metrics.mse for r in by_lam[lam]]))
-        comps = [r.val_metrics.compliance for r in by_lam[lam]
-                 if r.val_metrics.compliance is not None]
-        med_comp[lam] = float(np.median(comps)) if comps else None
-
-    defined = [c for c in med_comp.values() if c is not None]
+    lams = list(med)
+    defined = [m.compliance for m in med.values() if m.compliance is not None]
     candidates = lams
     if defined:
-        best_comp = max(defined)
-        candidates = [lam for lam in lams
-                      if med_comp[lam] is not None
-                      and med_comp[lam] >= best_comp - compliance_drop_tolerance]
+        floor = max(defined) - compliance_drop_tolerance
+        candidates = [lam for lam in lams if med[lam].compliance is not None
+                      and med[lam].compliance >= floor]
     if not candidates:
         log.warning("compliance filter left no candidates; "
                     "falling back to unfiltered val-MSE argmin")
         candidates = lams
     # sorted ascending, so min() returns the smallest lambda on ties
-    return min(candidates, key=lambda lam: (med_mse[lam], lam))
+    return min(candidates, key=lambda lam: (med[lam].mse, lam))

@@ -174,7 +174,8 @@ def _frozen_fd_error(p_val, y, X, indices, lam, step):
     recomputation with slopes and the sort permutation held fixed."""
     spec = MonotonicitySpec(indices)
     preds = ad.leaf(p_val, requires_grad=True)
-    ad.backward_pass(pen.combined_loss(preds, y, X, spec, lam, "frozen"))
+    ad.backward_pass(
+        pen.build_loss_terms(preds, y, X, spec, lam, "frozen").total)
     g_analytic = preds.grad.copy()
 
     n = p_val.shape[0]
@@ -224,8 +225,8 @@ def test_ac3_gradient_checks():
         worst_frozen = max(worst_frozen,
                            _frozen_fd_error(p, y, X, indices, lam, step))
         worst_coupled = max(worst_coupled, ad.gradient_check(
-            lambda q: pen.combined_loss(q, y, X, MonotonicitySpec(indices),
-                                        lam, "coupled"),
+            lambda q: pen.build_loss_terms(q, y, X, MonotonicitySpec(indices),
+                                           lam, "coupled").total,
             p, step=step))
         checked += 1
     assert worst_frozen < 1e-4

@@ -7,7 +7,10 @@ moves a call to another module, or renames it, silently drops it from
 the benchmark; these tests fail instead.
 """
 
+import importlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import dimlab.autodiff as ad
@@ -16,7 +19,8 @@ import dimlab.models as mz
 import dimlab.penalty as pen
 import dimlab.training as tr
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER_PATH = PERFBENCH / "tracer.py"
 MODULES = {"autodiff": ad, "experiments": ex, "models": mz, "penalty": pen,
            "training": tr}
 
@@ -77,3 +81,19 @@ def test_run_experiment_calls_module_level_grid_search(tmp_path, monkeypatch):
     result = ex.run_experiment(tiny_experiment(tmp_path))
     assert result.all_cells_ok
     assert sorted(r.lam for r in captured) == [0.0, 1.0]
+
+
+def test_worker_sweep_passes_its_checks(tmp_path, capsys):
+    """The benchmark worker, run in-process on its smallest workload,
+    finds every name it calls and passes every check it makes."""
+    saved_path = list(sys.path)
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        worker = importlib.import_module("worker")
+        capsys.readouterr()
+        assert worker.main(["--workload", "penalty_small_batch", "--seed", "1",
+                            "--out", str(tmp_path / "w")]) == 0
+    finally:
+        sys.path[:] = saved_path
+    record = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert record["checks"] and all(record["checks"].values()), record["checks"]

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import dimlab.data as dp
 import dimlab.experiments as ex
 import dimlab.models as mz
 import dimlab.training as tr
-from dimlab.errors import ConfigError, DataError, ParameterError
+from dimlab.errors import ConfigError, DataError, ParameterError, SchemaError
 
 
 def exp_report(lam, seed, mse, mae=1.0, mape=100.0, error=None):
@@ -136,7 +137,7 @@ def test_config_file_roundtrip(tmp_path):
     assert cfg.seeds == (1, 2)
     assert cfg.monotonic_sets == (("x1",), ("x2", "x3"))
     assert cfg.train.max_epochs == 7
-    assert ex.experiment_config_from_dict(ex.experiment_config_to_dict(cfg)) == cfg
+    assert ex.experiment_config_from_dict(asdict(cfg)) == cfg
 
 
 def test_load_config_rejects_invalid_json(tmp_path):
@@ -211,13 +212,13 @@ def test_summarize_row_requires_baseline_runs():
 
 
 def test_summary_csv_formatting():
-    table = ex.SummaryTable(rows=(
+    rows = (
         ex.SummaryRow(features="x3", model="mlp3", baseline_mse=0.26765,
                       best_mse=0.21521, best_lambda=1.0,
                       drop_mse_pct=19.593125, drop_mae_pct=0.0,
                       drop_mape_pct=-10.0),
-    ))
-    text = ex.summary_to_csv(table)
+    )
+    text = ex.summary_to_csv(rows)
     lines = text.splitlines()
     assert lines[0] == ("features,model,baseline_mse,best_mse,best_lambda,"
                         "drop_mse_pct,drop_mae_pct,drop_mape_pct")
@@ -232,8 +233,8 @@ def test_run_experiment_artifacts_and_rebuild(tmp_path):
     out = Path(cfg.output_dir)
 
     assert result.all_cells_ok
-    assert [r.features for r in result.table.rows] == ["x3"]
-    assert result.table.rows[0].model == "ann"
+    assert [r.features for r in result.rows] == ["x3"]
+    assert result.rows[0].model == "ann"
     assert set(result.selections) == {"x3"}
     assert result.selections["x3"] in cfg.grid
 
@@ -254,8 +255,8 @@ def test_run_experiment_default_rows_cover_monotonic_features(tmp_path):
         train=tr.TrainConfig(batch_size=32, max_epochs=1),
         grid=(0.0,), monotonic_sets=None)
     result = ex.run_experiment(cfg)
-    assert [r.features for r in result.table.rows] == ["x1", "x2", "x3"]
-    assert all(r.drop_mse_pct == 0.0 for r in result.table.rows)
+    assert [r.features for r in result.rows] == ["x1", "x2", "x3"]
+    assert all(r.drop_mse_pct == 0.0 for r in result.rows)
 
 
 def test_run_reports_roundtrip_through_own_loader(tmp_path):
@@ -326,6 +327,45 @@ def test_run_single_rejects_multiple_sets(tmp_path):
     cfg = small_experiment(tmp_path, monotonic_sets=(("x1",), ("x3",)))
     with pytest.raises(ConfigError, match="exactly one"):
         ex.run_single(cfg, lam=0.0, seed=0)
+
+
+@pytest.mark.parametrize("sets", [(("x3",), ("x3",)),
+                                  (("x1", "x3"), ("x3", "x1"))])
+def test_run_experiment_rejects_sets_naming_the_same_features(tmp_path, sets):
+    cfg = small_experiment(tmp_path, monotonic_sets=sets)
+    with pytest.raises(ConfigError, match="distinct"):
+        ex.run_experiment(cfg)
+    assert not Path(cfg.output_dir).exists()
+
+
+@pytest.mark.parametrize("column", ["..", "a/b"])
+def test_run_experiment_rejects_labels_that_are_not_one_path_part(tmp_path,
+                                                                  column):
+    rng = np.random.default_rng(0)
+    data = tmp_path / "data.csv"
+    write_table(data, ["x", "..", "a/b", "y"], rng.uniform(size=(40, 4)))
+    cfg = small_experiment(
+        tmp_path, monotonic_sets=None,
+        dataset={"csv": {"path": str(data), "target": "y",
+                         "monotonic": [column]}})
+    with pytest.raises(ConfigError, match="plain directory names"):
+        ex.run_experiment(cfg)
+    assert not Path(cfg.output_dir).exists()
+    assert not list(tmp_path.rglob("run_*"))
+
+
+@pytest.mark.parametrize("bad", [
+    {"model": {"architecture": "foo"}},
+    {"model": {"depth": 3}},
+    {"dataset": {"synthetic": {"nn": 3}}},
+])
+def test_runs_resolve_dataset_and_model_before_writing(tmp_path, bad):
+    cfg = small_experiment(tmp_path, **bad)
+    with pytest.raises(ConfigError):
+        ex.run_experiment(cfg)
+    with pytest.raises(ConfigError):
+        ex.run_single(cfg, lam=0.0, seed=0)
+    assert not Path(cfg.output_dir).exists()
 
 
 def test_generate_to_csv_roundtrips(tmp_path):
@@ -437,3 +477,12 @@ def test_audit_rejects_unknown_monotonic_name(tmp_path):
     write_table(feats, ["x"], [[0.0], [1.0]])
     with pytest.raises(DataError, match="z"):
         ex.audit(preds, feats, ["z"])
+
+
+def test_audit_rejects_duplicate_feature_names(tmp_path):
+    preds = tmp_path / "p.csv"
+    feats = tmp_path / "f.csv"
+    write_table(preds, ["p"], [[1.0], [2.0]])
+    write_table(feats, ["x", " x"], [[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(SchemaError, match="duplicate"):
+        ex.audit(preds, feats, ["x"])

@@ -340,7 +340,7 @@ def test_combined_loss_lambda_zero_is_mse():
     y = rng.normal(size=8)
     p_val = rng.normal(size=8)
     preds = ad.leaf(p_val, requires_grad=True)
-    out = pen.combined_loss(preds, y, X, spec_for(0, 1), 0.0)
+    out = pen.build_loss_terms(preds, y, X, spec_for(0, 1), 0.0).total
     assert out.value.item() == np.sum((p_val - y) ** 2) * (1.0 / 8)
 
 
@@ -349,7 +349,8 @@ def test_combined_loss_zero_penalty_any_lambda():
     p_val = 2.0 * x + 1.0
     y = np.array([1.0, 2.0, 5.0, 7.0])
     for lam in (0.0, 0.4, 1.0):
-        out = pen.combined_loss(ad.leaf(p_val), y, x[:, None], spec_for(0), lam)
+        out = pen.build_loss_terms(ad.leaf(p_val), y, x[:, None], spec_for(0),
+                                   lam).total
         assert abs(out.value.item() - np.mean((p_val - y) ** 2)) < 1e-15
 
 
@@ -357,7 +358,7 @@ def test_combined_loss_hand_batch():
     X = np.array([[0.0], [1.0], [2.0]])
     y = np.array([0.0, 1.0, 2.0])
     p_val = np.array([0.0, 3.0, 3.0])
-    out = pen.combined_loss(ad.leaf(p_val), y, X, spec_for(0), 0.4)
+    out = pen.build_loss_terms(ad.leaf(p_val), y, X, spec_for(0), 0.4).total
     expected = np.mean((p_val - y) ** 2) + 0.4 * 0.75
     assert abs(out.value.item() - expected) < 1e-12
 
@@ -367,9 +368,10 @@ def test_combined_loss_rejects_negative_lambda_and_bad_mode():
     X = np.zeros((2, 1))
     y = np.zeros(2)
     with pytest.raises(ParameterError):
-        pen.combined_loss(preds, y, X, spec_for(0), -0.1)
+        pen.build_loss_terms(preds, y, X, spec_for(0), -0.1)
     with pytest.raises(ParameterError):
-        pen.combined_loss(preds, y, X, spec_for(0), 0.5, baseline_mode="loose")
+        pen.build_loss_terms(preds, y, X, spec_for(0), 0.5,
+                             baseline_mode="loose")
 
 
 def test_loss_terms_penalty_matches_pure_computation():
@@ -397,7 +399,7 @@ def test_frozen_gradients_match_fd_with_constants_held():
     idx = spec_for(0, 1)
 
     preds = ad.leaf(p_val, requires_grad=True)
-    ad.backward_pass(pen.combined_loss(preds, y, X, idx, lam, "frozen"))
+    ad.backward_pass(pen.build_loss_terms(preds, y, X, idx, lam, "frozen").total)
 
     frozen = {}
     perm = np.argsort(p_val, kind="stable")
@@ -433,7 +435,8 @@ def test_coupled_gradients_match_fd_of_full_refit():
     p_val = rng.normal(size=n) * 2.0
 
     err = ad.gradient_check(
-        lambda p: pen.combined_loss(p, y, X, spec_for(0, 1), 0.8, "coupled"),
+        lambda p: pen.build_loss_terms(p, y, X, spec_for(0, 1), 0.8,
+                                       "coupled").total,
         p_val, step=1e-5)
     assert err < 1e-4
 
@@ -447,6 +450,7 @@ def test_frozen_and_coupled_gradients_differ():
     grads = {}
     for mode in ("frozen", "coupled"):
         preds = ad.leaf(p_val, requires_grad=True)
-        ad.backward_pass(pen.combined_loss(preds, y, X, spec_for(0, 1), 1.0, mode))
+        ad.backward_pass(
+            pen.build_loss_terms(preds, y, X, spec_for(0, 1), 1.0, mode).total)
         grads[mode] = preds.grad.copy()
     assert not np.allclose(grads["frozen"], grads["coupled"])
