@@ -2,10 +2,12 @@
 
 Subcommands: generate (synthetic CSV), train (single run), sweep
 (grid x seeds), audit (post-hoc penalty report on external predictions),
-report (rebuild the summary table from saved artifacts). Flags override
-config-file keys; DIMLAB_SEED is a global seed fallback when --seed is
-absent. Exit codes: 0 on success with every grid cell completed, 1 when
-a sweep finishes with failed cells, 2 on a stage error.
+report (rebuild the summary table from saved artifacts). Each takes only
+the flags it reads; flags override config-file keys, and DIMLAB_SEED is
+the seed when --seed is absent. Exit codes: 0 on success with every grid
+cell completed, 1 when a sweep finishes with failed cells, 2 on an error,
+which is tagged [config] for a configuration error and otherwise with the
+subcommand.
 """
 
 from __future__ import annotations
@@ -33,39 +35,17 @@ from .models import ARCHITECTURES
 from .penalty import BASELINE_MODES
 from .training import report_to_json
 
-log = logging.getLogger(__name__)
-
 ENV_SEED = "DIMLAB_SEED"
 
 
-class _StageFailure(Exception):
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"{stage}: {cause}")
-        self.stage = stage
-        self.cause = cause
-
-
-def _run_stage(stage: str, fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except (DimlabError, OSError) as exc:
-        raise _StageFailure(stage, exc) from exc
-
-
-def _env_seed() -> int | None:
-    raw = os.environ.get(ENV_SEED)
-    if raw is None:
-        return None
+def _resolve_seed(args) -> int | None:
+    seed, raw = vars(args).get("seed"), os.environ.get(ENV_SEED)
+    if seed is not None or raw is None:
+        return seed
     try:
         return int(raw)
     except ValueError:
         raise ConfigError(f"{ENV_SEED} must be an integer, got {raw!r}")
-
-
-def _resolve_seed(args) -> int | None:
-    if args.seed is not None:
-        return args.seed
-    return _env_seed()
 
 
 def _split_names(items) -> list[str]:
@@ -76,20 +56,22 @@ def _split_names(items) -> list[str]:
 
 
 def _load_config(args) -> ExperimentConfig:
+    """Config file or defaults; a flag this parser lacks reads as absent."""
+    flag = vars(args).get
     cfg = (load_experiment_config(args.config) if args.config
            else ExperimentConfig())
     updates: dict = {}
-    if args.arch:
+    if flag("arch") and isinstance(cfg.model, dict):
         updates["model"] = {**cfg.model, "architecture": args.arch}
-    if args.monotonic:
+    if flag("monotonic"):
         updates["monotonic_sets"] = (tuple(_split_names(args.monotonic)),)
-    if args.out:
+    if flag("out"):
         updates["output_dir"] = args.out
-    if args.validate_on_test:
+    if flag("validate_on_test"):
         updates["validate_on_test"] = True
-    if args.norm_fit_on_train:
+    if flag("norm_fit_on_train"):
         updates["norm_fit_on_train"] = True
-    if args.baseline_mode:
+    if flag("baseline_mode"):
         updates["train"] = replace(cfg.train, baseline_mode=args.baseline_mode)
     seed = _resolve_seed(args)
     if seed is not None:
@@ -98,32 +80,30 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def cmd_generate(args) -> int:
-    cfg = _run_stage("config", _load_config, args)
+    cfg = _load_config(args)
     seed = _resolve_seed(args)
-    if seed is not None:
-        synth = {**cfg.dataset.get("synthetic", {}), "seed": seed}
-        cfg = replace(cfg, dataset={"synthetic": synth})
+    synth = cfg.dataset.get("synthetic")
+    if seed is not None and isinstance(synth, dict):
+        cfg = replace(cfg, dataset={"synthetic": {**synth, "seed": seed}})
     out = args.out or "synthetic.csv"
-    ds = _run_stage("generate", generate_to_csv, cfg, out)
+    ds = generate_to_csv(cfg, out)
     print(f"wrote {ds.n_rows} rows x {len(ds.feature_names)} features to {out}")
     return 0
 
 
 def cmd_train(args) -> int:
-    cfg = _run_stage("config", _load_config, args)
+    cfg = _load_config(args)
     lam = args.lam if args.lam is not None else cfg.train.lam
     seed = _resolve_seed(args)
-    if seed is None:
-        seed = cfg.train.seed
-    report = _run_stage("train", run_single, cfg, lam, seed)
+    report = run_single(cfg, lam, cfg.train.seed if seed is None else seed)
     sys.stdout.write(report_to_json(report))
     print(f"artifacts in {cfg.output_dir}", file=sys.stderr)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    cfg = _run_stage("config", _load_config, args)
-    result = _run_stage("sweep", run_experiment, cfg)
+    cfg = _load_config(args)
+    result = run_experiment(cfg)
     sys.stdout.write(summary_to_csv(result.rows))
     print(f"selected lambdas: {json.dumps(result.selections, sort_keys=True)}",
           file=sys.stderr)
@@ -137,11 +117,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_audit(args) -> int:
     if not args.monotonic:
-        raise _StageFailure("config", ConfigError(
-            "audit requires --monotonic <names>"))
-    names = _split_names(args.monotonic)
-    payload = _run_stage("audit", audit, args.predictions_csv,
-                         args.features_csv, names)
+        raise ConfigError("audit requires --monotonic <names>")
+    payload = audit(args.predictions_csv, args.features_csv,
+                    _split_names(args.monotonic))
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -154,69 +132,68 @@ def cmd_audit(args) -> int:
 def cmd_report(args) -> int:
     run_dir = args.run_dir or args.out
     if run_dir is None and args.config:
-        cfg = _run_stage("config", _load_config, args)
-        run_dir = cfg.output_dir
+        run_dir = _load_config(args).output_dir
     if run_dir is None:
-        raise _StageFailure("config", ConfigError(
-            "report needs a run directory (positional, --out, or --config)"))
-    text = summary_to_csv(_run_stage("report", rebuild_summary, run_dir))
-    _run_stage("report", (Path(run_dir) / "summary.csv").write_text,
-               text, encoding="utf-8")
+        raise ConfigError(
+            "report needs a run directory (positional, --out, or --config)")
+    text = summary_to_csv(rebuild_summary(run_dir))
+    (Path(run_dir) / "summary.csv").write_text(text, encoding="utf-8")
     sys.stdout.write(text)
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH",
-                        help="JSON experiment config; flags override its keys")
-    common.add_argument("--seed", type=int,
-                        help=f"run seed (falls back to ${ENV_SEED})")
-    common.add_argument("--lambda", dest="lam", type=float,
-                        help="penalty weight for single runs")
-    common.add_argument("--arch", choices=ARCHITECTURES)
-    common.add_argument("--monotonic", nargs="+", metavar="NAME",
+# Each argument defined once; every subcommand lists the ones it reads.
+_ARGUMENTS = {
+    "--config": dict(metavar="PATH",
+                     help="JSON experiment config; flags override its keys"),
+    "--seed": dict(type=int, help=f"run seed (falls back to ${ENV_SEED})"),
+    "--lambda": dict(dest="lam", type=float,
+                     help="penalty weight for single runs"),
+    "--arch": dict(choices=ARCHITECTURES),
+    "--monotonic": dict(nargs="+", metavar="NAME",
                         help="feature names to constrain (space or comma "
-                             "separated)")
-    common.add_argument("--out", metavar="PATH",
-                        help="output directory (CSV/JSON path for "
-                             "generate/audit)")
-    common.add_argument("--validate-on-test", action="store_true",
-                        help="use the test split for validation and early "
-                             "stopping")
-    common.add_argument("--baseline-mode", choices=BASELINE_MODES,
-                        help="how penalty gradients treat the fitted slope")
-    common.add_argument("--norm-fit-on-train", action="store_true",
-                        help="scale the test split with train-split min/max")
+                             "separated)"),
+    "--out": dict(metavar="PATH",
+                  help="output directory (CSV/JSON path for generate/audit)"),
+    "--validate-on-test": dict(action="store_true",
+                               help="use the test split for validation and "
+                                    "early stopping"),
+    "--baseline-mode": dict(choices=BASELINE_MODES,
+                            help="how penalty gradients treat the fitted "
+                                 "slope"),
+    "--norm-fit-on-train": dict(action="store_true",
+                                help="scale the test split with train-split "
+                                     "min/max"),
+    "predictions_csv": {},
+    "features_csv": {},
+    "run_dir": dict(nargs="?",
+                    help="sweep output directory (defaults to --out)"),
+}
+_RUN_FLAGS = ("--config", "--seed", "--arch", "--monotonic", "--out",
+              "--validate-on-test", "--baseline-mode", "--norm-fit-on-train")
+_SUBCOMMANDS = {
+    "generate": (cmd_generate, "write a synthetic benchmark CSV",
+                 ("--config", "--seed", "--out")),
+    "train": (cmd_train, "train one (lambda, seed) model",
+              ("--lambda", *_RUN_FLAGS)),
+    "sweep": (cmd_sweep, "run the full lambda grid x seeds", _RUN_FLAGS),
+    "audit": (cmd_audit, "penalty report for external predictions",
+              ("--monotonic", "--out", "predictions_csv", "features_csv")),
+    "report": (cmd_report, "rebuild the summary table from artifacts",
+               ("--config", "--out", "run_dir")),
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dimlab",
         description="Monotonicity-penalized regression experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", parents=[common],
-                       help="write a synthetic benchmark CSV")
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("train", parents=[common],
-                       help="train one (lambda, seed) model")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("sweep", parents=[common],
-                       help="run the full lambda grid x seeds")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("audit", parents=[common],
-                       help="penalty report for external predictions")
-    p.add_argument("predictions_csv")
-    p.add_argument("features_csv")
-    p.set_defaults(func=cmd_audit)
-
-    p = sub.add_parser("report", parents=[common],
-                       help="rebuild the summary table from artifacts")
-    p.add_argument("run_dir", nargs="?",
-                   help="sweep output directory (defaults to --out)")
-    p.set_defaults(func=cmd_report)
+    for name, (func, help_text, arguments) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for arg in arguments:
+            p.add_argument(arg, **_ARGUMENTS[arg])
+        p.set_defaults(func=func)
     return parser
 
 
@@ -226,11 +203,9 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except _StageFailure as exc:
-        print(f"error [{exc.stage}]: {exc.cause}", file=sys.stderr)
-        return 2
-    except DimlabError as exc:
-        print(f"error [{args.command}]: {exc}", file=sys.stderr)
+    except (DimlabError, OSError) as exc:
+        stage = "config" if isinstance(exc, ConfigError) else args.command
+        print(f"error [{stage}]: {exc}", file=sys.stderr)
         return 2
 
 

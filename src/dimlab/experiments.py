@@ -52,6 +52,37 @@ from .training import (
 log = logging.getLogger(__name__)
 
 TABLE_DECIMALS = 5
+DEFAULT_ARCH = "mlp3"
+
+
+def config_section(cls, raw, name: str, **set_by_run):
+    """Build the frozen dataclass ``cls`` from the JSON section ``raw``.
+
+    Its keys must be field names of ``cls``; ``set_by_run`` holds the
+    fields the run fills in itself, which the section may not name.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} section must be an object, got {raw!r}")
+    unknown = set(raw) - ({f.name for f in fields(cls)} - set(set_by_run))
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    try:
+        return cls(**raw, **set_by_run)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {name} section: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class CsvSource:
+    """The ``dataset.csv`` section: a CSV file and its column roles."""
+
+    path: str
+    target: str
+    monotonic: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if not self.path or not Path(self.path).exists():
+            raise ConfigError(f"csv dataset path {self.path!r} does not exist")
 
 
 @dataclass(frozen=True)
@@ -59,12 +90,13 @@ class ExperimentConfig:
     """Resolved experiment description.
 
     ``dataset`` is either {"synthetic": {...SyntheticConfig keys...}} or
-    {"csv": {"path", "target", "monotonic"}}. ``monotonic_sets`` of None
+    {"csv": {...CsvSource keys...}}; ``model`` holds ModelConfig keys but
+    input_dim and seed, which the run sets. ``monotonic_sets`` of None
     means one single-feature row per monotonic feature of the dataset.
     """
 
     dataset: dict = field(default_factory=lambda: {"synthetic": {}})
-    model: dict = field(default_factory=lambda: {"architecture": "mlp3"})
+    model: dict = field(default_factory=lambda: {"architecture": DEFAULT_ARCH})
     train: TrainConfig = field(default_factory=TrainConfig)
     grid: tuple[float, ...] = LAMBDA_GRID_DEFAULT
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
@@ -77,20 +109,21 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
-        if any(lam < 0 for lam in self.grid):
-            raise ConfigError(f"grid values must be >= 0, got {self.grid}")
-        if set(self.dataset) - {"synthetic", "csv"} or len(self.dataset) != 1:
+        object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
+        if (0.0 not in self.grid
+                or not all(np.isfinite(v) and v >= 0 for v in self.grid)):
+            raise ConfigError(f"grid values must be finite and >= 0 and "
+                              f"include the 0.0 baseline, got {self.grid}")
+        if (not isinstance(self.dataset, dict) or len(self.dataset) != 1
+                or set(self.dataset) - {"synthetic", "csv"}):
             raise ConfigError(
                 f"dataset must have exactly one of 'synthetic' or 'csv' "
-                f"keys, got {sorted(self.dataset)}")
+                f"keys, got {self.dataset!r}")
         if "csv" in self.dataset:
-            path = self.dataset["csv"].get("path")
-            if not path or not Path(path).exists():
-                raise ConfigError(f"csv dataset path {path!r} does not exist")
+            config_section(CsvSource, self.dataset["csv"], "csv")
         if not 0.0 < self.train_frac < 1.0:
             raise ConfigError(
                 f"train_frac must be in (0, 1), got {self.train_frac}")
-        object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         # each cell writes to files named by its (lam, seed) stem
         if len(set(self.seeds)) != len(self.seeds):
@@ -110,51 +143,39 @@ class ExperimentConfig:
 
 def experiment_config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a config from parsed JSON, applying defaults for absent keys."""
-    unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = dict(raw)
-    if "train" in kwargs:
-        try:
-            kwargs["train"] = TrainConfig(**kwargs["train"])
-        except TypeError as exc:
-            raise ConfigError(f"bad train section: {exc}") from exc
-    return ExperimentConfig(**kwargs)
+    if isinstance(raw, dict) and "train" in raw:
+        raw = {**raw, "train": config_section(TrainConfig, raw["train"], "train")}
+    return config_section(ExperimentConfig, raw, "config")
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    except ValueError as exc:  # also undecodable bytes
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return experiment_config_from_dict(raw)
 
 
 def resolve_dataset(cfg: ExperimentConfig) -> Dataset:
     if "synthetic" in cfg.dataset:
-        try:
-            synth = SyntheticConfig(**cfg.dataset["synthetic"])
-        except TypeError as exc:
-            raise ConfigError(f"bad synthetic section: {exc}") from exc
-        return generate_synthetic(synth)
-    spec = cfg.dataset["csv"]
-    return load_csv(spec["path"], spec["target"],
-                    monotonic_columns=tuple(spec.get("monotonic", ())))
+        return generate_synthetic(
+            config_section(SyntheticConfig, cfg.dataset["synthetic"],
+                           "synthetic"))
+    src = config_section(CsvSource, cfg.dataset["csv"], "csv")
+    return load_csv(src.path, src.target, src.monotonic)
 
 
 def build_model_config(cfg: ExperimentConfig, input_dim: int) -> ModelConfig:
-    raw = dict(cfg.model)
-    unknown = set(raw) - {"architecture", "hidden_sizes", "dropout_rate", "seed"}
-    if unknown:
-        raise ConfigError(f"unknown model keys: {sorted(unknown)}")
-    return ModelConfig(
-        architecture=raw.get("architecture", "mlp3"),
-        input_dim=input_dim,
-        hidden_sizes=tuple(raw.get("hidden_sizes") or ()),
-        dropout_rate=raw.get("dropout_rate", -1.0),
-        seed=int(raw.get("seed", 0)),
-    )
+    """The model section with the run's input_dim; every cell sets the seed.
+    A section without an architecture means the default one."""
+    model = cfg.model
+    if isinstance(model, dict):
+        model = {"architecture": DEFAULT_ARCH, **model}
+    return config_section(ModelConfig, model, "model",
+                          input_dim=input_dim, seed=0)
 
 
 def with_monotonic_names(ds: Dataset, names) -> Dataset:
@@ -164,10 +185,6 @@ def with_monotonic_names(ds: Dataset, names) -> Dataset:
             f"monotonic names {missing} not among features {list(ds.feature_names)}")
     spec = MonotonicitySpec(ds.feature_names.index(n) for n in names)
     return replace(ds, monotonic=spec)
-
-
-def run_label(names) -> str:
-    return "+".join(names)
 
 
 # ---------------------------------------------------------------- summary
@@ -284,8 +301,8 @@ def run_experiment(cfg: ExperimentConfig, max_workers: int = 1) -> ExperimentRes
             raise ConfigError("dataset designates no monotonic features and "
                               "config requests none")
     model_cfg = build_model_config(cfg, base.X.shape[1])
-    row_data = [(run_label(names), with_monotonic_names(base, names))
-                for names in sorted(sets, key=run_label)]
+    row_data = [("+".join(names), with_monotonic_names(base, names))
+                for names in sorted(sets, key="+".join)]
     # each row owns the directory <out>/<label>
     bad = [label for label, _ in row_data
            if label in ("", ".", "..") or Path(label).name != label]
@@ -301,24 +318,23 @@ def run_experiment(cfg: ExperimentConfig, max_workers: int = 1) -> ExperimentRes
     (out / "config.json").write_text(
         json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
-    rows = []
-    selections: dict[str, float] = {}
-    all_ok = True
+    row_reports = {}
     for label, ds in row_data:
         log.info("sweep %s: %d lambdas x %d seeds", label, len(cfg.grid),
                  len(cfg.seeds))
-        reports = lambda_grid_search(
+        row_reports[label] = reports = lambda_grid_search(
             ds, model_cfg, cfg.train, grid=cfg.grid, seeds=cfg.seeds,
             train_frac=cfg.train_frac,
             norm_fit_on_train=cfg.norm_fit_on_train,
             validate_on_test=cfg.validate_on_test,
             max_workers=max_workers)
-        all_ok &= all(r.error is None for r in reports)
         write_run_artifacts(reports, out / label)
-        rows.append(summarize_row(label, model_cfg.architecture, reports))
-        selections[label] = select_lambda(reports)
+    # every row has trained and left its run files before any summary
+    rows = tuple(summarize_row(label, model_cfg.architecture, reports)
+                 for label, reports in row_reports.items())
+    selections = {label: select_lambda(r) for label, r in row_reports.items()}
+    all_ok = all(r.error is None for rs in row_reports.values() for r in rs)
 
-    rows = tuple(rows)
     (out / "summary.csv").write_text(summary_to_csv(rows), encoding="utf-8")
     (out / "selection.json").write_text(
         json.dumps(selections, indent=2, sort_keys=True) + "\n",

@@ -49,7 +49,8 @@ class ModelConfig:
         object.__setattr__(self, "architecture", arch)
         if self.input_dim < 1:
             raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
-        sizes = tuple(int(s) for s in self.hidden_sizes) or HIDDEN_DEFAULTS[arch]
+        sizes = (tuple(int(s) for s in self.hidden_sizes or ())
+                 or HIDDEN_DEFAULTS[arch])
         if any(s < 1 for s in sizes):
             raise ConfigError(f"hidden sizes must be positive, got {sizes}")
         object.__setattr__(self, "hidden_sizes", sizes)

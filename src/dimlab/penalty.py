@@ -10,7 +10,7 @@ over features, divided by the batch size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -47,7 +47,6 @@ class MonotonicitySpec:
     """
 
     indices: tuple[int, ...]
-    direction: str = field(default="non-decreasing", init=False)
 
     def __init__(self, indices):
         idx = tuple(sorted(int(i) for i in indices))

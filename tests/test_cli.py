@@ -4,9 +4,11 @@ from pathlib import Path
 
 import pytest
 
+import dimlab.data as dp
+import dimlab.experiments as ex
 import dimlab.training as tr
-from dimlab.cli import main
-from dimlab.errors import NumericError
+from dimlab.cli import build_parser, main
+from dimlab.errors import ConfigError, NumericError
 
 
 def write_config(tmp_path, **overrides):
@@ -147,3 +149,78 @@ def test_bad_config_is_stage_tagged(tmp_path, capsys):
     assert "error [config]" in capsys.readouterr().err
     assert main(["sweep", "--config", str(tmp_path / "missing.json")]) == 2
     assert "error [config]" in capsys.readouterr().err
+
+
+# every (subcommand, flag) pair the subcommand does not read
+UNREAD_FLAGS = [
+    ("generate", ["--lambda", "0.4"]),
+    ("generate", ["--arch", "ann"]),
+    ("generate", ["--monotonic", "x3"]),
+    ("generate", ["--validate-on-test"]),
+    ("generate", ["--baseline-mode", "coupled"]),
+    ("generate", ["--norm-fit-on-train"]),
+    ("sweep", ["--lambda", "0.4"]),
+    ("audit", ["--config", "c.json"]),
+    ("audit", ["--seed", "1"]),
+    ("audit", ["--lambda", "0.4"]),
+    ("audit", ["--arch", "ann"]),
+    ("audit", ["--validate-on-test"]),
+    ("audit", ["--baseline-mode", "coupled"]),
+    ("audit", ["--norm-fit-on-train"]),
+    ("report", ["--seed", "1"]),
+    ("report", ["--lambda", "0.4"]),
+    ("report", ["--arch", "ann"]),
+    ("report", ["--monotonic", "x3"]),
+    ("report", ["--validate-on-test"]),
+    ("report", ["--baseline-mode", "coupled"]),
+    ("report", ["--norm-fit-on-train"]),
+]
+POSITIONALS = {"audit": ["p.csv", "f.csv"], "report": ["runs"]}
+
+
+@pytest.mark.parametrize("command,flag", UNREAD_FLAGS,
+                         ids=[f"{c}{f[0]}" for c, f in UNREAD_FLAGS])
+def test_subcommand_rejects_flags_it_does_not_read(command, flag, capsys):
+    argv = [command, *POSITIONALS.get(command, []), *flag]
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _csv_dataset(tmp_path):
+    path = tmp_path / "d.csv"
+    dp.write_csv(dp.generate_synthetic(dp.SyntheticConfig(n=60, seed=1)), path)
+    return str(path)
+
+
+MALFORMED_SECTIONS = {
+    "csv_without_target": lambda p: {"dataset": {"csv": {"path": p}}},
+    "csv_not_an_object": lambda p: {"dataset": {"csv": "d.csv"}},
+    "model_not_an_object": lambda p: {"model": "mlp3"},
+    "csv_misspelled_key": lambda p: {
+        "dataset": {"csv": {"path": p, "target": "y", "monotonc": ["x3"]}}},
+    "model_seed": lambda p: {"model": {"architecture": "ann", "seed": 3}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SECTIONS))
+def test_malformed_section_is_a_config_error(name, tmp_path, capsys):
+    path = write_config(tmp_path,
+                        **MALFORMED_SECTIONS[name](_csv_dataset(tmp_path)))
+    with pytest.raises(ConfigError):
+        ex.run_experiment(ex.load_experiment_config(path))
+    assert not (tmp_path / "out").exists()
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert "error [config]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_generate_seed_applies_to_synthetic_section_only(tmp_path, capsys):
+    cfg = write_config(tmp_path, dataset={
+        "csv": {"path": _csv_dataset(tmp_path), "target": "y"}})
+    out = tmp_path / "gen.csv"
+    assert main(["generate", "--config", str(cfg), "--seed", "3",
+                 "--out", str(out)]) == 2
+    assert "error [config]" in capsys.readouterr().err
+    assert not out.exists()

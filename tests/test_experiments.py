@@ -10,7 +10,8 @@ import dimlab.data as dp
 import dimlab.experiments as ex
 import dimlab.models as mz
 import dimlab.training as tr
-from dimlab.errors import ConfigError, DataError, ParameterError, SchemaError
+from dimlab.errors import (ConfigError, DataError, NumericError,
+                           ParameterError, SchemaError)
 
 
 def exp_report(lam, seed, mse, mae=1.0, mape=100.0, error=None):
@@ -85,6 +86,20 @@ def test_experiment_config_rejects_cells_sharing_artifacts():
         with pytest.raises(ConfigError, match="grid"):
             ex.ExperimentConfig(grid=grid)
     assert ex.ExperimentConfig(grid=(0.0, 0.5, 0.50001)).grid[2] == 0.50001
+
+
+@pytest.mark.parametrize("grid", [(0.5,), (), (0.2, 0.5)])
+def test_experiment_config_rejects_grid_without_baseline(grid):
+    with pytest.raises(ConfigError, match="0.0 baseline"):
+        ex.ExperimentConfig(grid=grid)
+
+
+def test_experiment_config_rejects_non_finite_grid():
+    for grid in ((0.0, float("nan")), (0.0, float("inf"))):
+        with pytest.raises(ConfigError, match="finite"):
+            ex.ExperimentConfig(grid=grid)
+    with pytest.raises(ConfigError, match="finite"):
+        ex.experiment_config_from_dict(json.loads('{"grid": [0.0, NaN]}'))
 
 
 def test_experiment_config_rejects_missing_csv_path(tmp_path):
@@ -486,3 +501,22 @@ def test_audit_rejects_duplicate_feature_names(tmp_path):
     write_table(feats, ["x", " x"], [[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(SchemaError, match="duplicate"):
         ex.audit(preds, feats, ["x"])
+
+
+def test_run_experiment_trains_every_row_before_summarizing(tmp_path,
+                                                            monkeypatch):
+    real_train = tr.train
+
+    def baseline_fails_on_x1(model, ds, config, val_ds=None):
+        if config.lam == 0.0 and ds.monotonic.indices == (0,):
+            raise NumericError("boom")
+        return real_train(model, ds, config, val_ds=val_ds)
+
+    monkeypatch.setattr(tr, "train", baseline_fails_on_x1)
+    cfg = small_experiment(tmp_path, monotonic_sets=(("x1",), ("x3",)))
+    with pytest.raises(DataError, match="x1"):
+        ex.run_experiment(cfg)
+    out = tmp_path / "out"
+    assert (out / "x1" / "run_lam0_seed0.json").exists()
+    assert (out / "x3" / "run_lam0_seed0.json").exists()
+    assert not (out / "summary.csv").exists()

@@ -362,3 +362,10 @@ def test_select_lambda_ignores_failed_cells():
     failed = tr.RunReport(config={"train": {"lam": 0.8, "seed": 0}, "model": {}},
                           history=(), best_epoch=-1, error="boom")
     assert tr.select_lambda([good, failed]) == 0.0
+
+
+@pytest.mark.parametrize("field", ["lam", "learning_rate"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_train_config_rejects_non_finite_rates(field, value):
+    with pytest.raises(ConfigError, match=field):
+        tr.TrainConfig(**{field: value})
