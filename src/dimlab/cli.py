@@ -105,8 +105,6 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     result = run_experiment(cfg)
     sys.stdout.write(summary_to_csv(result.rows))
-    print(f"selected lambdas: {json.dumps(result.selections, sort_keys=True)}",
-          file=sys.stderr)
     print(f"artifacts in {cfg.output_dir}", file=sys.stderr)
     if not result.all_cells_ok:
         print("error [sweep]: some grid cells failed; see run reports",

@@ -138,16 +138,23 @@ def _is_id_column(name: str) -> bool:
     return low == "id" or low.endswith("_id")
 
 
-def read_header(reader, path) -> list[str]:
-    """The stripped first row of a CSV reader; the names must be distinct."""
+def read_csv_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """A UTF-8 CSV file's stripped header, whose names must be distinct,
+    and its non-empty rows, each with the line it ends on."""
     try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise DataError(f"{path}: empty file") from None
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = [h.strip() for h in next(reader)]
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            rows = [(reader.line_num, row) for row in reader if row]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: unreadable CSV: {exc}") from exc
     duplicates = sorted({h for h in header if header.count(h) > 1})
     if duplicates:
         raise SchemaError(f"{path}: duplicate column names {duplicates}")
-    return header
+    return header, rows
 
 
 def load_csv(path, target_column: str, monotonic_columns=()) -> Dataset:
@@ -157,11 +164,7 @@ def load_csv(path, target_column: str, monotonic_columns=()) -> Dataset:
     Rows with any missing ('' or 'NA'), unparseable, or non-finite cell
     are dropped; the count is logged.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = read_header(reader, path)
-        rows = list(reader)
-
+    header, rows = read_csv_rows(path)
     if target_column not in header:
         raise SchemaError(f"{path}: no column named {target_column!r}")
     feature_names = [h for h in header
@@ -177,9 +180,7 @@ def load_csv(path, target_column: str, monotonic_columns=()) -> Dataset:
     parsed: list[list[float]] = []
     targets: list[float] = []
     dropped = 0
-    for row in rows:
-        if not row:
-            continue
+    for _, row in rows:
         try:
             vals = [float(row[i]) for i in keep + [target_pos]]
         except (ValueError, IndexError):

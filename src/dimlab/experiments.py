@@ -24,7 +24,7 @@ from .data import (
     SyntheticConfig,
     generate_synthetic,
     load_csv,
-    read_header,
+    read_csv_rows,
     write_csv,
 )
 from .errors import (
@@ -32,6 +32,7 @@ from .errors import (
     ConfigError,
     DataError,
     ParameterError,
+    SchemaError,
 )
 from .models import ModelConfig, save_model
 from .penalty import COMPLIANCE_ATOL, MonotonicitySpec, fit_batch
@@ -194,8 +195,8 @@ class SummaryRow:
     features: str
     model: str
     baseline_mse: float
-    best_mse: float
-    best_lambda: float
+    selected_mse: float
+    selected_lambda: float
     drop_mse_pct: float
     drop_mae_pct: float
     drop_mape_pct: float
@@ -211,32 +212,26 @@ def percent_drop(baseline: float, best: float) -> float:
 def summarize_row(label: str, model_name: str, reports) -> SummaryRow:
     """Aggregate one sweep into a table row.
 
-    Reads the per-lambda test medians (``lambda_medians``). Each %drop
-    column compares the lambda=0 baseline against the best lambda>0 value
-    of its own metric (the per-metric best, so columns may come from
-    different lambdas); best_lambda reports the MSE winner. A
-    baseline-only grid yields zero drops by definition.
+    Compares the per-lambda test medians (``lambda_medians``) at lambda=0
+    with those at ``select_lambda``'s validation choice; every %drop
+    column comes from that one lambda, so a choice of 0 drops nothing.
     """
     med = lambda_medians(reports, "test_metrics")
     if 0.0 not in med:
         raise DataError(f"row {label!r}: no successful baseline (lambda=0) runs")
-    base = med[0.0]
-    positive = [lam for lam in med if lam > 0.0]
-    if not positive:
-        return SummaryRow(label, model_name, base.mse, base.mse, 0.0,
-                          0.0, 0.0, 0.0)
-    best_lambda = min(positive, key=lambda lam: (med[lam].mse, lam))
-    drops = [percent_drop(getattr(base, metric),
-                          min(getattr(med[lam], metric) for lam in positive))
+    lam = select_lambda(reports)
+    if lam not in med:
+        raise DataError(f"row {label!r}: no test metrics at lambda {lam:g}")
+    base, chosen = med[0.0], med[lam]
+    drops = [percent_drop(getattr(base, metric), getattr(chosen, metric))
              for metric in ("mse", "mae", "mape")]
-    return SummaryRow(label, model_name, base.mse, med[best_lambda].mse,
-                      best_lambda, *drops)
+    return SummaryRow(label, model_name, base.mse, chosen.mse, lam, *drops)
 
 
 def _summary_cell(name: str, value) -> str:
     if isinstance(value, str):
         return value
-    if name == "best_lambda":
+    if name == "selected_lambda":
         return f"{value:g}"
     return f"{value:.{TABLE_DECIMALS}f}"
 
@@ -278,16 +273,15 @@ def write_run_artifacts(reports, row_dir: Path) -> None:
 @dataclass(frozen=True)
 class ExperimentResult:
     rows: tuple[SummaryRow, ...]
-    selections: dict[str, float]  # feature-set label -> chosen lambda
     all_cells_ok: bool
 
 
 def run_experiment(cfg: ExperimentConfig, max_workers: int = 1) -> ExperimentResult:
     """Execute the full sweep and leave artifacts in cfg.output_dir.
 
-    Layout: <out>/config.json, <out>/summary.csv, <out>/selection.json,
-    and per feature-set <out>/<label>/run_lam*_seed*.{json,csv}. Rows are
-    ordered by label so the table is a pure function of the artifacts.
+    Layout: <out>/config.json, <out>/summary.csv, and per feature-set
+    <out>/<label>/run_lam*_seed*.{json,csv}. Rows are ordered by label so
+    the table is a pure function of the artifacts.
     Grid cells may run on a thread pool (max_workers); all file writes
     happen here, on the orchestrating thread, once the dataset, the model
     and every row resolve.
@@ -332,15 +326,10 @@ def run_experiment(cfg: ExperimentConfig, max_workers: int = 1) -> ExperimentRes
     # every row has trained and left its run files before any summary
     rows = tuple(summarize_row(label, model_cfg.architecture, reports)
                  for label, reports in row_reports.items())
-    selections = {label: select_lambda(r) for label, r in row_reports.items()}
     all_ok = all(r.error is None for rs in row_reports.values() for r in rs)
 
     (out / "summary.csv").write_text(summary_to_csv(rows), encoding="utf-8")
-    (out / "selection.json").write_text(
-        json.dumps(selections, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
-    return ExperimentResult(rows=rows, selections=selections,
-                            all_cells_ok=all_ok)
+    return ExperimentResult(rows=rows, all_cells_ok=all_ok)
 
 
 def run_single(cfg: ExperimentConfig, lam: float, seed: int) -> RunReport:
@@ -378,7 +367,10 @@ def generate_to_csv(cfg: ExperimentConfig, path) -> Dataset:
 def read_reports(row_dir: Path) -> list[RunReport]:
     reports = []
     for path in sorted(row_dir.glob("run_*.json")):
-        reports.append(report_from_json(path.read_text(encoding="utf-8")))
+        try:
+            reports.append(report_from_json(path.read_text(encoding="utf-8")))
+        except (SchemaError, UnicodeDecodeError) as exc:
+            raise SchemaError(f"{path}: {exc}") from exc
     return reports
 
 
@@ -400,16 +392,18 @@ def rebuild_summary(output_dir) -> tuple[SummaryRow, ...]:
 # ---------------------------------------------------------------- audit
 
 def _read_table(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = read_header(reader, path)
-        try:
-            rows = [[float(c) for c in row] for row in reader if row]
-        except ValueError as exc:
-            raise DataError(f"{path}: non-numeric cell: {exc}") from exc
-    if not rows:
+    header, rows = read_csv_rows(path)
+    for line, row in rows:
+        if len(row) != len(header):
+            raise DataError(f"{path}, line {line}: {len(row)} cells but "
+                            f"{len(header)} header names")
+    try:
+        values = [[float(c) for c in row] for _, row in rows]
+    except ValueError as exc:
+        raise DataError(f"{path}: non-numeric cell: {exc}") from exc
+    if not values:
         raise DataError(f"{path}: no data rows")
-    return header, np.array(rows)
+    return header, np.array(values)
 
 
 def audit(predictions_csv, features_csv, monotonic_names, top_k: int = 5) -> dict:

@@ -141,22 +141,31 @@ def report_to_json(report: RunReport) -> str:
 
 
 def report_from_json(text: str) -> RunReport:
-    payload = json.loads(text)
-    if payload.get("schema_version") != REPORT_SCHEMA_VERSION:
-        raise SchemaError(
-            f"unsupported report schema {payload.get('schema_version')!r}")
+    """Parse ``report_to_json``'s output; anything else is a SchemaError."""
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:
+        raise SchemaError(f"invalid JSON: {exc}") from exc
+    version = payload.get("schema_version") if isinstance(payload, dict) else None
+    if version != REPORT_SCHEMA_VERSION:
+        raise SchemaError(f"unsupported report schema {version!r}")
 
     def mk(d):
         return None if d is None else Metrics(**d)
 
-    return RunReport(
-        config=payload["config"],
-        history=tuple(EpochRecord(**rec) for rec in payload["history"]),
-        best_epoch=payload["best_epoch"],
-        val_metrics=mk(payload["val_metrics"]),
-        test_metrics=mk(payload["test_metrics"]),
-        error=payload["error"],
-    )
+    try:
+        return RunReport(
+            config=payload["config"],
+            history=tuple(EpochRecord(**rec) for rec in payload["history"]),
+            best_epoch=payload["best_epoch"],
+            val_metrics=mk(payload["val_metrics"]),
+            test_metrics=mk(payload["test_metrics"]),
+            error=payload["error"],
+        )
+    except KeyError as exc:
+        raise SchemaError(f"missing report key {exc}") from exc
+    except TypeError as exc:
+        raise SchemaError(f"malformed report: {exc}") from exc
 
 
 # ---------------------------------------------------------------- optimizer
@@ -437,28 +446,11 @@ def lambda_medians(reports, split: str) -> dict[float, Metrics]:
             for lam, ms in sorted(by_lam.items())}
 
 
-def select_lambda(reports, compliance_drop_tolerance: float = 0.05) -> float:
-    """Two-stage choice over sweep reports.
-
-    Stage 1 takes the per-lambda validation medians (``lambda_medians``);
-    stage 2 takes the val-MSE argmin among lambdas whose median
-    compliance is within the tolerance of the best. Ties go to the
-    smaller lambda. An empty candidate set falls back to the unfiltered
-    argmin with a warning.
-    """
+def select_lambda(reports) -> float:
+    """The lambda with the lowest median validation MSE across seeds
+    (``lambda_medians``); ties go to the smaller lambda."""
     med = lambda_medians(reports, "val_metrics")
     if not med:
         raise ParameterError("no successful reports to select from")
-    lams = list(med)
-    defined = [m.compliance for m in med.values() if m.compliance is not None]
-    candidates = lams
-    if defined:
-        floor = max(defined) - compliance_drop_tolerance
-        candidates = [lam for lam in lams if med[lam].compliance is not None
-                      and med[lam].compliance >= floor]
-    if not candidates:
-        log.warning("compliance filter left no candidates; "
-                    "falling back to unfiltered val-MSE argmin")
-        candidates = lams
-    # sorted ascending, so min() returns the smallest lambda on ties
-    return min(candidates, key=lambda lam: (med[lam].mse, lam))
+    # ascending keys, so min() returns the smallest lambda on ties
+    return min(med, key=lambda lam: med[lam].mse)

@@ -224,3 +224,59 @@ def test_generate_seed_applies_to_synthetic_section_only(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert "error [config]" in capsys.readouterr().err
     assert not out.exists()
+
+
+# features CSV text and the line of its first ragged row
+RAGGED_FEATURES = {
+    "short_row_among_full": ("a,b\n1,2\n3\n5,6\n", 3),
+    "every_row_wider": ("a,b\n1,2,9\n3,4,9\n5,6,9\n", 2),
+    "every_row_narrower": ("a,b,c\n1,2\n3,4\n5,6\n", 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAGGED_FEATURES))
+def test_audit_rejects_rows_of_another_width(name, tmp_path, capsys):
+    preds = tmp_path / "p.csv"
+    feats = tmp_path / "f.csv"
+    preds.write_text("pred\n0\n1\n2\n", encoding="utf-8")
+    text, line = RAGGED_FEATURES[name]
+    feats.write_text(text, encoding="utf-8")
+    assert main(["audit", str(preds), str(feats), "--monotonic", "b"]) == 2
+    err = capsys.readouterr().err
+    assert "error [audit]" in err and f"{feats}, line {line}:" in err
+
+
+def test_non_utf8_csv_is_a_data_error(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_bytes(b"x1,y\n1,2\n\xff\xfe,3\n")
+    cfg = write_config(tmp_path, dataset={
+        "csv": {"path": str(data), "target": "y"}}, monotonic_sets=[["x1"]])
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert "error [sweep]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+    preds = tmp_path / "p.csv"
+    preds.write_text("pred\n0\n1\n", encoding="utf-8")
+    assert main(["audit", str(preds), str(data), "--monotonic", "x1"]) == 2
+    assert "error [audit]" in capsys.readouterr().err
+
+
+DAMAGED_REPORTS = {
+    "truncated": lambda text: text[:len(text) // 2].encode(),
+    "no_test_metrics": lambda text: json.dumps(
+        {k: v for k, v in json.loads(text).items()
+         if k != "test_metrics"}).encode(),
+    "not_utf8": lambda text: b"\xff" + text.encode(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DAMAGED_REPORTS))
+def test_report_names_a_damaged_run_report(name, tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    path = tmp_path / "out" / "x3" / "run_lam0.5_seed0.json"
+    path.write_bytes(DAMAGED_REPORTS[name](path.read_text(encoding="utf-8")))
+    capsys.readouterr()
+    assert main(["report", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "error [report]" in err and str(path) in err

@@ -1,6 +1,6 @@
 import csv
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,13 +14,16 @@ from dimlab.errors import (ConfigError, DataError, NumericError,
                            ParameterError, SchemaError)
 
 
-def exp_report(lam, seed, mse, mae=1.0, mape=100.0, error=None):
+def exp_report(lam, seed, mse, mae=1.0, mape=100.0, error=None, val_mse=None):
+    """A report whose validation metrics equal its test metrics, but for
+    a validation MSE of ``val_mse`` when given."""
     metrics = None if error else tr.Metrics(mse=mse, mae=mae, mape=mape,
                                             compliance=1.0)
+    val = metrics if val_mse is None else replace(metrics, mse=val_mse)
     return tr.RunReport(
         config={"train": {"lam": lam, "seed": seed},
                 "model": {"architecture": "mlp3"}},
-        history=(), best_epoch=-1, val_metrics=metrics, test_metrics=metrics,
+        history=(), best_epoch=-1, val_metrics=val, test_metrics=metrics,
         error=error)
 
 
@@ -188,12 +191,28 @@ def test_summarize_row_picks_mse_best_lambda():
         exp_report(1.0, 1, mse=0.9, mae=0.5, mape=95.0),
     ]
     row = ex.summarize_row("x3", "mlp3", reports)
-    assert row.best_lambda == 0.5
-    assert row.best_mse == pytest.approx(0.8)
+    assert row.selected_lambda == 0.5
+    assert row.selected_mse == pytest.approx(0.8)
     assert row.drop_mse_pct == pytest.approx(20.0)
-    # each drop column takes its own per-metric best over lambda > 0
-    assert row.drop_mae_pct == pytest.approx(50.0)
+    # every drop column comes from the selected lambda, although
+    # lambda=1 has the lower MAE
+    assert row.drop_mae_pct == pytest.approx(10.0)
     assert row.drop_mape_pct == pytest.approx(10.0)
+
+
+def test_summarize_row_reports_test_metrics_at_validation_choice():
+    # validation prefers 0.5, test prefers 1.0
+    reports = [
+        exp_report(0.0, 1, mse=1.0, val_mse=1.0),
+        exp_report(0.5, 1, mse=0.9, mae=0.8, mape=70.0, val_mse=0.3),
+        exp_report(1.0, 1, mse=0.2, mae=0.1, mape=10.0, val_mse=0.6),
+    ]
+    row = ex.summarize_row("x3", "mlp3", reports)
+    assert row.selected_lambda == 0.5 == tr.select_lambda(reports)
+    assert row.selected_mse == pytest.approx(0.9)
+    assert row.drop_mse_pct == pytest.approx(10.0)
+    assert row.drop_mae_pct == pytest.approx(20.0)
+    assert row.drop_mape_pct == pytest.approx(30.0)
 
 
 def test_summarize_row_medians_across_seeds():
@@ -201,22 +220,24 @@ def test_summarize_row_medians_across_seeds():
     reports += [exp_report(1.0, s, mse=m) for s, m in enumerate((0.5, 10.0, 0.7))]
     row = ex.summarize_row("x1", "ann", reports)
     assert row.baseline_mse == pytest.approx(2.0)
-    assert row.best_mse == pytest.approx(0.7)
+    assert row.selected_mse == pytest.approx(0.7)
     assert row.drop_mse_pct == pytest.approx(65.0)
 
 
 def test_summarize_row_baseline_only_grid_has_zero_drops():
     row = ex.summarize_row("x2", "ann", [exp_report(0.0, 1, mse=0.4)])
-    assert row.best_lambda == 0.0
-    assert row.best_mse == row.baseline_mse
+    assert row.selected_lambda == 0.0
+    assert row.selected_mse == row.baseline_mse
     assert (row.drop_mse_pct, row.drop_mae_pct, row.drop_mape_pct) == (0, 0, 0)
 
 
 def test_summarize_row_negative_drop_for_worsening():
-    reports = [exp_report(0.0, 1, mse=1.0), exp_report(1.0, 1, mse=1.1)]
+    # validation picks lambda=1, whose test MSE is worse
+    reports = [exp_report(0.0, 1, mse=1.0),
+               exp_report(1.0, 1, mse=1.1, val_mse=0.5)]
     row = ex.summarize_row("x1", "ann", reports)
     assert row.drop_mse_pct == pytest.approx(-10.0)
-    assert row.best_lambda == 1.0
+    assert row.selected_lambda == 1.0
 
 
 def test_summarize_row_requires_baseline_runs():
@@ -226,16 +247,23 @@ def test_summarize_row_requires_baseline_runs():
         ex.summarize_row("x1", "ann", bad)
 
 
+def test_summarize_row_requires_test_metrics_at_selected_lambda():
+    chosen = replace(exp_report(0.5, 1, mse=0.3), test_metrics=None)
+    with pytest.raises(DataError, match="no test metrics at lambda 0.5"):
+        ex.summarize_row("x1", "ann", [exp_report(0.0, 1, mse=1.0), chosen])
+
+
 def test_summary_csv_formatting():
     rows = (
         ex.SummaryRow(features="x3", model="mlp3", baseline_mse=0.26765,
-                      best_mse=0.21521, best_lambda=1.0,
+                      selected_mse=0.21521, selected_lambda=1.0,
                       drop_mse_pct=19.593125, drop_mae_pct=0.0,
                       drop_mape_pct=-10.0),
     )
     text = ex.summary_to_csv(rows)
     lines = text.splitlines()
-    assert lines[0] == ("features,model,baseline_mse,best_mse,best_lambda,"
+    assert lines[0] == ("features,model,baseline_mse,selected_mse,"
+                        "selected_lambda,"
                         "drop_mse_pct,drop_mae_pct,drop_mape_pct")
     assert lines[1] == "x3,mlp3,0.26765,0.21521,1,19.59313,0.00000,-10.00000"
 
@@ -250,11 +278,10 @@ def test_run_experiment_artifacts_and_rebuild(tmp_path):
     assert result.all_cells_ok
     assert [r.features for r in result.rows] == ["x3"]
     assert result.rows[0].model == "ann"
-    assert set(result.selections) == {"x3"}
-    assert result.selections["x3"] in cfg.grid
+    assert result.rows[0].selected_lambda in cfg.grid
 
-    assert (out / "config.json").exists()
-    assert (out / "selection.json").exists()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "config.json", "summary.csv", "x3"]
     for lam in ("0", "0.5"):
         assert (out / "x3" / f"run_lam{lam}_seed0.json").exists()
         assert (out / "x3" / f"run_lam{lam}_seed0.csv").exists()

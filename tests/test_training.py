@@ -328,12 +328,10 @@ def test_select_lambda_dominance():
     assert tr.select_lambda(reports) == 0.5
 
 
-def test_select_lambda_tolerance_disables_filter():
+def test_select_lambda_more_compliant_lambda_does_not_change_choice():
     reports = [fake_report(0.0, 0, mse=0.4, compliance=0.2),
                fake_report(1.0, 0, mse=0.9, compliance=0.99)]
-    assert tr.select_lambda(reports, compliance_drop_tolerance=1.0) == 0.0
-    # tight tolerance keeps only the compliant run
-    assert tr.select_lambda(reports, compliance_drop_tolerance=0.05) == 1.0
+    assert tr.select_lambda(reports) == 0.0
 
 
 def test_select_lambda_tie_goes_to_smaller():
