@@ -270,7 +270,7 @@ def dropout(a: Node, rate: float, training: bool,
         raise ParameterError("training-mode dropout needs a seeded generator")
     keep = rng.random(a.value.shape) >= rate
     factor = 1.0 / (1.0 - rate)
-    mask = np.where(keep, factor, 0.0)
+    mask = keep * factor
     return _op("dropout", a.value * mask, (a, lambda g: g * mask))
 
 

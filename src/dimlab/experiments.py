@@ -284,7 +284,7 @@ def run_experiment(cfg: ExperimentConfig, max_workers: int = 1) -> ExperimentRes
     the table is a pure function of the artifacts.
     Grid cells may run on a thread pool (max_workers); all file writes
     happen here, on the orchestrating thread, once the dataset, the model
-    and every row resolve.
+    and every row resolve and the first row has trained.
     """
     base = resolve_dataset(cfg)
     if cfg.monotonic_sets is not None:
@@ -308,20 +308,22 @@ def run_experiment(cfg: ExperimentConfig, max_workers: int = 1) -> ExperimentRes
             f"monotonic sets must name distinct feature sets, got {sets}")
 
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(
-        json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
     row_reports = {}
     for label, ds in row_data:
         log.info("sweep %s: %d lambdas x %d seeds", label, len(cfg.grid),
                  len(cfg.seeds))
-        row_reports[label] = reports = lambda_grid_search(
+        reports = lambda_grid_search(
             ds, model_cfg, cfg.train, grid=cfg.grid, seeds=cfg.seeds,
             train_frac=cfg.train_frac,
             norm_fit_on_train=cfg.norm_fit_on_train,
             validate_on_test=cfg.validate_on_test,
             max_workers=max_workers)
+        if not row_reports:  # lambda_grid_search's own checks passed too
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "config.json").write_text(
+                json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n",
+                encoding="utf-8")
+        row_reports[label] = reports
         write_run_artifacts(reports, out / label)
     # every row has trained and left its run files before any summary
     rows = tuple(summarize_row(label, model_cfg.architecture, reports)

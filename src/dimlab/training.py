@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict, fields, replace
@@ -385,6 +387,91 @@ def _run_cell(lam: float, seed: int, model_config: ModelConfig,
             history=(), best_epoch=-1, error=str(exc))
 
 
+# (get, set) names of OpenBLAS's thread-count functions: numpy's bundled
+# scipy-openblas build, then a plain OpenBLAS
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _find_openblas():
+    """(get, set) thread-count functions of the OpenBLAS this process has
+    loaded (numpy's), or None when no loaded library exports them."""
+    import ctypes
+
+    try:  # the last field of a mapping is the file it maps
+        with open("/proc/self/maps", "rb") as maps:
+            mapped = {line.split(maxsplit=5)[-1].rstrip(b"\n") for line in maps}
+    except OSError:  # no /proc: not Linux
+        return None
+    for path in sorted(mapped):
+        if b"openblas" not in os.path.basename(path).lower():
+            continue
+        try:
+            lib = ctypes.CDLL(os.fsdecode(path))
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+class _OneBlasThread:
+    """Holds OpenBLAS at one thread while any pooled sweep runs.
+
+    Each pool worker is one thread; OpenBLAS threads of its own per
+    worker would oversubscribe the cores. The thread count is
+    process-wide, so overlapping sweeps share one set and one restore
+    under a lock and a depth count: the count found when the first sweep
+    enters is the count left when the last one exits, also when a cell
+    raised. The library is looked up on first use; without it, sweeps run
+    unpinned and that is logged once.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = 0
+        self._api = None  # (get, set) once looked up, () when not found
+
+    def _functions(self):  # the caller holds the lock
+        if self._api is None:
+            self._api = _find_openblas() or ()
+            if not self._api:
+                log.info("no OpenBLAS thread-count functions found; pooled "
+                         "sweeps run with BLAS threads unpinned")
+        return self._api
+
+    def threads(self) -> int | None:
+        """OpenBLAS's current thread count, or None without the library."""
+        with self._lock:
+            api = self._functions()
+            return api[0]() if api else None
+
+    def __enter__(self):
+        with self._lock:
+            api = self._functions()
+            if api and self._depth == 0:
+                self._saved = api[0]()
+                api[1](1)
+            self._depth += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            if self._api and self._depth == 0:
+                self._api[1](self._saved)
+
+
+# one per process, like the thread count it guards
+_ONE_BLAS_THREAD = _OneBlasThread()
+
+
 def lambda_grid_search(dataset: Dataset, model_config: ModelConfig,
                        train_config: TrainConfig,
                        grid=LAMBDA_GRID_DEFAULT, seeds=(0,),
@@ -399,8 +486,9 @@ def lambda_grid_search(dataset: Dataset, model_config: ModelConfig,
     its report (error field) and does not stop the sweep; any other
     exception is a bug and propagates. Every seed is split first; cells
     are independent and share only frozen datasets, so with
-    max_workers > 1 all (seed, lambda) cells run on one thread pool.
-    Reports come back seed-major, in grid order, either way.
+    max_workers > 1 all (seed, lambda) cells run on one thread pool, with
+    OpenBLAS at one thread while it runs. Reports come back seed-major,
+    in grid order, either way.
     """
     if not grid:
         raise ParameterError("lambda grid must be non-empty")
@@ -410,6 +498,11 @@ def lambda_grid_search(dataset: Dataset, model_config: ModelConfig,
         raise ParameterError("need at least one seed")
     if max_workers < 1:
         raise ParameterError(f"max_workers must be >= 1, got {max_workers}")
+    if train_config.max_epochs < 1:
+        raise ConfigError(
+            f"a sweep needs max_epochs >= 1, got {train_config.max_epochs}: "
+            "no epoch would run, so no cell would have validation metrics "
+            "to select a lambda from")
 
     splits = {seed: split_for_seed(dataset, train_frac, seed, norm_fit_on_train)
               for seed in seeds}
@@ -422,7 +515,7 @@ def lambda_grid_search(dataset: Dataset, model_config: ModelConfig,
     cells = [(lam, seed) for seed in seeds for lam in grid]
     if max_workers == 1:
         return list(map(run_cell, cells))
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=max_workers) as pool:
         return list(pool.map(run_cell, cells))
 
 

@@ -111,6 +111,13 @@ def test_sweep_failed_cell_exits_one(tmp_path, monkeypatch, capsys):
     assert report.error == "boom"
 
 
+def test_sweep_that_trains_no_epoch_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, train={"batch_size": 32, "max_epochs": 0})
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert "error [config]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_audit_cli(tmp_path, capsys):
     preds = tmp_path / "p.csv"
     feats = tmp_path / "f.csv"

@@ -1,4 +1,7 @@
 import json
+import logging
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -318,6 +321,118 @@ def test_grid_search_programming_error_propagates(monkeypatch):
     with pytest.raises(TypeError, match="not a cell failure"):
         tr.lambda_grid_search(ds, mz.ModelConfig("ann", 1, seed=0),
                               small_cfg(max_epochs=1), grid=(0.0,), seeds=(0,))
+
+
+def test_grid_search_rejects_sweeps_that_train_no_epoch(monkeypatch):
+    calls = []
+    monkeypatch.setattr(tr, "fit_cell", lambda *args: calls.append(args))
+    with pytest.raises(ConfigError, match="no epoch would run"):
+        tr.lambda_grid_search(linear_dataset(n=40), mz.ModelConfig("ann", 1),
+                              small_cfg(max_epochs=0), grid=(0.0,), seeds=(0,))
+    assert calls == []
+
+
+# ---------------------------------------------------------------- BLAS threads
+
+def pooled_sweep(seeds=(0,)):
+    return tr.lambda_grid_search(linear_dataset(n=60, noise=0.2),
+                                 mz.ModelConfig("ann", 1, seed=0),
+                                 small_cfg(max_epochs=1), grid=(0.0, 0.5),
+                                 seeds=seeds, max_workers=2)
+
+
+def blas_threads_or_skip():
+    count = tr._ONE_BLAS_THREAD.threads()
+    if count is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread-count functions")
+    return count
+
+
+def test_pooled_mlp3_reports_match_serial_across_blas_threads():
+    """Batch 256 on MLP3's 128/64/32 layers is large enough for OpenBLAS
+    to thread its gemms in the serial sweep (default thread count); the
+    pooled sweep runs them at one thread."""
+    ds = dp.generate_synthetic(dp.SyntheticConfig(n=400, seed=3))
+    kw = dict(grid=(0.0, 0.5), seeds=(1,))
+    m_cfg = mz.ModelConfig("mlp3", 4)
+    t_cfg = tr.TrainConfig(batch_size=256, max_epochs=2)
+    serial = tr.lambda_grid_search(ds, m_cfg, t_cfg, **kw, max_workers=1)
+    pooled = tr.lambda_grid_search(ds, m_cfg, t_cfg, **kw, max_workers=2)
+    assert [tr.report_to_json(r) for r in serial] == \
+           [tr.report_to_json(r) for r in pooled]
+
+
+def test_pooled_sweep_runs_one_blas_thread_and_restores_count(monkeypatch):
+    before = blas_threads_or_skip()
+    real_fit = tr.fit_cell
+    seen = []
+
+    def recording(*args):
+        seen.append(tr._ONE_BLAS_THREAD.threads())
+        return real_fit(*args)
+
+    monkeypatch.setattr(tr, "fit_cell", recording)
+    reports = pooled_sweep()
+    assert all(r.error is None for r in reports)
+    assert seen == [1, 1]
+    assert tr._ONE_BLAS_THREAD.threads() == before
+
+
+def test_pooled_sweep_restores_blas_threads_when_a_cell_raises(monkeypatch):
+    before = blas_threads_or_skip()
+
+    def broken(*args):
+        raise TypeError("not a cell failure")
+
+    monkeypatch.setattr(tr, "fit_cell", broken)
+    with pytest.raises(TypeError, match="not a cell failure"):
+        pooled_sweep()
+    assert tr._ONE_BLAS_THREAD.threads() == before
+
+
+def test_overlapping_pooled_sweeps_restore_the_first_count(monkeypatch):
+    """Sweep 0 enters first and exits first while sweep 1 still runs:
+    sweep 1 keeps one thread, and the count sweep 0 found is restored
+    when sweep 1 exits."""
+    before = blas_threads_or_skip()
+    first_running, second_running, first_done = (threading.Event()
+                                                 for _ in range(3))
+    real_fit = tr.fit_cell
+    seen = {0: [], 1: []}
+
+    def overlapping(lam, seed, *args):
+        if seed == 0:
+            first_running.set()
+            assert second_running.wait(timeout=60)
+        else:
+            second_running.set()
+            assert first_done.wait(timeout=60)
+        seen[seed].append(tr._ONE_BLAS_THREAD.threads())
+        return real_fit(lam, seed, *args)
+
+    monkeypatch.setattr(tr, "fit_cell", overlapping)
+    with ThreadPoolExecutor(max_workers=2) as outer:
+        first = outer.submit(pooled_sweep, seeds=(0,))
+        assert first_running.wait(timeout=60)
+        second = outer.submit(pooled_sweep, seeds=(1,))
+        try:
+            first.result(timeout=120)
+        finally:
+            first_done.set()
+        second.result(timeout=120)
+    assert seen == {0: [1, 1], 1: [1, 1]}
+    assert tr._ONE_BLAS_THREAD.threads() == before
+
+
+def test_pooled_sweep_without_openblas_runs_unpinned_and_logs_once(
+        monkeypatch, caplog):
+    monkeypatch.setattr(tr, "_find_openblas", lambda: None)
+    monkeypatch.setattr(tr, "_ONE_BLAS_THREAD", tr._OneBlasThread())
+    with caplog.at_level(logging.INFO, logger="dimlab.training"):
+        for _ in range(2):
+            assert all(r.error is None for r in pooled_sweep())
+    assert len([r for r in caplog.records if "OpenBLAS" in r.getMessage()]) == 1
+    assert tr._ONE_BLAS_THREAD.threads() is None
 
 
 # ---------------------------------------------------------------- selection
