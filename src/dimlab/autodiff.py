@@ -161,21 +161,70 @@ def reshape(a: Node, shape) -> Node:
                (a, lambda g: g.reshape(a.value.shape)))
 
 
-def matmul(a: Node, b: Node) -> Node:
-    """Matrix product of two 2-D nodes."""
+def _check_matmul(a: Node, b: Node) -> None:
     if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
         raise DimensionError(
             f"matmul expects (m,k)@(k,n), got {a.value.shape} @ {b.value.shape}")
+
+
+def matmul(a: Node, b: Node) -> Node:
+    """Matrix product of two 2-D nodes."""
+    _check_matmul(a, b)
     return _op("matmul", a.value @ b.value,
                (a, lambda g: g @ b.value.T),
                (b, lambda g: a.value.T @ g))
 
 
+def _masked(mask: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.where(mask, x, 0.0)`` for float64 ``x`` of ``mask``'s shape,
+    byte for byte, without a branch per entry: each True becomes a word of
+    all ones that keeps x's bits, each False a zero word, which is +0.0.
+    ``x`` may be any view (transposed, sliced, stride-0 broadcast)."""
+    bits = np.empty(np.shape(mask), dtype=np.int64)  # an array also at 0-d
+    np.subtract(0, mask, out=bits, dtype=np.int64)
+    np.bitwise_and(bits, x.view(np.int64), out=bits)
+    return bits.view(np.float64)
+
+
 def relu(a: Node) -> Node:
     """Elementwise max(0, x); at exactly 0 the subgradient 0 is used."""
     mask = a.value > 0
-    return _op("relu", np.where(mask, a.value, 0.0),
-               (a, lambda g: np.where(mask, g, 0.0)))
+    return _op("relu", _masked(mask, a.value),
+               (a, lambda g: _masked(mask, g)))
+
+
+def dense(h: Node, w: Node, b: Node, rate: float,
+          rng: np.random.Generator | None = None) -> Node:
+    """One hidden layer, relu(h @ w + b) under inverted dropout of ``rate``
+    (0 for none, as in eval mode), as a single node.
+
+    Its value, its three gradients and its draw from ``rng`` equal those of
+    ``dropout(relu(matmul(h, w) + b), rate, True, rng)`` bit for bit: it
+    makes the same numpy calls in the same order, the bias add and the
+    dropout product in place on arrays it owns.
+    """
+    _check_matmul(h, w)
+    units = w.value.shape[1]
+    if b.value.shape != (units,):
+        raise DimensionError(
+            f"bias must have shape ({units},), got {b.value.shape}")
+    drop = _dropout_mask((h.value.shape[0], units), rate, True, rng)
+    pre = h.value @ w.value
+    pre += b.value
+    mask = pre > 0
+    value = _masked(mask, pre)
+    if drop is not None:
+        value *= drop
+
+    # the vjps map the gradient of ``pre``, which backward computes once
+    out = _op("dense", value,
+              (h, lambda g: g @ w.value.T),
+              (w, lambda g: h.value.T @ g),
+              (b, lambda g: _unbroadcast(g, b.value.shape)))
+    to_parents = out._backward
+    out._backward = lambda g: to_parents(
+        _masked(mask, g if drop is None else g * drop))
+    return out
 
 
 def gather_rows(a: Node, perm: Sequence[int]) -> Node:
@@ -258,19 +307,29 @@ def global_avg_pool(x: Node) -> Node:
                                              x.value.shape)))
 
 
+def _dropout_mask(shape, rate: float, training: bool,
+                  rng: np.random.Generator | None) -> np.ndarray | None:
+    """Inverted-dropout multipliers drawn from ``rng``: 0 with probability
+    ``rate``, else 1/(1-rate). None when nothing is dropped (eval mode or
+    rate 0), which draws nothing."""
+    if not 0.0 <= rate < 1.0:
+        raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
+    if not training or rate == 0.0:
+        return None
+    if rng is None:
+        raise ParameterError("training-mode dropout needs a seeded generator")
+    keep = rng.random(shape) >= rate
+    factor = 1.0 / (1.0 - rate)
+    return keep * factor
+
+
 def dropout(a: Node, rate: float, training: bool,
             rng: np.random.Generator | None = None) -> Node:
     """Inverted dropout: zero entries with probability ``rate`` and scale
     survivors by 1/(1-rate) in training mode; identity in eval mode."""
-    if not 0.0 <= rate < 1.0:
-        raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    mask = _dropout_mask(a.value.shape, rate, training, rng)
+    if mask is None:
         return a
-    if rng is None:
-        raise ParameterError("training-mode dropout needs a seeded generator")
-    keep = rng.random(a.value.shape) >= rate
-    factor = 1.0 / (1.0 - rate)
-    mask = keep * factor
     return _op("dropout", a.value * mask, (a, lambda g: g * mask))
 
 

@@ -9,6 +9,7 @@ them (define-by-run).
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -32,6 +33,11 @@ DROPOUT_DEFAULTS = {"ann": 0.0, "mlp3": 0.2, "mlp5": 0.2, "cnn1d": 0.0}
 INIT_STREAM = 101
 
 
+def is_int(value) -> bool:
+    """True for a config count: bools and floats, even 16.0, are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     architecture: str
@@ -49,16 +55,19 @@ class ModelConfig:
         object.__setattr__(self, "architecture", arch)
         if self.input_dim < 1:
             raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
-        sizes = (tuple(int(s) for s in self.hidden_sizes or ())
-                 or HIDDEN_DEFAULTS[arch])
-        if any(s < 1 for s in sizes):
-            raise ConfigError(f"hidden sizes must be positive, got {sizes}")
-        object.__setattr__(self, "hidden_sizes", sizes)
+        sizes = tuple(self.hidden_sizes or ()) or HIDDEN_DEFAULTS[arch]
+        if not all(is_int(s) and s >= 1 for s in sizes):
+            raise ConfigError(
+                f"hidden sizes must be positive integers, got {sizes}")
+        object.__setattr__(self, "hidden_sizes", tuple(int(s) for s in sizes))
         if self.dropout_rate < 0:
             object.__setattr__(self, "dropout_rate", DROPOUT_DEFAULTS[arch])
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(
                 f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        if arch == "cnn1d" and self.dropout_rate > 0.0:
+            raise ConfigError("cnn1d has no dropout layer, so its dropout_rate "
+                              f"must be 0, got {self.dropout_rate}")
 
 
 @dataclass
@@ -114,11 +123,10 @@ def forward_with_params(model: Model, batch, training: bool = False,
             h = ad.relu(ad.conv1d_same(h, nodes[f"conv{i}_w"], nodes[f"conv{i}_b"]))
         h = ad.global_avg_pool(h)
     else:
+        rate = cfg.dropout_rate if training else 0.0
         h = ad.constant(x)
         for i in range(len(cfg.hidden_sizes)):
-            h = ad.relu(ad.matmul(h, nodes[f"layer{i}_w"]) + nodes[f"layer{i}_b"])
-            if training and cfg.dropout_rate > 0.0:
-                h = ad.dropout(h, cfg.dropout_rate, training=True, rng=rng)
+            h = ad.dense(h, nodes[f"layer{i}_w"], nodes[f"layer{i}_b"], rate, rng)
     out = ad.matmul(h, nodes["head_w"]) + nodes["head_b"]
     return ad.reshape(out, (n,)), nodes
 

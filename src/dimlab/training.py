@@ -32,7 +32,14 @@ from .errors import (
     ParameterError,
     SchemaError,
 )
-from .models import Model, ModelConfig, build_model, forward, forward_with_params
+from .models import (
+    Model,
+    ModelConfig,
+    build_model,
+    forward,
+    forward_with_params,
+    is_int,
+)
 
 log = logging.getLogger(__name__)
 
@@ -69,6 +76,12 @@ class TrainConfig:
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        for name in ("batch_size", "max_epochs", "early_stop_patience"):
+            value = getattr(self, name)
+            if not is_int(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            # a numpy integer becomes an int, which the report's JSON holds
+            object.__setattr__(self, name, int(value))
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 0:

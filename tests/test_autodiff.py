@@ -120,6 +120,102 @@ def test_relu_subgradient_zero_at_zero():
     assert x.grad[0] == 0.0
 
 
+def _masked_cases():
+    """(mask, x) pairs over special values and the views relu's backward
+    receives: conv1d_same hands it a slice, global_avg_pool a stride-0
+    broadcast."""
+    rng = np.random.default_rng(21)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    special = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, tiny,
+                        -tiny, 5 * tiny, 1.5, -2.5, np.finfo(np.float64).max])
+    base = rng.normal(size=(6, 8))
+    padded = rng.normal(size=(3, 7, 4))
+    yield special > 0, special
+    yield rng.random(special.shape) < 0.5, special
+    yield rng.random((8, 6)) < 0.5, base.T
+    yield rng.random((3, 5, 4)) < 0.5, padded[:, 1:-1, :]
+    yield rng.random((3, 5, 4)) < 0.5, np.broadcast_to(
+        rng.normal(size=(3, 1, 4)), (3, 5, 4))
+    yield rng.random((3, 3)) < 0.5, base[::2, 1:7:2]
+    yield np.asarray(True), np.asarray(-0.0)
+
+
+@pytest.mark.parametrize("mask,x", list(_masked_cases()))
+def test_masked_equals_where_byte_for_byte(mask, x):
+    got = ad._masked(mask, x)
+    want = np.where(mask, x, 0.0)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------- dense
+
+def _dense_inputs(seed=31, kink=True):
+    """A layer's inputs; with ``kink``, a zero row of h and two zero
+    biases put pre-activations exactly at relu's kink."""
+    rng = np.random.default_rng(seed)
+    h, b = rng.normal(size=(7, 5)), rng.normal(size=6)
+    if kink:
+        h[0], b[:2] = 0.0, 0.0
+    return (ad.leaf(h, requires_grad=True),
+            ad.leaf(rng.normal(size=(5, 6)), requires_grad=True),
+            ad.leaf(b, requires_grad=True))
+
+
+def _dense_run(layer, rate):
+    """Value, gradients of h, w, b and the generator's next draw, for one
+    layer built by ``layer`` and a loss that weights every output entry."""
+    h, w, b = _dense_inputs()
+    rng = np.random.default_rng(5)
+    out = layer(h, w, b, rate, rng)
+    weights = np.random.default_rng(6).normal(size=out.value.shape)
+    ad.backward_pass(ad.sum_all(out * ad.constant(weights)))
+    return (out.value, h.grad, w.grad, b.grad, rng.random(4))
+
+
+def _unfused(h, w, b, rate, rng):
+    return ad.dropout(ad.relu(ad.matmul(h, w) + b), rate, training=True, rng=rng)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.2])
+def test_dense_matches_unfused_chain_byte_for_byte(rate):
+    fused = _dense_run(ad.dense, rate)
+    chain = _dense_run(_unfused, rate)
+    for name, got, want in zip(("value", "h", "w", "b", "next draw"),
+                               fused, chain):
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("which", ["h", "w", "b"])
+@pytest.mark.parametrize("rate", [0.0, 0.2])
+def test_dense_gradient_check(which, rate):
+    h, w, b = (x.value for x in _dense_inputs(seed=8, kink=False))
+    weights = ad.constant(np.random.default_rng(9).normal(size=(7, 6)))
+
+    def loss(p):
+        args = {"h": ad.constant(h), "w": ad.constant(w), "b": ad.constant(b)}
+        args[which] = p
+        out = ad.dense(args["h"], args["w"], args["b"], rate,
+                       np.random.default_rng(4))  # one mask for every call
+        return ad.sum_all(ad.square(out * weights))
+
+    point = {"h": h, "w": w, "b": b}[which]
+    assert ad.gradient_check(loss, point, step=1e-6) < 1e-6
+
+
+def test_dense_rejects_bad_shapes_and_rates():
+    h, w, b = _dense_inputs()
+    with pytest.raises(DimensionError):
+        ad.dense(w, w, b, 0.0)
+    with pytest.raises(DimensionError):
+        ad.dense(h, w, ad.leaf(np.zeros((1, 6))), 0.0)
+    with pytest.raises(ParameterError):
+        ad.dense(h, w, b, 1.0, np.random.default_rng(0))
+    with pytest.raises(ParameterError):
+        ad.dense(h, w, b, 0.2)  # dropout needs a generator
+
+
 # ---------------------------------------------------------------- conv1d
 
 def _kernel(taps, out_ch=1, in_ch=1):

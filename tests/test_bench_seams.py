@@ -13,6 +13,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 import dimlab.autodiff as ad
 import dimlab.experiments as ex
 import dimlab.models as mz
@@ -83,16 +85,19 @@ def test_run_experiment_calls_module_level_grid_search(tmp_path, monkeypatch):
     assert sorted(r.lam for r in captured) == [0.0, 1.0]
 
 
-def test_worker_sweep_passes_its_checks(tmp_path, capsys):
+@pytest.mark.parametrize("trace", [[], ["--trace"]], ids=["plain", "traced"])
+def test_worker_sweep_passes_its_checks(trace, tmp_path, capsys):
     """The benchmark worker, run in-process on its smallest workload,
-    finds every name it calls and passes every check it makes."""
+    finds every name it calls and passes every check it makes; traced, it
+    also checks that its phases sum to the cell time and that every
+    wrapper is restored."""
     saved_path = list(sys.path)
     sys.path.insert(0, str(PERFBENCH))
     try:
         worker = importlib.import_module("worker")
         capsys.readouterr()
         assert worker.main(["--workload", "penalty_small_batch", "--seed", "1",
-                            "--out", str(tmp_path / "w")]) == 0
+                            "--out", str(tmp_path / "w"), *trace]) == 0
     finally:
         sys.path[:] = saved_path
     record = json.loads(capsys.readouterr().out.splitlines()[-1])

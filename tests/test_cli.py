@@ -118,6 +118,21 @@ def test_sweep_that_trains_no_epoch_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("train", "batch_size", 16.0), ("train", "max_epochs", 1.5),
+    ("train", "early_stop_patience", 2.5), ("train", "batch_size", True),
+    ("model", "hidden_sizes", [64.7])])
+def test_sweep_with_a_non_integer_count_is_a_config_error(
+        section, key, value, tmp_path, capsys):
+    base = {"train": {"batch_size": 32, "max_epochs": 2},
+            "model": {"architecture": "ann"}}[section]
+    cfg = write_config(tmp_path, **{section: {**base, key: value}})
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "error [config]" in err and "integer" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_audit_cli(tmp_path, capsys):
     preds = tmp_path / "p.csv"
     feats = tmp_path / "f.csv"

@@ -1,8 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from dimlab import autodiff as ad
 from dimlab import models as mz
+from dimlab import penalty as pen
 from dimlab.errors import ConfigError, DimensionError, SchemaError
 
 
@@ -55,6 +58,18 @@ def test_unknown_architecture():
 def test_bad_input_dim():
     with pytest.raises(ConfigError):
         cfg("ann", d=0)
+
+
+def test_cnn1d_rejects_a_dropout_rate_it_would_ignore():
+    with pytest.raises(ConfigError, match="dropout_rate"):
+        cfg("cnn1d", dropout_rate=0.5)
+
+
+@pytest.mark.parametrize("sizes", [(64.7,), (64.0, 32), (True, 8), ("64",)])
+def test_hidden_sizes_must_be_integers(sizes):
+    with pytest.raises(ConfigError, match="hidden sizes"):
+        cfg("mlp3", hidden_sizes=sizes)
+    assert cfg("ann", hidden_sizes=(np.int64(8),)).hidden_sizes == (8,)
 
 
 def test_same_seed_same_parameters():
@@ -135,6 +150,32 @@ def test_training_dropout_changes_output_but_eval_does_not():
     t = mz.forward(ann, batch, training=True, rng=np.random.default_rng(0)).value
     e = mz.forward(ann, batch).value
     assert np.array_equal(t, e)
+
+
+def _graph(root):
+    seen, stack = {id(root)}, [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        for parent in node.parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+
+
+@pytest.mark.parametrize("arch", ["ann", "mlp3", "mlp5"])
+def test_training_step_builds_one_dense_node_per_hidden_layer(arch):
+    model = mz.build_model(cfg(arch, seed=4))
+    data = np.random.default_rng(4)
+    batch = data.normal(size=(16, 4))
+    preds, _ = mz.forward_with_params(model, batch, training=True,
+                                      rng=np.random.default_rng(0))
+    # at lambda 0, as the penalty's hinge is a relu node of its own
+    terms = pen.build_loss_terms(preds, data.normal(size=16), batch,
+                                 pen.MonotonicitySpec((2,)), 0.0)
+    tags = Counter(node.op_tag for node in _graph(terms.total))
+    assert tags["dense"] == len(model.config.hidden_sizes)
+    assert tags["relu"] == tags["dropout"] == 0
 
 
 def test_forward_rejects_wrong_width():

@@ -477,6 +477,16 @@ def test_select_lambda_ignores_failed_cells():
     assert tr.select_lambda([good, failed]) == 0.0
 
 
+@pytest.mark.parametrize("field", ["batch_size", "max_epochs",
+                                   "early_stop_patience"])
+@pytest.mark.parametrize("value", [16.0, True])
+def test_train_config_counts_must_be_integers(field, value):
+    with pytest.raises(ConfigError, match=field):
+        tr.TrainConfig(**{field: value})
+    # a numpy integer is accepted as the int the report's JSON can hold
+    assert type(getattr(tr.TrainConfig(**{field: np.int64(3)}), field)) is int
+
+
 @pytest.mark.parametrize("field", ["lam", "learning_rate"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_train_config_rejects_non_finite_rates(field, value):
