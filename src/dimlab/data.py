@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DataError, SchemaError
+from .models import is_int
 from .penalty import MonotonicitySpec
 
 log = logging.getLogger(__name__)
@@ -78,16 +79,27 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "bins", "seed"):
+            value = getattr(self, name)
+            if not is_int(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            # a numpy integer becomes an int, which the config's JSON holds
+            object.__setattr__(self, name, int(value))
         if self.n < 2:
             raise ConfigError(f"need n >= 2 samples, got {self.n}")
         if self.bins < 1:
             raise ConfigError(f"need bins >= 1, got {self.bins}")
-        if self.noise_sd < 0:
-            raise ConfigError(f"noise_sd must be >= 0, got {self.noise_sd}")
+        if self.seed < 0:  # numpy seeds only from non-negative integers
+            raise ConfigError(f"need seed >= 0, got {self.seed}")
+        if not (np.isfinite(self.noise_sd) and self.noise_sd >= 0):
+            raise ConfigError(
+                f"noise_sd must be finite and >= 0, got {self.noise_sd}")
         if self.bump_sds is not None:
             sds = tuple(float(s) for s in self.bump_sds)
-            if len(sds) != 4 or any(s < 0 for s in sds):
-                raise ConfigError(f"bump_sds must be 4 values >= 0, got {sds}")
+            if len(sds) != 4 or not all(np.isfinite(s) and s >= 0
+                                        for s in sds):
+                raise ConfigError(
+                    f"bump_sds must be 4 finite values >= 0, got {sds}")
             object.__setattr__(self, "bump_sds", sds)
 
 

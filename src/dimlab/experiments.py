@@ -34,7 +34,7 @@ from .errors import (
     ParameterError,
     SchemaError,
 )
-from .models import ModelConfig, save_model
+from .models import ModelConfig, is_int, save_model
 from .penalty import COMPLIANCE_ATOL, MonotonicitySpec, fit_batch
 from .training import (
     LAMBDA_GRID_DEFAULT,
@@ -125,6 +125,9 @@ class ExperimentConfig:
         if not 0.0 < self.train_frac < 1.0:
             raise ConfigError(
                 f"train_frac must be in (0, 1), got {self.train_frac}")
+        if not all(is_int(s) and s >= 0 for s in self.seeds):
+            raise ConfigError(f"seeds must be integers >= 0, got {self.seeds}")
+        # numpy integers become ints, which the reports' JSON holds
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         # each cell writes to files named by its (lam, seed) stem
         if len(set(self.seeds)) != len(self.seeds):
@@ -395,14 +398,19 @@ def rebuild_summary(output_dir) -> tuple[SummaryRow, ...]:
 
 def _read_table(path):
     header, rows = read_csv_rows(path)
+    values = []
     for line, row in rows:
         if len(row) != len(header):
             raise DataError(f"{path}, line {line}: {len(row)} cells but "
                             f"{len(header)} header names")
-    try:
-        values = [[float(c) for c in row] for _, row in rows]
-    except ValueError as exc:
-        raise DataError(f"{path}: non-numeric cell: {exc}") from exc
+        try:
+            cells = [float(c) for c in row]
+        except ValueError as exc:
+            raise DataError(
+                f"{path}, line {line}: non-numeric cell: {exc}") from exc
+        if not all(np.isfinite(cells)):
+            raise DataError(f"{path}, line {line}: non-finite cell in {row}")
+        values.append(cells)
     if not values:
         raise DataError(f"{path}: no data rows")
     return header, np.array(values)

@@ -32,10 +32,13 @@ BASELINE_MODES = ("frozen", "coupled")
 
 @dataclass(frozen=True)
 class LinearBaseline:
-    """Per-feature affine reference trend: g(x) = slope * x + intercept."""
+    """Per-feature affine reference trend: g(x) = slope * x + intercept,
+    with the population mean and variance of the column it was fitted on."""
 
     slope: float
     intercept: float
+    x_mean: float
+    x_var: float
 
 
 @dataclass(frozen=True)
@@ -97,14 +100,18 @@ def fit_linear_baseline(x_col, preds) -> LinearBaseline:
         raise DegenerateFeature(f"need at least 2 rows to fit a line, got {n}")
     if x_col.max() == x_col.min():
         raise DegenerateFeature("feature column is constant within the batch")
-    mean_x = x_col.mean()
-    mean_p = preds.mean()
-    var = ((x_col - mean_x) ** 2).mean()
+    # sum() / n is np.mean's own reduction and division, bit for bit
+    mean_x = x_col.sum() / n
+    mean_p = preds.sum() / n
+    centred = x_col - mean_x
+    var = (centred * centred).sum() / n
     if var == 0.0:
         raise DegenerateFeature("feature column has zero variance")
-    cov = ((x_col - mean_x) * (preds - mean_p)).mean()
+    cov = (centred * (preds - mean_p)).sum() / n
     slope = cov / var
-    return LinearBaseline(slope=float(slope), intercept=float(mean_p - slope * mean_x))
+    return LinearBaseline(slope=float(slope),
+                          intercept=float(mean_p - slope * mean_x),
+                          x_mean=float(mean_x), x_var=float(var))
 
 
 def adjacent_violations(dpred: np.ndarray, dx: np.ndarray,
@@ -291,10 +298,8 @@ def build_loss_terms(preds: Node, y, X, spec: MonotonicitySpec, lam: float,
         else:
             # slope = sum(c * preds) with c = (x - mean_x) / (N * var);
             # the mean-of-preds term drops out since sum(c) = 0
-            x_col = X[:, j]
-            mean_x = x_col.mean()
-            var = ((x_col - mean_x) ** 2).mean()
-            coeffs = (x_col - mean_x) / (n * var)
+            b = f.baseline
+            coeffs = (X[:, j] - b.x_mean) / (n * b.x_var)
             slope_node = ad.sum_all(preds * ad.constant(coeffs))
             dg = slope_node * ad.constant(f.dx)
         p_j = ad.sum_all(ad.square(ad.relu(dg - dfhat)))

@@ -185,41 +185,75 @@ def report_from_json(text: str) -> RunReport:
 
 # ---------------------------------------------------------------- optimizer
 
+def flatten(parameters: dict[str, np.ndarray]):
+    """One contiguous float64 copy of ``parameters``, in their order, and
+    named views into it with the parameters' shapes."""
+    vector = np.concatenate(list(parameters.values()), axis=None,
+                            dtype=np.float64)
+    return vector, unflatten(vector, [(k, np.shape(p))
+                                      for k, p in parameters.items()])
+
+
+def unflatten(vector: np.ndarray, layout) -> dict[str, np.ndarray]:
+    """Named views into ``vector`` for a [(name, shape), ...] layout."""
+    views, start = {}, 0
+    for name, shape in layout:
+        stop = start + int(np.prod(shape))
+        views[name] = vector[start:stop].reshape(shape)
+        start = stop
+    return views
+
+
 @dataclass
 class AdamState:
+    """Adam's step count and moments over one flat parameter vector whose
+    parameters ``layout`` lists as (name, shape), in packing order."""
+
     step: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
+    layout: list[tuple[str, tuple[int, ...]]]
 
     @classmethod
     def init_like(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(step=0,
-                   m={k: np.zeros_like(p) for k, p in params.items()},
-                   v={k: np.zeros_like(p) for k, p in params.items()})
+        layout = [(k, np.shape(p)) for k, p in params.items()]
+        size = sum(np.size(p) for p in params.values())
+        return cls(step=0, m=np.zeros(size), v=np.zeros(size), layout=layout)
 
 
-def adam_step(params, grads, state: AdamState, lr: float):
-    """One bias-corrected Adam update; returns (new params, new state)."""
-    if params.keys() != grads.keys():
-        raise ParameterError("parameter and gradient names differ")
+def adam_step(flat: np.ndarray, grads: dict[str, np.ndarray],
+              state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update of ``flat``, the parameters packed in
+    ``state.layout`` order, and of ``state``, all in place.
+
+    The per-element arithmetic is the textbook per-array form, op for op,
+    so the bits do not depend on how the parameters are packed.
+    """
+    layout = [(name, g.shape) for name, g in grads.items()]
+    if layout != state.layout:
+        raise ParameterError(f"gradients {layout} do not match the "
+                             f"parameters {state.layout}")
+    g = np.concatenate(list(grads.values()), axis=None)
+    if not np.isfinite(g).all():
+        name = next(k for k, a in grads.items() if not np.isfinite(a).all())
+        raise NumericError(f"non-finite gradient for parameter {name!r}")
     t = state.step + 1
-    new_params, new_m, new_v = {}, {}, {}
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ParameterError(
-                f"gradient shape {g.shape} != parameter shape {p.shape} "
-                f"for {name!r}")
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter {name!r}")
-        m = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = m / (1.0 - ADAM_BETA1 ** t)
-        v_hat = v / (1.0 - ADAM_BETA2 ** t)
-        new_params[name] = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        new_m[name] = m
-        new_v[name] = v
-    return new_params, AdamState(step=t, m=new_m, v=new_v)
+    # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * g
+    g *= g
+    g *= 1.0 - ADAM_BETA2
+    state.v *= ADAM_BETA2
+    state.v += g
+    # flat -= (lr * m_hat) / (sqrt(v_hat) + eps), bias corrections divided
+    update = state.m / (1.0 - ADAM_BETA1 ** t)
+    update *= lr
+    denom = state.v / (1.0 - ADAM_BETA2 ** t)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    update /= denom
+    flat -= update
+    state.step = t
 
 
 # ---------------------------------------------------------------- evaluation
@@ -302,12 +336,12 @@ def train(model: Model, train_ds: Dataset, config: TrainConfig,
     shuffle_rng = np.random.default_rng([SHUFFLE_STREAM, config.seed])
     dropout_rng = np.random.default_rng([DROPOUT_STREAM, config.seed])
 
-    # one working model for the whole run; Adam replaces its arrays
-    working = Model(config=model.config,
-                    parameters={k: v.copy() for k, v in model.parameters.items()})
-    params = working.parameters
+    # one working model for the whole run: its parameters are views into
+    # one flat vector, which Adam updates in place
+    flat, params = flatten(model.parameters)
+    working = Model(config=model.config, parameters=params)
     state = AdamState.init_like(params)
-    best_params = {k: v.copy() for k, v in params.items()}
+    best_flat = flat.copy()
     best_val = np.inf
     best_epoch = -1
     wait = 0
@@ -329,9 +363,8 @@ def train(model: Model, train_ds: Dataset, config: TrainConfig,
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch row {start}")
             backward_pass(terms.total)
-            grads = {name: node.grad for name, node in nodes.items()}
-            updated, state = adam_step(params, grads, state, config.learning_rate)
-            params.update(updated)
+            adam_step(flat, {name: node.grad for name, node in nodes.items()},
+                      state, config.learning_rate)
             loss_sum += loss * rows.size
             penalty_sum += terms.breakdown.total * rows.size
 
@@ -342,7 +375,7 @@ def train(model: Model, train_ds: Dataset, config: TrainConfig,
         if val_mse < best_val:
             best_val = val_mse
             best_epoch = epoch
-            best_params = {k: v.copy() for k, v in params.items()}
+            best_flat = flat.copy()
             wait = 0
         else:
             wait += 1
@@ -350,7 +383,8 @@ def train(model: Model, train_ds: Dataset, config: TrainConfig,
                 log.info("early stop at epoch %d (best %d)", epoch, best_epoch)
                 break
 
-    trained = Model(config=model.config, parameters=best_params)
+    trained = Model(config=model.config,
+                    parameters=unflatten(best_flat, state.layout))
     report = RunReport(
         config=_config_snapshot(model.config, config),
         history=tuple(history),

@@ -20,6 +20,7 @@ from dimlab import models as mz
 from dimlab import penalty as pen
 from dimlab import training as tr
 from dimlab.penalty import MonotonicitySpec
+from oracles import ReferenceAdam
 
 GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 SEEDS = (1, 2, 3, 4, 5)
@@ -378,8 +379,8 @@ def test_ac9_determinism_and_plumbing(tmp_path):
     shuffle = np.random.default_rng([tr.SHUFFLE_STREAM, 4])
     drop = np.random.default_rng([tr.DROPOUT_STREAM, 4])
     ref = mz.build_model(mz.ModelConfig("ann", 1, seed=4))
-    params = {k: v.copy() for k, v in ref.parameters.items()}
-    state = tr.AdamState.init_like(params)
+    params = ref.parameters
+    adam = ReferenceAdam(params)
     losses, val_mses = [], []
     for _ in range(3):
         order = shuffle.permutation(X_tr.shape[0])
@@ -393,8 +394,7 @@ def test_ac9_determinism_and_plumbing(tmp_path):
             loss = ad.scale(ad.sum_all(ad.square(diff)), 1.0 / rows.size)
             ad.backward_pass(loss)
             grads = {k: n.grad for k, n in nodes.items()}
-            params, state = tr.adam_step(params, grads, state,
-                                         train_cfg.learning_rate)
+            params = adam.step(params, grads, train_cfg.learning_rate)
             total += loss.value.item() * rows.size
         losses.append(total / X_tr.shape[0])
         err = mz.forward(mz.Model(config=ref.config, parameters=params),

@@ -70,6 +70,46 @@ def test_cell_pipeline_runs_through_traced_names(tmp_path):
         assert name in names, name
 
 
+def test_trace_counts_one_adam_step_and_one_fit_per_feature_per_step(tmp_path):
+    """perfbench counts training steps by ``training.adam_step`` spans
+    directly under ``training.train``, and baseline fits per step by
+    ``penalty.fit_linear_baseline`` spans inside the loss; inlining either
+    call would zero those counts without failing a sweep."""
+    features = ("x1", "x2", "x3")
+    cfg = ex.ExperimentConfig(
+        dataset={"synthetic": {"n": 60, "seed": 1}},
+        model={"architecture": "ann"},
+        train=tr.TrainConfig(batch_size=32, max_epochs=2,
+                             baseline_mode="coupled"),
+        grid=(0.0, 1.0), seeds=(0,), monotonic_sets=(features,),
+        output_dir=str(tmp_path / "out"), norm_fit_on_train=True)
+    tracer = load_tracer().Tracer(MODULES)
+    with tracer:
+        ex.run_experiment(cfg)
+    assert tracer.restored()
+    spans = {s[0]: s for s in tracer.spans}
+    trains = {sid for sid, s in spans.items() if s[1] == "training.train"}
+
+    def under_train(name):
+        return [s for s in spans.values() if s[1] == name and s[4] in trains]
+
+    def inside(s, name):
+        while s[4] is not None:
+            s = spans[s[4]]
+            if s[1] == name:
+                return True
+        return False
+
+    # 2 cells x 2 epochs x 2 batches of the 43 fit rows (60 rows, 48 in
+    # the train split, 5 of them carved out for validation)
+    steps = 2 * 2 * 2
+    assert len(under_train("autodiff.backward_pass")) == steps
+    assert len(under_train("training.adam_step")) == steps
+    fits = [s for s in spans.values() if s[1] == "penalty.fit_linear_baseline"
+            and inside(s, "penalty.build_loss_terms")]
+    assert len(fits) == len(features) * steps
+
+
 def test_run_experiment_calls_module_level_grid_search(tmp_path, monkeypatch):
     captured = []
     real = ex.lambda_grid_search

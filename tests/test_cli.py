@@ -133,6 +133,36 @@ def test_sweep_with_a_non_integer_count_is_a_config_error(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("overrides", [
+    {"dataset": {"synthetic": {"n": 300.5, "seed": 2}}},
+    {"dataset": {"synthetic": {"n": 60, "bins": 2.5, "seed": 2}}},
+    {"dataset": {"synthetic": {"n": 60, "seed": 1.5}}},
+    {"seeds": [1.5]},
+    {"seeds": [-1]},
+], ids=["n", "bins", "synthetic_seed", "seeds", "negative_seeds"])
+def test_sweep_with_a_non_integer_data_count_or_seed_is_a_config_error(
+        overrides, tmp_path, capsys):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "error [config]" in err and "integer" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("synthetic", [
+    {"n": 60, "seed": 2, "noise_sd": float("nan")},
+    {"n": 60, "seed": 2, "bump_sds": [1.0, float("inf"), 0.0, 0.0]},
+], ids=["noise_sd", "bump_sds"])
+def test_sweep_with_a_non_finite_spread_is_a_config_error(
+        synthetic, tmp_path, capsys):
+    # json writes NaN and Infinity, and reads them back
+    cfg = write_config(tmp_path, dataset={"synthetic": synthetic})
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "error [config]" in err and "finite" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_audit_cli(tmp_path, capsys):
     preds = tmp_path / "p.csv"
     feats = tmp_path / "f.csv"
@@ -266,6 +296,32 @@ def test_audit_rejects_rows_of_another_width(name, tmp_path, capsys):
     assert main(["audit", str(preds), str(feats), "--monotonic", "b"]) == 2
     err = capsys.readouterr().err
     assert "error [audit]" in err and f"{feats}, line {line}:" in err
+
+
+# predictions CSV, features CSV, the one holding the non-finite cell, its line
+NON_FINITE_AUDIT = {
+    "nan_prediction": ("pred\n0\nnan\n2\n", "a,b\n1,2\n3,4\n5,6\n", "p", 3),
+    "inf_prediction": ("pred\n0\n1\ninf\n", "a,b\n1,2\n3,4\n5,6\n", "p", 4),
+    "minus_inf_feature": ("pred\n0\n1\n2\n", "a,b\n1,2\n3,-inf\n5,6\n",
+                          "f", 3),
+    "nan_in_unaudited_feature": ("pred\n0\n1\n2\n",
+                                 "a,b\nNaN,2\n3,4\n5,6\n", "f", 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_AUDIT))
+def test_audit_rejects_non_finite_cells(name, tmp_path, capsys):
+    preds_text, feats_text, bad, line = NON_FINITE_AUDIT[name]
+    files = {"p": tmp_path / "p.csv", "f": tmp_path / "f.csv"}
+    files["p"].write_text(preds_text, encoding="utf-8")
+    files["f"].write_text(feats_text, encoding="utf-8")
+    out = tmp_path / "audit.json"
+    assert main(["audit", str(files["p"]), str(files["f"]), "--monotonic", "b",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error [audit]" in err and f"{files[bad]}, line {line}:" in err
+    assert "non-finite" in err
+    assert not out.exists()
 
 
 def test_non_utf8_csv_is_a_data_error(tmp_path, capsys):

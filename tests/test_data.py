@@ -92,6 +92,35 @@ def test_synthetic_config_validation():
         dp.SyntheticConfig(bump_sds=(1.0, -1.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", 300.5), ("n", 300.0), ("n", True), ("n", "300"),
+    ("bins", 2.5), ("seed", 1.5), ("seed", False)])
+def test_synthetic_config_counts_must_be_integers(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        dp.SyntheticConfig(**{field: value})
+
+
+def test_synthetic_config_rejects_a_negative_seed():
+    with pytest.raises(ConfigError, match="seed >= 0"):
+        dp.SyntheticConfig(seed=-1)
+
+
+def test_synthetic_config_numpy_integers_become_ints():
+    cfg = dp.SyntheticConfig(n=np.int64(50), bins=np.int32(3),
+                             seed=np.uint8(4))
+    assert [type(v) for v in (cfg.n, cfg.bins, cfg.seed)] == [int, int, int]
+    plain = dp.generate_synthetic(dp.SyntheticConfig(n=50, bins=3, seed=4))
+    assert dp.generate_synthetic(cfg).y.tobytes() == plain.y.tobytes()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"noise_sd": np.nan}, {"noise_sd": np.inf},
+    {"bump_sds": (1.0, np.inf, 0.0, 0.0)}, {"bump_sds": (np.nan, 0, 0, 0)}])
+def test_synthetic_config_rejects_non_finite_spreads(kwargs):
+    with pytest.raises(ConfigError, match="finite"):
+        dp.SyntheticConfig(**kwargs)
+
+
 # ---------------------------------------------------------------- csv
 
 def test_load_csv_drops_bad_rows(tmp_path, caplog):

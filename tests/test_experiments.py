@@ -81,6 +81,18 @@ def test_experiment_config_rejects_empty_seeds():
         ex.ExperimentConfig(seeds=())
 
 
+@pytest.mark.parametrize("seeds", [(1.5,), (1, 2.0), (True,), ("1",), (0, -1)])
+def test_experiment_config_seeds_must_be_integers(seeds):
+    with pytest.raises(ConfigError, match="seeds must be integers >= 0"):
+        ex.ExperimentConfig(seeds=seeds)
+
+
+def test_experiment_config_numpy_seeds_become_ints():
+    cfg = ex.ExperimentConfig(seeds=(np.int64(3), np.int32(4)))
+    assert cfg.seeds == (3, 4)
+    assert [type(s) for s in cfg.seeds] == [int, int]
+
+
 def test_experiment_config_rejects_cells_sharing_artifacts():
     # two cells with one (lam, seed) file stem would overwrite each other
     with pytest.raises(ConfigError, match="seeds"):

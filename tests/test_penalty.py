@@ -155,8 +155,10 @@ def test_violations_nonnegative():
 def test_feature_penalty_values():
     def feature_penalty(violations):
         # slope 1 and no prediction increments: violations == dx
+        line = pen.LinearBaseline(slope=1.0, intercept=0.0, x_mean=0.0,
+                                  x_var=1.0)
         fit = pen.BatchFit(batch_size=1, perm=np.arange(1), features={
-            0: pen.FeatureFit(pen.LinearBaseline(1.0, 0.0), dx=violations,
+            0: pen.FeatureFit(line, dx=violations,
                               dpred=np.zeros_like(violations))})
         return fit.breakdown().per_feature[0]
 
@@ -454,3 +456,87 @@ def test_frozen_and_coupled_gradients_differ():
             pen.build_loss_terms(preds, y, X, spec_for(0, 1), 1.0, mode).total)
         grads[mode] = preds.grad.copy()
     assert not np.allclose(grads["frozen"], grads["coupled"])
+
+
+# ---------------------------------------------------------------- moments
+
+def mean_based_moments(x_col, preds):
+    """The baseline's moments in their np.mean form: (mean_x, var, slope,
+    intercept)."""
+    mean_x = x_col.mean()
+    mean_p = preds.mean()
+    var = ((x_col - mean_x) ** 2).mean()
+    cov = ((x_col - mean_x) * (preds - mean_p)).mean()
+    slope = cov / var
+    return mean_x, var, slope, mean_p - slope * mean_x
+
+
+def mean_based_coupled_grad(p, y, X, indices, lam):
+    """Gradient on the predictions of the coupled objective, with every
+    moment taken by np.mean."""
+    n = p.shape[0]
+    preds = ad.leaf(p, requires_grad=True)
+    perm = np.argsort(p, kind="stable")
+    mse = ad.scale(ad.sum_all(ad.square(preds - ad.constant(y))), 1.0 / n)
+    dfhat = ad.adjacent_diff(ad.gather_rows(preds, perm))
+    p_sum = None
+    for j in indices:
+        x_col = X[:, j]
+        mean_x, var, _, _ = mean_based_moments(x_col, p)
+        coeffs = (x_col - mean_x) / (n * var)
+        slope = ad.sum_all(preds * ad.constant(coeffs))
+        dg = slope * ad.constant(np.diff(x_col[perm]))
+        p_j = ad.sum_all(ad.square(ad.relu(dg - dfhat)))
+        p_sum = p_j if p_sum is None else p_sum + p_j
+    ad.backward_pass(mse + ad.scale(ad.scale(p_sum, 1.0 / n), lam))
+    return preds.grad
+
+
+def moment_batches():
+    """name -> (X, preds); the moments run over the columns of X."""
+    rng = np.random.default_rng(21)
+    n = 97
+    wide = rng.uniform(-1.0, 1.0, size=(n, 7))
+    return {
+        "random": (rng.normal(size=(n, 3)), rng.normal(size=n)),
+        "tie_heavy": (rng.integers(0, 3, size=(n, 3)).astype(float),
+                      np.round(rng.normal(size=n), 1)),
+        "strided": (wide[:, ::2], rng.normal(size=n)),
+        "fortran": (np.asfortranarray(rng.normal(size=(n, 3))),
+                    rng.normal(size=n)),
+        "large_magnitude": (1e12 + 1e6 * rng.normal(size=(n, 3)),
+                            -3e9 + 1e4 * rng.normal(size=n)),
+    }
+
+
+MOMENT_BATCHES = moment_batches()
+
+
+def bits(value):
+    return np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(MOMENT_BATCHES))
+def test_fit_linear_baseline_moments_equal_the_mean_form(name):
+    X, preds = MOMENT_BATCHES[name]
+    for j in range(X.shape[1]):
+        mean_x, var, slope, intercept = mean_based_moments(X[:, j], preds)
+        b = pen.fit_linear_baseline(X[:, j], preds)
+        assert bits(b.slope) == bits(slope), (name, j)
+        assert bits(b.intercept) == bits(intercept), (name, j)
+        assert bits(b.x_mean) == bits(mean_x), (name, j)
+        assert bits(b.x_var) == bits(var), (name, j)
+
+
+@pytest.mark.parametrize("name", sorted(MOMENT_BATCHES))
+def test_coupled_gradient_equals_the_mean_form(name):
+    X, preds = MOMENT_BATCHES[name]
+    y = preds[::-1].copy()
+    indices = tuple(range(X.shape[1]))
+    node = ad.leaf(preds, requires_grad=True)
+    terms = pen.build_loss_terms(node, y, X, pen.MonotonicitySpec(indices),
+                                 0.7, "coupled")
+    assert terms.penalty is not None, name
+    ad.backward_pass(terms.total)
+    expected = mean_based_coupled_grad(preds, y, X, indices, 0.7)
+    assert node.grad.tobytes() == expected.tobytes(), name

@@ -12,6 +12,7 @@ from dimlab import penalty as pen
 from dimlab import training as tr
 from dimlab.errors import ConfigError, NumericError, ParameterError
 from dimlab.penalty import MonotonicitySpec
+from oracles import ReferenceAdam
 
 
 def linear_dataset(n=200, seed=0, noise=0.0):
@@ -34,35 +35,114 @@ def fake_report(lam, seed, mse, compliance):
 def test_adam_zero_gradient_is_identity():
     params = {"w": np.array([1.0, -2.0])}
     grads = {"w": np.zeros(2)}
+    flat, new = tr.flatten(params)
     state = tr.AdamState.init_like(params)
-    new, state = tr.adam_step(params, grads, state, 1e-3)
+    tr.adam_step(flat, grads, state, 1e-3)
     assert np.array_equal(new["w"], params["w"])
     assert state.step == 1
 
 
 def test_adam_first_step_is_learning_rate_sized():
     params = {"w": np.array([0.5])}
+    flat, new = tr.flatten(params)
     state = tr.AdamState.init_like(params)
-    new, _ = tr.adam_step(params, {"w": np.array([1.0])}, state, 1e-3)
+    tr.adam_step(flat, {"w": np.array([1.0])}, state, 1e-3)
     # bias-corrected unit moments: step = lr * 1/(1 + eps)
     assert abs((params["w"][0] - new["w"][0]) - 1e-3) < 1e-9
 
 
 def test_adam_converges_on_quadratic():
     # textbook constants cross |w| < 1e-2 near step 2200; 3000 leaves margin
-    params = {"w": np.array([1.0])}
+    flat, params = tr.flatten({"w": np.array([1.0])})
     state = tr.AdamState.init_like(params)
     for _ in range(3000):
         grads = {"w": 2.0 * params["w"]}
-        params, state = tr.adam_step(params, grads, state, 1e-3)
+        tr.adam_step(flat, grads, state, 1e-3)
     assert abs(params["w"][0]) < 1e-2
 
 
 def test_adam_rejects_nonfinite_gradient():
     params = {"w": np.array([1.0])}
+    flat, _ = tr.flatten(params)
     state = tr.AdamState.init_like(params)
     with pytest.raises(NumericError, match="w"):
-        tr.adam_step(params, {"w": np.array([np.nan])}, state, 1e-3)
+        tr.adam_step(flat, {"w": np.array([np.nan])}, state, 1e-3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adam_nonfinite_error_names_the_parameter_and_changes_nothing(bad):
+    params = {"a": np.array([1.0, 2.0]), "b": np.array([[3.0], [4.0]])}
+    flat, _ = tr.flatten(params)
+    state = tr.AdamState.init_like(params)
+    tr.adam_step(flat, {"a": np.ones(2), "b": np.ones((2, 1))}, state, 1e-3)
+    before = (flat.copy(), state.m.copy(), state.v.copy())
+    with pytest.raises(NumericError, match="'b'"):
+        tr.adam_step(flat, {"a": np.ones(2), "b": np.array([[1.0], [bad]])},
+                     state, 1e-3)
+    assert state.step == 1
+    for got, want in zip((flat, state.m, state.v), before):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("grads", [
+    {"b": np.ones(2), "a": np.ones(2)},
+    {"a": np.ones(2)},
+    {"a": np.ones((2, 1)), "b": np.ones(2)},
+], ids=["order", "missing", "shape"])
+def test_adam_rejects_gradients_of_another_layout(grads):
+    params = {"a": np.zeros(2), "b": np.zeros(2)}
+    flat, _ = tr.flatten(params)
+    state = tr.AdamState.init_like(params)
+    with pytest.raises(ParameterError, match="do not match the parameters"):
+        tr.adam_step(flat, grads, state, 1e-3)
+    assert state.step == 0 and not flat.any()
+
+
+def test_flatten_packs_one_vector_with_named_views():
+    params = {"w": np.arange(6.0).reshape(2, 3).T, "b": np.array([7, 8])}
+    flat, views = tr.flatten(params)
+    assert flat.dtype == np.float64 and flat.flags.c_contiguous
+    assert flat.tolist() == [0.0, 3.0, 1.0, 4.0, 2.0, 5.0, 7.0, 8.0]
+    for name, p in params.items():
+        assert np.array_equal(views[name], p)
+        assert views[name].shape == p.shape
+        assert np.shares_memory(views[name], flat)
+        assert not np.shares_memory(views[name], p)
+
+
+def random_grads(rng, params):
+    """Normal gradients salted with +-0.0, subnormals and huge values."""
+    grads = {}
+    for name, p in params.items():
+        g = rng.normal(size=p.shape) * 10.0 ** rng.integers(-8, 3)
+        flat = g.reshape(-1)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-310, 1e150])
+        where = rng.integers(0, flat.size, size=special.size)
+        flat[where] = special
+        grads[name] = g
+    return grads
+
+
+@pytest.mark.parametrize("arch", ["mlp3", "cnn1d"])
+def test_flat_adam_matches_per_parameter_reference_bit_for_bit(arch):
+    model = mz.build_model(mz.ModelConfig(arch, 5, seed=3))
+    flat, params = tr.flatten(model.parameters)
+    state = tr.AdamState.init_like(params)
+    ref = ReferenceAdam(model.parameters)
+    expected = model.parameters
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        grads = random_grads(rng, expected)
+        tr.adam_step(flat, grads, state, 1e-2)
+        expected = ref.step(expected, grads, 1e-2)
+    assert state.step == ref.t == 50
+    for name in expected:
+        assert params[name].tobytes() == expected[name].tobytes(), name
+    m = tr.unflatten(state.m, state.layout)
+    v = tr.unflatten(state.v, state.layout)
+    for name in expected:
+        assert m[name].tobytes() == ref.m[name].tobytes(), name
+        assert v[name].tobytes() == ref.v[name].tobytes(), name
 
 
 # ---------------------------------------------------------------- metrics
@@ -203,8 +283,8 @@ def test_lambda_zero_matches_penalty_free_loop():
     shuffle = np.random.default_rng([tr.SHUFFLE_STREAM, 7])
     drop = np.random.default_rng([tr.DROPOUT_STREAM, 7])
     ref = mz.build_model(mz.ModelConfig("mlp3", 1, seed=7))
-    params = {k: v.copy() for k, v in ref.parameters.items()}
-    state = tr.AdamState.init_like(params)
+    params = ref.parameters
+    adam = ReferenceAdam(params)
     losses, val_mses = [], []
     best = (np.inf, None)
     for _ in range(5):
@@ -219,7 +299,7 @@ def test_lambda_zero_matches_penalty_free_loop():
             loss = ad.scale(ad.sum_all(ad.square(diff)), 1.0 / rows.size)
             ad.backward_pass(loss)
             grads = {k: n.grad for k, n in nodes.items()}
-            params, state = tr.adam_step(params, grads, state, cfg.learning_rate)
+            params = adam.step(params, grads, cfg.learning_rate)
             total += loss.value.item() * rows.size
         losses.append(total / X_tr.shape[0])
         err = mz.forward(mz.Model(config=ref.config, parameters=params),
@@ -232,7 +312,28 @@ def test_lambda_zero_matches_penalty_free_loop():
     assert [rec.train_loss for rec in report.history] == losses
     assert [rec.val_mse for rec in report.history] == val_mses
     for k, v in best[1].items():
-        assert np.array_equal(trained.parameters[k], v)
+        assert trained.parameters[k].tobytes() == v.tobytes()
+
+
+def test_train_returns_parameters_of_their_own(monkeypatch):
+    working = []
+    real = tr.adam_step
+
+    def capture(flat, grads, state, lr):
+        working.append(flat)
+        return real(flat, grads, state, lr)
+
+    monkeypatch.setattr(tr, "adam_step", capture)
+    model = mz.build_model(mz.ModelConfig("ann", 1, seed=2))
+    initial = {k: v.copy() for k, v in model.parameters.items()}
+    trained, _ = tr.train(model, linear_dataset(n=64), small_cfg(max_epochs=3))
+    assert working and all(w is working[0] for w in working)
+    for k, p in trained.parameters.items():
+        assert not np.shares_memory(p, working[0]), k
+        for q in model.parameters.values():
+            assert not np.shares_memory(p, q), k
+        # the input model is left as it was
+        assert model.parameters[k].tobytes() == initial[k].tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
