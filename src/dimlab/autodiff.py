@@ -260,7 +260,20 @@ def adjacent_diff(a: Node) -> Node:
 
 def conv1d_same(x: Node, kernels: Node, bias: Node) -> Node:
     """Width-3 cross-correlation over (batch, length, in_ch) with zero 'same'
-    padding, producing (batch, length, out_ch)."""
+    padding, producing (batch, length, out_ch).
+
+    The kernel gradient of tap k is an einsum over a contiguous copy of the
+    window ``padded[:, k:k + length, :]``. On the copy numpy merges batch
+    and length into one loop and still adds the (batch, length) terms of
+    each kernel entry in order, so the bytes of every report stay the same;
+    on the strided window it ran about three times slower. (With one input
+    and one output channel numpy sums the merged loop with its own
+    accumulators instead, and that gradient moves in its last bits.)
+    ``G.T @ P`` would be faster still, but BLAS adds in another order and
+    changes the bits. The forward and ``x_vjp`` multiply by the strided
+    ``kernels.value[:, :, k]``, which keeps them on numpy's own matmul
+    loop; every BLAS route for them that was measured changes bits too.
+    """
     if x.value.ndim != 3:
         raise DimensionError(f"conv1d_same input must be 3-D, got {x.value.shape}")
     if kernels.value.ndim != 3 or kernels.value.shape[2] != 3:
@@ -288,7 +301,8 @@ def conv1d_same(x: Node, kernels: Node, bias: Node) -> Node:
         return g_padded[:, 1:-1, :]
 
     def kernels_vjp(g):
-        return np.stack([np.einsum("blo,blc->oc", g, padded[:, k:k + length, :])
+        return np.stack([np.einsum("blo,blc->oc", g,
+                                   np.ascontiguousarray(padded[:, k:k + length, :]))
                          for k in range(3)], axis=2)
 
     return _op("conv1d_same", value, (x, x_vjp), (kernels, kernels_vjp),

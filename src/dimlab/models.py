@@ -53,8 +53,16 @@ class ModelConfig:
                 f"unknown architecture {self.architecture!r}, "
                 f"expected one of {ARCHITECTURES}")
         object.__setattr__(self, "architecture", arch)
+        for name in ("input_dim", "seed"):
+            value = getattr(self, name)
+            if not is_int(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            # a numpy integer becomes an int, which the report's JSON holds
+            object.__setattr__(self, name, int(value))
         if self.input_dim < 1:
             raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         sizes = tuple(self.hidden_sizes or ()) or HIDDEN_DEFAULTS[arch]
         if not all(is_int(s) and s >= 1 for s in sizes):
             raise ConfigError(

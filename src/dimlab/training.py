@@ -76,12 +76,14 @@ class TrainConfig:
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        for name in ("batch_size", "max_epochs", "early_stop_patience"):
+        for name in ("batch_size", "max_epochs", "early_stop_patience", "seed"):
             value = getattr(self, name)
             if not is_int(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             # a numpy integer becomes an int, which the report's JSON holds
             object.__setattr__(self, name, int(value))
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 0:

@@ -1,6 +1,6 @@
-"""Textbook reference formulas that dimlab's packed kernels must match
-bit for bit. They are kept here, outside the package, in their plain
-per-array form, so an optimisation of the package cannot change them."""
+"""Reference formulas that dimlab's packed and re-laid-out kernels must
+match bit for bit. They are kept here, outside the package, in their plain
+form, so an optimisation of the package cannot change them."""
 
 import numpy as np
 
@@ -28,3 +28,23 @@ class ReferenceAdam:
             new[name] = p - lr * m_hat / (np.sqrt(v_hat) + EPS)
             self.m[name], self.v[name] = m, v
         return new
+
+
+def conv1d_same_reference(x, kernels, bias, g):
+    """``conv1d_same``'s value and its x, kernels and bias gradients for the
+    output gradient ``g``, with every kernel-gradient einsum reading a
+    strided window of the padded input."""
+    batch, length, in_ch = x.shape
+    out_ch = kernels.shape[0]
+    padded = np.zeros((batch, length + 2, in_ch))
+    padded[:, 1:-1, :] = x
+    value = np.broadcast_to(bias, (batch, length, out_ch)).copy()
+    for k in range(3):
+        value += padded[:, k:k + length, :] @ kernels[:, :, k].T
+
+    g_padded = np.zeros_like(padded)
+    for k in range(3):
+        g_padded[:, k:k + length, :] += g @ kernels[:, :, k]
+    kernels_grad = np.stack([np.einsum("blo,blc->oc", g, padded[:, k:k + length, :])
+                             for k in range(3)], axis=2)
+    return value, g_padded[:, 1:-1, :], kernels_grad, g.sum(axis=(0, 1))

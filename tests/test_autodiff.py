@@ -8,6 +8,7 @@ from dimlab.errors import (
     ParameterError,
     PermutationError,
 )
+from oracles import conv1d_same_reference
 
 
 # ---------------------------------------------------------------- oracles
@@ -270,6 +271,56 @@ def test_conv1d_backward_all_parents():
     assert np.max(np.abs(x.grad - fd_grad(lambda v: loss(v, k_val, b_val), x_val))) < 1e-6
     assert np.max(np.abs(k.grad - fd_grad(lambda v: loss(x_val, v, b_val), k_val))) < 1e-6
     assert np.max(np.abs(b.grad - fd_grad(lambda v: loss(x_val, k_val, v), b_val))) < 1e-6
+
+
+# The grid's channel pairs at batch 256, length 4 include the benchmark's
+# three cnn1d layers: 1->128, 128->64 and 64->32.
+CONV_BATCHES, CONV_LENGTHS = (1, 7, 256), (1, 3, 4, 9)
+CONV_CHANNELS = [(c, o) for c in (1, 2, 64, 128) for o in (1, 2, 32, 64, 128)]
+
+
+def _conv1d_against_reference(batch, length, in_ch, out_ch):
+    """The node's (value, x, kernels, bias gradients) and the reference's,
+    for relu-like inputs with exact zeros and an output gradient holding
+    +0.0 and -0.0 entries."""
+    rng = np.random.default_rng([batch, length, in_ch, out_ch])
+    x = np.maximum(rng.normal(size=(batch, length, in_ch)), 0.0)
+    k = rng.normal(size=(out_ch, in_ch, 3))
+    b = rng.normal(size=out_ch)
+    g = rng.normal(size=(batch, length, out_ch))
+    zero = rng.random(g.shape) < 0.2
+    g[zero] = np.copysign(0.0, rng.normal(size=zero.sum()))
+    nodes = [ad.leaf(v, requires_grad=True) for v in (x, k, b)]
+    out = ad.conv1d_same(*nodes)
+    ad.backward_pass(ad.sum_all(out * ad.constant(g)))
+    return (out.value, *(n.grad for n in nodes)), conv1d_same_reference(x, k, b, g)
+
+
+def _same_bytes(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("length", CONV_LENGTHS)
+@pytest.mark.parametrize("batch", CONV_BATCHES)
+def test_conv1d_matches_reference_byte_for_byte(batch, length):
+    for in_ch, out_ch in CONV_CHANNELS:
+        if in_ch == out_ch == 1:
+            continue  # test_conv1d_one_channel_kernel_grad_within_rounding
+        got, want = _conv1d_against_reference(batch, length, in_ch, out_ch)
+        for name, a, b in zip(("value", "x", "kernels", "bias"), got, want):
+            assert _same_bytes(a, b), (name, batch, length, in_ch, out_ch)
+
+
+@pytest.mark.parametrize("length", CONV_LENGTHS)
+@pytest.mark.parametrize("batch", CONV_BATCHES)
+def test_conv1d_one_channel_kernel_grad_within_rounding(batch, length):
+    """With one input and one output channel numpy sums the contiguous
+    window copy with its own accumulators, not in (batch, length) order,
+    so the kernel gradient may move in its last bits; the rest is exact."""
+    got, want = _conv1d_against_reference(batch, length, 1, 1)
+    for i, name in ((0, "value"), (1, "x"), (3, "bias")):
+        assert _same_bytes(got[i], want[i]), name
+    assert np.allclose(got[2], want[2], rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------- pooling

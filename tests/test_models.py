@@ -60,6 +60,18 @@ def test_bad_input_dim():
         cfg("ann", d=0)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("seed", -1), ("seed", 1.5), ("seed", True), ("seed", "1"),
+    ("input_dim", 4.5), ("input_dim", True)])
+def test_seed_and_input_dim_must_be_counts(field, value):
+    kw = {"architecture": "ann", "input_dim": 4, field: value}
+    with pytest.raises(ConfigError, match=field):
+        mz.ModelConfig(**kw)
+    # a numpy integer is accepted as the int the report's JSON can hold
+    kw[field] = np.int64(3)
+    assert type(getattr(mz.ModelConfig(**kw), field)) is int
+
+
 def test_cnn1d_rejects_a_dropout_rate_it_would_ignore():
     with pytest.raises(ConfigError, match="dropout_rate"):
         cfg("cnn1d", dropout_rate=0.5)

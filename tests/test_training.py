@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from dimlab import autodiff as ad
 from dimlab import data as dp
 from dimlab import models as mz
 from dimlab import penalty as pen
@@ -433,6 +434,44 @@ def test_grid_search_rejects_sweeps_that_train_no_epoch(monkeypatch):
     assert calls == []
 
 
+def test_one_filter_cnn1d_trains_and_passes_gradient_check():
+    """hidden_sizes (1, 2) gives conv0 one input and one output channel,
+    the one shape whose kernel gradient numpy sums with its own
+    accumulators (see conv1d_same)."""
+    ds = dp.generate_synthetic(dp.SyntheticConfig(n=200, seed=3))
+    m_cfg = mz.ModelConfig("cnn1d", 4, hidden_sizes=(1, 2))
+    reports = tr.lambda_grid_search(ds, m_cfg, small_cfg(max_epochs=2),
+                                    grid=(0.0, 0.5), seeds=(1,))
+    for rep in reports:
+        assert rep.error is None and len(rep.history) == 2
+        assert np.isfinite([[e.train_loss, e.val_mse, e.penalty]
+                            for e in rep.history]).all()
+        m = rep.test_metrics
+        assert np.isfinite([m.mse, m.mae, m.mape]).all()
+
+    # a generic point: zero biases put pre-activations on relu's kink
+    rng = np.random.default_rng(5)
+    params = {k: v + 0.1 * rng.normal(size=v.shape)
+              for k, v in mz.build_model(m_cfg).parameters.items()}
+    norm = dp.minmax_normalize(ds)
+    x, y = norm.X[:16], ad.constant(norm.y[:16, None])
+
+    def loss_of(name):
+        def loss(p):
+            nodes = {k: ad.constant(v) for k, v in params.items()}
+            nodes[name] = p
+            h = ad.constant(x[:, :, None])
+            for i in range(2):
+                h = ad.relu(ad.conv1d_same(h, nodes[f"conv{i}_w"],
+                                           nodes[f"conv{i}_b"]))
+            out = ad.matmul(ad.global_avg_pool(h), nodes["head_w"]) + nodes["head_b"]
+            return ad.sum_all(ad.square(out - y))
+        return loss
+
+    for name, value in params.items():
+        assert ad.gradient_check(loss_of(name), value, step=1e-6) < 1e-6, name
+
+
 # ---------------------------------------------------------------- BLAS threads
 
 def pooled_sweep(seeds=(0,)):
@@ -586,6 +625,13 @@ def test_train_config_counts_must_be_integers(field, value):
         tr.TrainConfig(**{field: value})
     # a numpy integer is accepted as the int the report's JSON can hold
     assert type(getattr(tr.TrainConfig(**{field: np.int64(3)}), field)) is int
+
+
+@pytest.mark.parametrize("value", [-1, np.int64(-2), 1.5, True, "1"])
+def test_train_config_seed_must_be_a_count(value):
+    with pytest.raises(ConfigError, match="seed"):
+        tr.TrainConfig(seed=value)
+    assert type(tr.TrainConfig(seed=np.int64(3)).seed) is int
 
 
 @pytest.mark.parametrize("field", ["lam", "learning_rate"])
