@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DataError, SchemaError
-from .models import is_int
+from .models import set_counts
 from .penalty import MonotonicitySpec
 
 log = logging.getLogger(__name__)
@@ -79,18 +79,11 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n", "bins", "seed"):
-            value = getattr(self, name)
-            if not is_int(value):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            # a numpy integer becomes an int, which the config's JSON holds
-            object.__setattr__(self, name, int(value))
-        if self.n < 2:
-            raise ConfigError(f"need n >= 2 samples, got {self.n}")
-        if self.bins < 1:
-            raise ConfigError(f"need bins >= 1, got {self.bins}")
-        if self.seed < 0:  # numpy seeds only from non-negative integers
-            raise ConfigError(f"need seed >= 0, got {self.seed}")
+        set_counts(self, {"n": 2},
+                   "need {name} >= {minimum} samples, got {value}")
+        # numpy seeds only from non-negative integers
+        set_counts(self, {"bins": 1, "seed": 0},
+                   "need {name} >= {minimum}, got {value}")
         if not (np.isfinite(self.noise_sd) and self.noise_sd >= 0):
             raise ConfigError(
                 f"noise_sd must be finite and >= 0, got {self.noise_sd}")

@@ -34,7 +34,7 @@ from .errors import (
     ParameterError,
     SchemaError,
 )
-from .models import ModelConfig, is_int, save_model
+from .models import ModelConfig, save_model, set_counts
 from .penalty import COMPLIANCE_ATOL, MonotonicitySpec, fit_batch
 from .training import (
     LAMBDA_GRID_DEFAULT,
@@ -125,10 +125,7 @@ class ExperimentConfig:
         if not 0.0 < self.train_frac < 1.0:
             raise ConfigError(
                 f"train_frac must be in (0, 1), got {self.train_frac}")
-        if not all(is_int(s) and s >= 0 for s in self.seeds):
-            raise ConfigError(f"seeds must be integers >= 0, got {self.seeds}")
-        # numpy integers become ints, which the reports' JSON holds
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        set_counts(self, {"seeds": 0}, each=True)
         # each cell writes to files named by its (lam, seed) stem
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct, got {self.seeds}")

@@ -38,6 +38,30 @@ def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def set_counts(owner, minimums: dict[str, int],
+               too_small: str = "{name} must be >= {minimum}, got {value}",
+               each: bool = False) -> None:
+    """Check each named count field of the frozen dataclass ``owner``, in
+    order, against its minimum, and store it as an int (a numpy integer
+    becomes an int, which a config's JSON holds). ``too_small`` is the
+    message for a count below its minimum; with ``each``, every field is a
+    sequence of counts."""
+    for name, minimum in minimums.items():
+        value = getattr(owner, name)
+        if each:
+            if not all(is_int(v) and v >= minimum for v in value):
+                raise ConfigError(
+                    f"{name} must be integers >= {minimum}, got {value}")
+            object.__setattr__(owner, name, tuple(int(v) for v in value))
+            continue
+        if not is_int(value):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if value < minimum:
+            raise ConfigError(too_small.format(name=name, minimum=minimum,
+                                               value=int(value)))
+        object.__setattr__(owner, name, int(value))
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     architecture: str
@@ -53,16 +77,7 @@ class ModelConfig:
                 f"unknown architecture {self.architecture!r}, "
                 f"expected one of {ARCHITECTURES}")
         object.__setattr__(self, "architecture", arch)
-        for name in ("input_dim", "seed"):
-            value = getattr(self, name)
-            if not is_int(value):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            # a numpy integer becomes an int, which the report's JSON holds
-            object.__setattr__(self, name, int(value))
-        if self.input_dim < 1:
-            raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        set_counts(self, {"input_dim": 1, "seed": 0})
         sizes = tuple(self.hidden_sizes or ()) or HIDDEN_DEFAULTS[arch]
         if not all(is_int(s) and s >= 1 for s in sizes):
             raise ConfigError(
@@ -157,10 +172,9 @@ def load_model(path) -> Model:
     with np.load(path, allow_pickle=False) as archive:
         if "__config__" not in archive:
             raise SchemaError(f"{path}: not a model checkpoint (no __config__)")
-        meta = json.loads(str(archive["__config__"]))
         try:
-            config = ModelConfig(**meta)
-        except TypeError as exc:
+            config = ModelConfig(**json.loads(str(archive["__config__"])))
+        except (TypeError, ValueError, ConfigError) as exc:  # JSON errors too
             raise SchemaError(f"{path}: bad checkpoint config: {exc}") from exc
         params = {k: archive[k] for k in archive.files if k != "__config__"}
     expected = build_model(config).parameters

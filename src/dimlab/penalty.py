@@ -6,10 +6,17 @@ ascending; wherever the baseline expects a larger increment between
 adjacent sorted predictions than the model produced, the shortfall is
 penalized quadratically. The batch penalty is the violation energy summed
 over features, divided by the batch size.
+
+Every path shares one validated, sorted and fitted batch (:func:`fit_batch`).
+In training, :func:`build_loss_terms` puts the whole batch penalty, every
+feature included, into the autodiff graph as one node over the
+predictions, whose value and gradient equal those of the engine's small
+ops bit for bit (:func:`_penalty_node`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -243,10 +250,12 @@ def compliance_score(preds, X, spec: MonotonicitySpec) -> float:
 class LossTerms:
     """Graph nodes of the combined objective plus the logged decomposition.
 
-    ``penalty`` is None when the penalty term is not part of the graph
-    (lambda = 0, empty spec, or every feature degenerate); the
-    ``breakdown`` still reports the batch's decomposition, with total 0
-    unless lambda = 0.
+    ``total`` is ``mse + scale(penalty, lam)``. ``penalty`` is one graph
+    node for the whole batch penalty, every feature included (see
+    :func:`build_loss_terms`), or None when the penalty term is not part
+    of the graph (lambda = 0, empty spec, or every feature degenerate);
+    the ``breakdown`` still reports the batch's decomposition, with total
+    0 unless lambda = 0.
     """
 
     total: Node
@@ -255,16 +264,84 @@ class LossTerms:
     breakdown: PenaltyBreakdown
 
 
+def _penalty_node(preds: Node, fit: BatchFit, X: np.ndarray,
+                  coupled: bool) -> tuple[Node, dict[int, float]]:
+    """The batch penalty as one node over ``preds``, and its per-feature
+    violation energies.
+
+    Value and gradient equal, bit for bit, those of the graph
+    ``scale(sum_j sum_all(square(relu(dg_j - adjacent_diff(gather_rows(
+    preds, perm))))), 1/n)``, where ``dg_j`` is the constant
+    ``slope_j * dx_j`` (frozen) or ``sum_all(preds * coeffs_j) * dx_j``
+    (coupled): the node makes that graph's numpy calls in the same order.
+    Its backward adds to ``preds.grad`` as that graph's backward pass did,
+    one contribution at a time: in coupled mode ``coeffs_j`` times the
+    slope's gradient, per feature in spec order, then the hinge gradient
+    scattered back through ``perm``.
+    """
+    n = fit.batch_size
+    per_feature: dict[int, float] = {}
+    hinges = []  # per fitted feature: (dx, coeffs or None, mask, relu value)
+    p_sum = None
+    for j, f in fit.features.items():
+        if f is None:
+            per_feature[j] = 0.0
+            continue
+        if coupled:
+            # slope = sum(c * preds) with c = (x - mean_x) / (N * var);
+            # the mean-of-preds term drops out since sum(c) = 0
+            b = f.baseline
+            coeffs = (X[:, j] - b.x_mean) / (n * b.x_var)
+            dg = ad.as_tensor((preds.value * coeffs).sum()) * f.dx
+        else:
+            coeffs = None
+            dg = f.baseline.slope * f.dx
+        diff = dg - f.dpred  # dpred = diff(preds[perm]), from the fit
+        mask = diff > 0
+        hinge = ad._masked(mask, diff)
+        p_j = ad.as_tensor((hinge * hinge).sum())
+        per_feature[j] = p_j.item()
+        p_sum = p_j if p_sum is None else ad.as_tensor(p_sum + p_j)
+        hinges.append((f.dx, coeffs, mask, hinge))
+
+    c = 1.0 / n
+    perm = fit.perm
+    out = ad._op("penalty", p_sum * c, (preds, None))  # backward set below
+
+    def backward(g):
+        if not preds.requires_grad:
+            return
+        g_p = c * g  # the gradient of sum_j p_j, and so of each p_j
+        g_dpred = None
+        for dx, coeffs, mask, hinge in hinges:
+            g_diff = ad._masked(mask, 2.0 * hinge * np.full_like(hinge, g_p))
+            if coeffs is not None:
+                g_slope = (g_diff * dx).sum(axis=0)
+                ad._accumulate(preds, np.full_like(preds.value, g_slope) * coeffs)
+            g_dpred = -g_diff if g_dpred is None else g_dpred + -g_diff
+        # the transpose of differencing, then the scatter through perm
+        g_sorted = np.concatenate(([0.0], g_dpred)) - np.concatenate((g_dpred, [0.0]))
+        scattered = np.empty_like(preds.value)
+        scattered[perm] = g_sorted
+        ad._accumulate(preds, scattered)
+
+    out._backward = backward
+    return out, per_feature
+
+
 def build_loss_terms(preds: Node, y, X, spec: MonotonicitySpec, lam: float,
                      baseline_mode: str = "frozen") -> LossTerms:
     """Assemble L = MSE + lambda * penalty inside the autodiff graph.
 
-    In frozen mode the fitted slope is a constant of the backward pass;
-    in coupled mode gradients also flow through the covariance/variance
-    formulas. The sort permutation is constant in backward either way.
+    The penalty is one node (:func:`_penalty_node`) on the batch's one
+    :class:`BatchFit`. In frozen mode the fitted slope is a constant of
+    the backward pass; in coupled mode gradients also flow through the
+    covariance/variance formulas. The sort permutation is constant in
+    backward either way. ``preds.grad`` receives the MSE's contribution
+    first, then the penalty node's, in the order that node documents.
     """
-    if lam < 0:
-        raise ParameterError(f"penalty weight must be >= 0, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise ParameterError(f"penalty weight must be finite and >= 0, got {lam}")
     if baseline_mode not in BASELINE_MODES:
         raise ParameterError(
             f"baseline_mode must be one of {BASELINE_MODES}, got {baseline_mode!r}")
@@ -285,28 +362,8 @@ def build_loss_terms(preds: Node, y, X, spec: MonotonicitySpec, lam: float,
         return LossTerms(total=mse, mse=mse, penalty=None,
                          breakdown=fit.breakdown())
 
-    per_feature: dict[int, float] = {}
-    p_sum_node: Node | None = None
-    sorted_preds = ad.gather_rows(preds, fit.perm)
-    dfhat = ad.adjacent_diff(sorted_preds)
-    for j, f in fit.features.items():
-        if f is None:
-            per_feature[j] = 0.0
-            continue
-        if baseline_mode == "frozen":
-            dg = ad.constant(f.baseline.slope * f.dx)
-        else:
-            # slope = sum(c * preds) with c = (x - mean_x) / (N * var);
-            # the mean-of-preds term drops out since sum(c) = 0
-            b = f.baseline
-            coeffs = (X[:, j] - b.x_mean) / (n * b.x_var)
-            slope_node = ad.sum_all(preds * ad.constant(coeffs))
-            dg = slope_node * ad.constant(f.dx)
-        p_j = ad.sum_all(ad.square(ad.relu(dg - dfhat)))
-        per_feature[j] = p_j.value.item()
-        p_sum_node = p_j if p_sum_node is None else p_sum_node + p_j
-
-    penalty = ad.scale(p_sum_node, 1.0 / n)
+    penalty, per_feature = _penalty_node(preds, fit, X,
+                                         baseline_mode == "coupled")
     total = mse + ad.scale(penalty, lam)
     breakdown = PenaltyBreakdown(per_feature=per_feature,
                                  total=penalty.value.item(),

@@ -38,7 +38,7 @@ from .models import (
     build_model,
     forward,
     forward_with_params,
-    is_int,
+    set_counts,
 )
 
 log = logging.getLogger(__name__)
@@ -76,21 +76,8 @@ class TrainConfig:
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        for name in ("batch_size", "max_epochs", "early_stop_patience", "seed"):
-            value = getattr(self, name)
-            if not is_int(value):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            # a numpy integer becomes an int, which the report's JSON holds
-            object.__setattr__(self, name, int(value))
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_epochs < 0:
-            raise ConfigError(f"max_epochs must be >= 0, got {self.max_epochs}")
-        if self.early_stop_patience < 1:
-            raise ConfigError(
-                f"early_stop_patience must be >= 1, got {self.early_stop_patience}")
+        set_counts(self, {"batch_size": 1, "max_epochs": 0,
+                          "early_stop_patience": 1, "seed": 0})
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError(
                 f"val_fraction must be in [0, 1), got {self.val_fraction}")

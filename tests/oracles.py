@@ -48,3 +48,51 @@ def conv1d_same_reference(x, kernels, bias, g):
     kernels_grad = np.stack([np.einsum("blo,blc->oc", g, padded[:, k:k + length, :])
                              for k in range(3)], axis=2)
     return value, g_padded[:, 1:-1, :], kernels_grad, g.sum(axis=(0, 1))
+
+
+def loss_terms_reference(preds, y, X, spec, lam, baseline_mode):
+    """``penalty.build_loss_terms`` as a graph of the engine's small ops:
+    ``gather_rows`` and ``adjacent_diff`` for the sorted prediction
+    increments, then per feature ``mul``/``sum_all``/``mul``/``sub``/
+    ``relu``/``square``/``sum_all``, the adds, and the ``1/n`` scale."""
+    from dimlab import autodiff as ad
+    from dimlab import penalty as pen
+
+    y = np.asarray(y, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64)
+    fit = pen.fit_batch(preds.value, X, spec)
+    n = fit.batch_size
+
+    residual = preds - ad.constant(y)
+    mse = ad.scale(ad.sum_all(ad.square(residual)), 1.0 / n)
+
+    if lam == 0 or all(f is None for f in fit.features.values()):
+        return pen.LossTerms(total=mse, mse=mse, penalty=None,
+                             breakdown=fit.breakdown())
+
+    per_feature = {}
+    p_sum_node = None
+    sorted_preds = ad.gather_rows(preds, fit.perm)
+    dfhat = ad.adjacent_diff(sorted_preds)
+    for j, f in fit.features.items():
+        if f is None:
+            per_feature[j] = 0.0
+            continue
+        if baseline_mode == "frozen":
+            dg = ad.constant(f.baseline.slope * f.dx)
+        else:
+            b = f.baseline
+            coeffs = (X[:, j] - b.x_mean) / (n * b.x_var)
+            slope_node = ad.sum_all(preds * ad.constant(coeffs))
+            dg = slope_node * ad.constant(f.dx)
+        p_j = ad.sum_all(ad.square(ad.relu(dg - dfhat)))
+        per_feature[j] = p_j.value.item()
+        p_sum_node = p_j if p_sum_node is None else p_sum_node + p_j
+
+    penalty = ad.scale(p_sum_node, 1.0 / n)
+    total = mse + ad.scale(penalty, lam)
+    breakdown = pen.PenaltyBreakdown(per_feature=per_feature,
+                                     total=penalty.value.item(),
+                                     batch_size=n, skipped=fit.skipped)
+    return pen.LossTerms(total=total, mse=mse, penalty=penalty,
+                         breakdown=breakdown)

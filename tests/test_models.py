@@ -1,4 +1,6 @@
+import json
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -215,4 +217,27 @@ def test_checkpoint_shape_mismatch_rejected(tmp_path):
     path = tmp_path / "bad.npz"
     mz.save_model(model, path)
     with pytest.raises(SchemaError):
+        mz.load_model(path)
+
+
+def _checkpoint_with_config(tmp_path, meta: str):
+    """A hand-written ann checkpoint whose ``__config__`` holds ``meta``."""
+    model = mz.build_model(cfg("ann"))
+    path = tmp_path / "hand.npz"
+    np.savez(path, __config__=np.array(meta), **model.parameters)
+    return path
+
+
+@pytest.mark.parametrize("field, value", [("seed", -1), ("input_dim", 4.5)])
+def test_checkpoint_invalid_config_value_names_the_file(tmp_path, field, value):
+    meta = json.dumps({**asdict(cfg("ann")), field: value})
+    path = _checkpoint_with_config(tmp_path, meta)
+    with pytest.raises(SchemaError, match=f"hand.npz: bad checkpoint config: "
+                                          f"{field} must be"):
+        mz.load_model(path)
+
+
+def test_checkpoint_malformed_config_json_names_the_file(tmp_path):
+    path = _checkpoint_with_config(tmp_path, '{"architecture": "ann",')
+    with pytest.raises(SchemaError, match="hand.npz: bad checkpoint config"):
         mz.load_model(path)

@@ -9,6 +9,7 @@ from dimlab.errors import (
     DimensionError,
     ParameterError,
 )
+from oracles import loss_terms_reference
 
 
 def naive_penalty(preds, X, indices):
@@ -376,6 +377,13 @@ def test_combined_loss_rejects_negative_lambda_and_bad_mode():
                              baseline_mode="loose")
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_combined_loss_rejects_a_non_finite_lambda(lam):
+    with pytest.raises(ParameterError, match="finite"):
+        pen.build_loss_terms(ad.leaf([1.0, 2.0]), np.zeros(2),
+                             np.array([[0.0], [1.0]]), spec_for(0), lam)
+
+
 def test_loss_terms_penalty_matches_pure_computation():
     rng = np.random.default_rng(10)
     for mode, tol in (("frozen", 0.0), ("coupled", 1e-12)):
@@ -540,3 +548,101 @@ def test_coupled_gradient_equals_the_mean_form(name):
     ad.backward_pass(terms.total)
     expected = mean_based_coupled_grad(preds, y, X, indices, 0.7)
     assert node.grad.tobytes() == expected.tobytes(), name
+
+
+# ---------------------------------------------------------------- one node
+
+def penalty_batches():
+    """name -> (X, preds, y, monotonic indices)."""
+    rng = np.random.default_rng(31)
+    n = 32
+    one_constant = rng.normal(size=(n, 3))
+    one_constant[:, 1] = 3.0
+    batches = {
+        "random": (rng.normal(size=(n, 4)), rng.normal(size=n), (0, 1, 3)),
+        "tie_heavy": (rng.integers(0, 3, size=(n, 3)).astype(float),
+                      np.round(rng.normal(size=n), 1), (0, 1, 2)),
+        "one_constant_column": (one_constant, rng.normal(size=n), (0, 1, 2)),
+        "all_degenerate": (np.full((n, 3), 2.0), rng.normal(size=n), (0, 1, 2)),
+        "n2": (rng.normal(size=(2, 3)), rng.normal(size=2), (0, 1, 2)),
+        "constant_preds": (rng.normal(size=(n, 3)), np.full(n, 0.7), (0, 1, 2)),
+    }
+    return {name: (X, p, rng.normal(size=p.shape[0]), idx)
+            for name, (X, p, idx) in batches.items()}
+
+
+PENALTY_BATCHES = penalty_batches()
+
+
+def preds_node(values, kind):
+    """The predictions as a leaf, or as a model head's
+    ``reshape(matmul + bias)`` over them; also the head's parameters."""
+    if kind == "leaf":
+        return ad.leaf(values, requires_grad=True), ()
+    w = ad.leaf([[1.0]], requires_grad=True)
+    b = ad.leaf([0.0], requires_grad=True)
+    head = ad.matmul(ad.constant(values[:, None]), w) + b
+    return ad.reshape(head, values.shape), (w, b)
+
+
+def breakdown_bits(b):
+    return ({j: bits(v) for j, v in b.per_feature.items()}, bits(b.total),
+            b.batch_size, b.skipped)
+
+
+@pytest.mark.parametrize("kind", ["leaf", "model_head"])
+@pytest.mark.parametrize("mode", pen.BASELINE_MODES)
+@pytest.mark.parametrize("name", sorted(PENALTY_BATCHES))
+def test_penalty_node_matches_the_op_graph_byte_for_byte(name, mode, kind):
+    X, p, y, indices = PENALTY_BATCHES[name]
+    spec = pen.MonotonicitySpec(indices)
+    runs = []
+    for build in (pen.build_loss_terms, loss_terms_reference):
+        preds, params = preds_node(p, kind)
+        terms = build(preds, y, X, spec, 0.7, mode)
+        ad.backward_pass(terms.total)
+        runs.append((terms, preds.grad, [q.grad for q in params]))
+    (new, grad, param_grads), (ref, ref_grad, ref_param_grads) = runs
+    assert new.total.value.shape == ref.total.value.shape
+    assert new.total.value.tobytes() == ref.total.value.tobytes()
+    assert (new.penalty is None) == (ref.penalty is None)
+    if ref.penalty is not None:
+        assert new.penalty.value.shape == ref.penalty.value.shape
+        assert new.penalty.value.tobytes() == ref.penalty.value.tobytes()
+    assert breakdown_bits(new.breakdown) == breakdown_bits(ref.breakdown)
+    assert grad.tobytes() == ref_grad.tobytes()
+    for g, ref_g in zip(param_grads, ref_param_grads):
+        assert g.tobytes() == ref_g.tobytes()
+
+
+def test_penalty_node_coupled_gradient_check():
+    rng = np.random.default_rng(32)
+    n = 12
+    X = rng.normal(size=(n, 3))
+    y = rng.normal(size=n)
+    p_val = rng.normal(size=n) * 2.0
+    err = ad.gradient_check(
+        lambda q: pen.build_loss_terms(q, y, X, spec_for(0, 1, 2), 0.9,
+                                       "coupled").penalty,
+        p_val, step=1e-5)
+    assert err < 1e-4
+
+
+def reachable(root):
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for parent in stack.pop().parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return list(seen.values())
+
+
+def test_coupled_penalty_is_one_graph_node():
+    X, p, y, _ = PENALTY_BATCHES["random"]
+    preds = ad.leaf(p, requires_grad=True)
+    terms = pen.build_loss_terms(preds, y, X, spec_for(0, 1, 2), 1.0,
+                                 "coupled")
+    assert terms.penalty.parents == (preds,)
+    # beyond the MSE's nodes: the penalty, its lambda scale and the sum
+    assert len(reachable(terms.total)) == len(reachable(terms.mse)) + 3
