@@ -1,20 +1,8 @@
-"""Monotonicity-penalized regression with a small reverse-mode autodiff core."""
+"""Monotonicity-penalized regression with a small reverse-mode autodiff core.
 
-from .autodiff import (
-    Node,
-    backward_pass,
-    gradient_check,
-)
-from .data import (
-    Dataset,
-    SyntheticConfig,
-    apply_normalization,
-    generate_synthetic,
-    load_csv,
-    minmax_normalize,
-    train_test_split,
-    write_csv,
-)
+Exports the sweep API and the error classes; the rest lives in submodules."""
+
+from .data import SyntheticConfig, generate_synthetic
 from .errors import (
     ComplianceUndefined,
     ConfigError,
@@ -28,104 +16,30 @@ from .errors import (
     PermutationError,
     SchemaError,
 )
-from .experiments import (
-    ExperimentConfig,
-    ExperimentResult,
-    SummaryRow,
-    audit,
-    load_experiment_config,
-    percent_drop,
-    rebuild_summary,
-    run_experiment,
-    run_single,
-    summary_to_csv,
-)
-from .models import (
-    ARCHITECTURES,
-    Model,
-    ModelConfig,
-    build_model,
-    forward,
-    load_model,
-    save_model,
-)
-from .penalty import (
-    BASELINE_MODES,
-    LinearBaseline,
-    MonotonicitySpec,
-    PenaltyBreakdown,
-    compliance_score,
-    fit_linear_baseline,
-    monotonicity_penalty,
-)
-from .training import (
-    Metrics,
-    RunReport,
-    TrainConfig,
-    evaluate,
-    lambda_grid_search,
-    report_from_json,
-    report_to_json,
-    select_lambda,
-    train,
-)
+from .experiments import ExperimentConfig, run_experiment
+from .models import ModelConfig
+from .training import TrainConfig, lambda_grid_search, select_lambda
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ARCHITECTURES",
-    "BASELINE_MODES",
     "ComplianceUndefined",
     "ConfigError",
     "ContractError",
     "DataError",
-    "Dataset",
     "DegenerateFeature",
     "DimensionError",
     "DimlabError",
     "ExperimentConfig",
-    "ExperimentResult",
-    "LinearBaseline",
-    "Metrics",
-    "Model",
     "ModelConfig",
-    "MonotonicitySpec",
-    "Node",
     "NumericError",
     "ParameterError",
-    "PenaltyBreakdown",
     "PermutationError",
-    "RunReport",
     "SchemaError",
-    "SummaryRow",
     "SyntheticConfig",
     "TrainConfig",
-    "apply_normalization",
-    "audit",
-    "backward_pass",
-    "build_model",
-    "compliance_score",
-    "evaluate",
-    "fit_linear_baseline",
-    "forward",
     "generate_synthetic",
-    "gradient_check",
     "lambda_grid_search",
-    "load_csv",
-    "load_experiment_config",
-    "load_model",
-    "minmax_normalize",
-    "monotonicity_penalty",
-    "percent_drop",
-    "rebuild_summary",
-    "report_from_json",
-    "report_to_json",
     "run_experiment",
-    "run_single",
-    "save_model",
     "select_lambda",
-    "summary_to_csv",
-    "train",
-    "train_test_split",
-    "write_csv",
 ]

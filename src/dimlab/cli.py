@@ -114,10 +114,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    if not args.monotonic:
+    names = _split_names(args.monotonic or ())
+    if not names:
         raise ConfigError("audit requires --monotonic <names>")
-    payload = audit(args.predictions_csv, args.features_csv,
-                    _split_names(args.monotonic))
+    payload = audit(args.predictions_csv, args.features_csv, names)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -370,7 +370,11 @@ def read_reports(row_dir: Path) -> list[RunReport]:
     reports = []
     for path in sorted(row_dir.glob("run_*.json")):
         try:
-            reports.append(report_from_json(path.read_text(encoding="utf-8")))
+            report = report_from_json(path.read_text(encoding="utf-8"))
+            model = report.config.get("model")
+            if not isinstance(model, dict) or "architecture" not in model:
+                raise SchemaError("report config lacks model.architecture")
+            reports.append(report)
         except (SchemaError, UnicodeDecodeError) as exc:
             raise SchemaError(f"{path}: {exc}") from exc
     return reports

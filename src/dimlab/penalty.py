@@ -7,11 +7,11 @@ adjacent sorted predictions than the model produced, the shortfall is
 penalized quadratically. The batch penalty is the violation energy summed
 over features, divided by the batch size.
 
-Every path shares one validated, sorted and fitted batch (:func:`fit_batch`).
-In training, :func:`build_loss_terms` puts the whole batch penalty, every
-feature included, into the autodiff graph as one node over the
-predictions, whose value and gradient equal those of the engine's small
-ops bit for bit (:func:`_penalty_node`).
+The forward pass is :func:`fit_batch` alone: it validates the batch, sorts
+it once, fits every feature and measures its shortfalls, and every path
+reads that one fit. In training, :func:`build_loss_terms` puts the fit's
+penalty into the autodiff graph as one node over the predictions, which
+adds only the backward pass (:func:`_penalty_node`).
 """
 
 from __future__ import annotations
@@ -137,13 +137,9 @@ class FeatureFit(NamedTuple):
     """One non-degenerate feature of a batch, in prediction-sorted order."""
 
     baseline: LinearBaseline
-    dx: np.ndarray     # diff(x[perm])
-    dpred: np.ndarray  # diff(preds[perm]), shared by the batch's features
-
-    @property
-    def violations(self) -> np.ndarray:
-        # computed on access: the graph path builds its own and skips this
-        return adjacent_violations(self.dpred, self.dx, self.baseline.slope)
+    dx: np.ndarray          # diff(x[perm])
+    violations: np.ndarray  # shortfalls at the slope of fit_batch's mode
+    coeffs: np.ndarray | None = None  # coupled mode: slope = sum(preds * coeffs)
 
 
 @dataclass(frozen=True)
@@ -171,8 +167,7 @@ class BatchFit:
         per_feature: dict[int, float] = {}
         p_sum = 0.0
         for j, f in self.features.items():
-            v = None if f is None else f.violations
-            p_j = 0.0 if v is None else float(np.sum(v * v))
+            p_j = 0.0 if f is None else float(np.sum(f.violations * f.violations))
             per_feature[j] = p_j
             p_sum += p_j
         return PenaltyBreakdown(per_feature=per_feature, total=p_sum * (1.0 / n),
@@ -193,31 +188,46 @@ class BatchFit:
         return compliant / pairs
 
 
-def fit_batch(preds, X, spec: MonotonicitySpec) -> BatchFit:
-    """Validate a batch, sort it once by prediction, and fit every
-    monotonic feature against that one order.
+def fit_batch(preds, X, spec: MonotonicitySpec,
+              baseline_mode: str = "frozen") -> BatchFit:
+    """Validate a batch, sort it once by prediction, fit every monotonic
+    feature against that one order and measure its shortfalls.
 
-    Degenerate features (constant in the batch, or N < 2) are recorded
-    as skipped rather than raising.
+    Frozen mode measures them at the fitted slope. Coupled mode measures
+    them at the slope as training differentiates it, ``sum(preds *
+    coeffs)`` with ``coeffs = (x - mean_x) / (N * var)`` (the mean of the
+    predictions drops out since ``sum(coeffs) = 0``), which may differ from
+    the fitted slope in its last bits. Degenerate features (constant in
+    the batch, or N < 2) are recorded as skipped rather than raising.
     """
+    if baseline_mode not in BASELINE_MODES:
+        raise ParameterError(
+            f"baseline_mode must be one of {BASELINE_MODES}, got {baseline_mode!r}")
     preds = np.asarray(preds, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
     if preds.ndim != 1 or X.ndim != 2 or X.shape[0] != preds.shape[0]:
         raise DimensionError(
             f"expected preds (N,) and X (N, d), got {preds.shape} and {X.shape}")
     spec.validate_for(X.shape[1])
+    n = preds.shape[0]
     perm = np.argsort(preds, kind="stable")
     dpred = np.diff(preds[perm])
     features: dict[int, FeatureFit | None] = {}
     for j in spec.indices:
         x_col = X[:, j]
         try:
-            baseline = fit_linear_baseline(x_col, preds)
+            b = fit_linear_baseline(x_col, preds)
         except DegenerateFeature:
             features[j] = None
             continue
-        features[j] = FeatureFit(baseline, np.diff(x_col[perm]), dpred)
-    return BatchFit(batch_size=preds.shape[0], perm=perm, features=features)
+        slope, coeffs = b.slope, None
+        if baseline_mode == "coupled":
+            coeffs = (x_col - b.x_mean) / (n * b.x_var)
+            slope = (preds * coeffs).sum()
+        dx = np.diff(x_col[perm])
+        features[j] = FeatureFit(b, dx, adjacent_violations(dpred, dx, slope),
+                                 coeffs)
+    return BatchFit(batch_size=n, perm=perm, features=features)
 
 
 def monotonicity_penalty(preds, X, spec: MonotonicitySpec) -> PenaltyBreakdown:
@@ -253,9 +263,8 @@ class LossTerms:
     ``total`` is ``mse + scale(penalty, lam)``. ``penalty`` is one graph
     node for the whole batch penalty, every feature included (see
     :func:`build_loss_terms`), or None when the penalty term is not part
-    of the graph (lambda = 0, empty spec, or every feature degenerate);
-    the ``breakdown`` still reports the batch's decomposition, with total
-    0 unless lambda = 0.
+    of the graph (lambda = 0, empty spec, or every feature degenerate).
+    ``breakdown`` is the batch fit's decomposition on every path.
     """
 
     total: Node
@@ -264,69 +273,45 @@ class LossTerms:
     breakdown: PenaltyBreakdown
 
 
-def _penalty_node(preds: Node, fit: BatchFit, X: np.ndarray,
-                  coupled: bool) -> tuple[Node, dict[int, float]]:
-    """The batch penalty as one node over ``preds``, and its per-feature
-    violation energies.
+def _penalty_node(preds: Node, fit: BatchFit, total: float) -> Node:
+    """The batch penalty as one node over ``preds``: its value is
+    ``total``, ``fit.breakdown().total``, and the node adds the backward.
 
-    Value and gradient equal, bit for bit, those of the graph
+    Its gradient equals, bit for bit, that of the graph
     ``scale(sum_j sum_all(square(relu(dg_j - adjacent_diff(gather_rows(
     preds, perm))))), 1/n)``, where ``dg_j`` is the constant
     ``slope_j * dx_j`` (frozen) or ``sum_all(preds * coeffs_j) * dx_j``
-    (coupled): the node makes that graph's numpy calls in the same order.
-    Its backward adds to ``preds.grad`` as that graph's backward pass did,
-    one contribution at a time: in coupled mode ``coeffs_j`` times the
-    slope's gradient, per feature in spec order, then the hinge gradient
-    scattered back through ``perm``.
+    (coupled), whose relu is the fit's violations. The backward adds to
+    ``preds.grad`` as that graph's backward pass did, one contribution at
+    a time: in coupled mode ``coeffs_j`` times the slope's gradient, per
+    feature in spec order, then the hinge gradient scattered back through
+    ``perm``.
     """
-    n = fit.batch_size
-    per_feature: dict[int, float] = {}
-    hinges = []  # per fitted feature: (dx, coeffs or None, mask, relu value)
-    p_sum = None
-    for j, f in fit.features.items():
-        if f is None:
-            per_feature[j] = 0.0
-            continue
-        if coupled:
-            # slope = sum(c * preds) with c = (x - mean_x) / (N * var);
-            # the mean-of-preds term drops out since sum(c) = 0
-            b = f.baseline
-            coeffs = (X[:, j] - b.x_mean) / (n * b.x_var)
-            dg = ad.as_tensor((preds.value * coeffs).sum()) * f.dx
-        else:
-            coeffs = None
-            dg = f.baseline.slope * f.dx
-        diff = dg - f.dpred  # dpred = diff(preds[perm]), from the fit
-        mask = diff > 0
-        hinge = ad._masked(mask, diff)
-        p_j = ad.as_tensor((hinge * hinge).sum())
-        per_feature[j] = p_j.item()
-        p_sum = p_j if p_sum is None else ad.as_tensor(p_sum + p_j)
-        hinges.append((f.dx, coeffs, mask, hinge))
-
-    c = 1.0 / n
-    perm = fit.perm
-    out = ad._op("penalty", p_sum * c, (preds, None))  # backward set below
+    c = 1.0 / fit.batch_size
+    out = ad._op("penalty", total, (preds, None))  # backward set below
 
     def backward(g):
         if not preds.requires_grad:
             return
         g_p = c * g  # the gradient of sum_j p_j, and so of each p_j
         g_dpred = None
-        for dx, coeffs, mask, hinge in hinges:
-            g_diff = ad._masked(mask, 2.0 * hinge * np.full_like(hinge, g_p))
-            if coeffs is not None:
-                g_slope = (g_diff * dx).sum(axis=0)
-                ad._accumulate(preds, np.full_like(preds.value, g_slope) * coeffs)
+        for f in fit.features.values():
+            if f is None:
+                continue
+            v = f.violations
+            g_diff = ad._masked(v > 0, 2.0 * v * np.full_like(v, g_p))
+            if f.coeffs is not None:
+                g_slope = (g_diff * f.dx).sum(axis=0)
+                ad._accumulate(preds, np.full_like(preds.value, g_slope) * f.coeffs)
             g_dpred = -g_diff if g_dpred is None else g_dpred + -g_diff
         # the transpose of differencing, then the scatter through perm
         g_sorted = np.concatenate(([0.0], g_dpred)) - np.concatenate((g_dpred, [0.0]))
         scattered = np.empty_like(preds.value)
-        scattered[perm] = g_sorted
+        scattered[fit.perm] = g_sorted
         ad._accumulate(preds, scattered)
 
     out._backward = backward
-    return out, per_feature
+    return out
 
 
 def build_loss_terms(preds: Node, y, X, spec: MonotonicitySpec, lam: float,
@@ -339,6 +324,8 @@ def build_loss_terms(preds: Node, y, X, spec: MonotonicitySpec, lam: float,
     covariance/variance formulas. The sort permutation is constant in
     backward either way. ``preds.grad`` receives the MSE's contribution
     first, then the penalty node's, in the order that node documents.
+    At lambda = 0 the breakdown reports the fitted slope's penalty in
+    either mode.
     """
     if not 0.0 <= lam < math.inf:
         raise ParameterError(f"penalty weight must be finite and >= 0, got {lam}")
@@ -346,26 +333,19 @@ def build_loss_terms(preds: Node, y, X, spec: MonotonicitySpec, lam: float,
         raise ParameterError(
             f"baseline_mode must be one of {BASELINE_MODES}, got {baseline_mode!r}")
     y = np.asarray(y, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
-    fit = fit_batch(preds.value, X, spec)
+    fit = fit_batch(preds.value, X, spec, baseline_mode if lam > 0 else "frozen")
     if y.shape != preds.value.shape:
         raise DimensionError(
             f"targets shape {y.shape} does not match predictions "
             f"{preds.value.shape}")
-    n = fit.batch_size
 
     residual = preds - ad.constant(y)
-    mse = ad.scale(ad.sum_all(ad.square(residual)), 1.0 / n)
-
+    mse = ad.scale(ad.sum_all(ad.square(residual)), 1.0 / fit.batch_size)
+    breakdown = fit.breakdown()
     if lam == 0 or all(f is None for f in fit.features.values()):
         # penalty not built into the graph; report the decomposition anyway
-        return LossTerms(total=mse, mse=mse, penalty=None,
-                         breakdown=fit.breakdown())
+        return LossTerms(total=mse, mse=mse, penalty=None, breakdown=breakdown)
 
-    penalty, per_feature = _penalty_node(preds, fit, X,
-                                         baseline_mode == "coupled")
-    total = mse + ad.scale(penalty, lam)
-    breakdown = PenaltyBreakdown(per_feature=per_feature,
-                                 total=penalty.value.item(),
-                                 batch_size=n, skipped=fit.skipped)
-    return LossTerms(total=total, mse=mse, penalty=penalty, breakdown=breakdown)
+    penalty = _penalty_node(preds, fit, breakdown.total)
+    return LossTerms(total=mse + ad.scale(penalty, lam), mse=mse,
+                     penalty=penalty, breakdown=breakdown)

@@ -158,8 +158,12 @@ def report_from_json(text: str) -> RunReport:
         return None if d is None else Metrics(**d)
 
     try:
+        config = payload["config"]
+        for key in ("lam", "seed"):  # read by RunReport.lam and .seed
+            if key not in config["train"]:
+                raise SchemaError(f"report config lacks train.{key}")
         return RunReport(
-            config=payload["config"],
+            config=config,
             history=tuple(EpochRecord(**rec) for rec in payload["history"]),
             best_epoch=payload["best_epoch"],
             val_metrics=mk(payload["val_metrics"]),

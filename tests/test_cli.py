@@ -185,6 +185,9 @@ def test_audit_requires_monotonic(tmp_path, capsys):
     preds.write_text("pred\n1\n", encoding="utf-8")
     assert main(["audit", str(preds), str(preds)]) == 2
     assert "error [config]" in capsys.readouterr().err
+    # a flag that names no feature once split at commas
+    assert main(["audit", str(preds), str(preds), "--monotonic", ","]) == 2
+    assert "error [config]" in capsys.readouterr().err
 
 
 def test_report_needs_artifacts(tmp_path, capsys):
@@ -339,12 +342,22 @@ def test_non_utf8_csv_is_a_data_error(tmp_path, capsys):
     assert "error [audit]" in capsys.readouterr().err
 
 
+def edit_config(text, edit):
+    payload = json.loads(text)
+    edit(payload["config"])
+    return json.dumps(payload).encode()
+
+
 DAMAGED_REPORTS = {
     "truncated": lambda text: text[:len(text) // 2].encode(),
     "no_test_metrics": lambda text: json.dumps(
         {k: v for k, v in json.loads(text).items()
          if k != "test_metrics"}).encode(),
     "not_utf8": lambda text: b"\xff" + text.encode(),
+    "no_train_config": lambda text: edit_config(
+        text, lambda config: config.pop("train")),
+    "no_model_architecture": lambda text: edit_config(
+        text, lambda config: config["model"].pop("architecture")),
 }
 
 

@@ -559,3 +559,17 @@ def test_run_experiment_trains_every_row_before_summarizing(tmp_path,
     assert (out / "x1" / "run_lam0_seed0.json").exists()
     assert (out / "x3" / "run_lam0_seed0.json").exists()
     assert not (out / "summary.csv").exists()
+
+
+def test_package_exports_the_sweep_api_and_the_error_classes():
+    import dimlab
+
+    assert sorted(dimlab.__all__) == [
+        "ComplianceUndefined", "ConfigError", "ContractError", "DataError",
+        "DegenerateFeature", "DimensionError", "DimlabError",
+        "ExperimentConfig", "ModelConfig", "NumericError", "ParameterError",
+        "PermutationError", "SchemaError", "SyntheticConfig", "TrainConfig",
+        "generate_synthetic", "lambda_grid_search", "run_experiment",
+        "select_lambda"]
+    for name in dimlab.__all__:
+        assert getattr(dimlab, name) is not None, name

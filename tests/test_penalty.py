@@ -159,8 +159,7 @@ def test_feature_penalty_values():
         line = pen.LinearBaseline(slope=1.0, intercept=0.0, x_mean=0.0,
                                   x_var=1.0)
         fit = pen.BatchFit(batch_size=1, perm=np.arange(1), features={
-            0: pen.FeatureFit(line, dx=violations,
-                              dpred=np.zeros_like(violations))})
+            0: pen.FeatureFit(line, dx=violations, violations=violations)})
         return fit.breakdown().per_feature[0]
 
     assert feature_penalty(np.zeros(5)) == 0.0
@@ -613,6 +612,25 @@ def test_penalty_node_matches_the_op_graph_byte_for_byte(name, mode, kind):
     assert grad.tobytes() == ref_grad.tobytes()
     for g, ref_g in zip(param_grads, ref_param_grads):
         assert g.tobytes() == ref_g.tobytes()
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.7])
+@pytest.mark.parametrize("mode", pen.BASELINE_MODES)
+def test_loss_terms_take_one_hinge_per_fitted_feature(mode, lam, monkeypatch):
+    calls = []
+
+    def counting(dpred, dx, slope, hinge=pen.adjacent_violations):
+        calls.append(slope)
+        return hinge(dpred, dx, slope)
+
+    monkeypatch.setattr(pen, "adjacent_violations", counting)
+    X, p, y, indices = PENALTY_BATCHES["one_constant_column"]
+    preds = ad.leaf(p, requires_grad=True)
+    terms = pen.build_loss_terms(preds, y, X, pen.MonotonicitySpec(indices),
+                                 lam, mode)
+    ad.backward_pass(terms.total)
+    assert terms.breakdown.skipped == (1,)
+    assert len(calls) == 2
 
 
 def test_penalty_node_coupled_gradient_check():
