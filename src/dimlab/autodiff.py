@@ -47,10 +47,6 @@ class Node:
         self.requires_grad = bool(requires_grad)
         self._backward = None
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def __repr__(self):
         return (f"Node({self.op_tag}, shape={self.value.shape}, "
                 f"requires_grad={self.requires_grad})")

@@ -206,11 +206,11 @@ def load_csv(path, target_column: str, monotonic_columns=()) -> Dataset:
                    feature_names=tuple(feature_names), monotonic=mono)
 
 
-def write_csv(ds: Dataset, path, target_name: str = "y") -> None:
+def write_csv(ds: Dataset, path) -> None:
     """Emit header + rows; floats printed with repr so reloads are exact."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(ds.feature_names) + [target_name])
+        writer.writerow(list(ds.feature_names) + ["y"])
         for i in range(ds.n_rows):
             writer.writerow([repr(float(v)) for v in ds.X[i]]
                             + [repr(float(ds.y[i]))])
@@ -234,30 +234,16 @@ def train_test_split(ds: Dataset, train_frac: float = 0.8, seed: int = 0):
     return pick(perm[:n_train]), pick(perm[n_train:])
 
 
-def _column_params(X: np.ndarray):
-    return tuple((float(c.min()), float(c.max())) for c in X.T)
-
-
-def _apply_params(X: np.ndarray, params) -> np.ndarray:
-    out = np.empty_like(X)
-    for j, (lo, hi) in enumerate(params):
-        if hi == lo:
-            out[:, j] = 0.0
-        else:
-            out[:, j] = (X[:, j] - lo) / (hi - lo)
-    return out
-
-
 def minmax_normalize(ds: Dataset) -> Dataset:
     """Map each feature column onto [0, 1] using this split's own min/max.
 
     Constant columns map to 0 (warned). The target is left unscaled.
     """
-    params = _column_params(ds.X)
+    params = tuple((float(c.min()), float(c.max())) for c in ds.X.T)
     for name, (lo, hi) in zip(ds.feature_names, params):
         if hi == lo:
             log.warning("constant feature column %r maps to 0", name)
-    return replace(ds, X=_apply_params(ds.X, params), norm_params=params)
+    return apply_normalization(ds, params)
 
 
 def apply_normalization(ds: Dataset, params) -> Dataset:
@@ -267,4 +253,10 @@ def apply_normalization(ds: Dataset, params) -> Dataset:
     if len(params) != ds.X.shape[1]:
         raise ConfigError(
             f"{len(params)} normalization params for {ds.X.shape[1]} columns")
-    return replace(ds, X=_apply_params(ds.X, params), norm_params=params)
+    X = np.empty_like(ds.X)
+    for j, (lo, hi) in enumerate(params):
+        if hi == lo:
+            X[:, j] = 0.0
+        else:
+            X[:, j] = (ds.X[:, j] - lo) / (hi - lo)
+    return replace(ds, X=X, norm_params=params)

@@ -53,6 +53,7 @@ from .training import (
 log = logging.getLogger(__name__)
 
 TABLE_DECIMALS = 5
+AUDIT_TOP_K = 5  # violating pairs listed per feature
 DEFAULT_ARCH = "mlp3"
 
 
@@ -417,12 +418,12 @@ def _read_table(path):
     return header, np.array(values)
 
 
-def audit(predictions_csv, features_csv, monotonic_names, top_k: int = 5) -> dict:
+def audit(predictions_csv, features_csv, monotonic_names) -> dict:
     """Post-hoc penalty report for externally produced predictions.
 
     Returns a JSON-ready dict with per-feature penalties, the batch
-    penalty, the pooled compliance score, and for each feature the top-k
-    violating adjacent pairs as original row index pairs.
+    penalty, the pooled compliance score, and for each feature the
+    AUDIT_TOP_K largest violating adjacent pairs as original row index pairs.
     """
     pred_header, pred_rows = _read_table(predictions_csv)
     if pred_rows.shape[1] != 1:
@@ -459,7 +460,7 @@ def audit(predictions_csv, features_csv, monotonic_names, top_k: int = 5) -> dic
             entry["intercept"] = f.baseline.intercept
             # largest first; among equal violations the later pair first
             worst = sorted(np.flatnonzero(v > COMPLIANCE_ATOL),
-                           key=lambda i: (v[i], i), reverse=True)[:top_k]
+                           key=lambda i: (v[i], i), reverse=True)[:AUDIT_TOP_K]
             entry["top_violations"] = [
                 {"rows": [int(fit.perm[i]), int(fit.perm[i + 1])],
                  "violation": float(v[i])}

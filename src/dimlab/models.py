@@ -66,8 +66,8 @@ def set_counts(owner, minimums: dict[str, int],
 class ModelConfig:
     architecture: str
     input_dim: int
-    hidden_sizes: tuple[int, ...] = ()
-    dropout_rate: float = -1.0  # sentinel, replaced by architecture default
+    hidden_sizes: tuple[int, ...] | None = None  # None: architecture default
+    dropout_rate: float | None = None  # None: architecture default
     seed: int = 0
 
     def __post_init__(self):
@@ -78,12 +78,13 @@ class ModelConfig:
                 f"expected one of {ARCHITECTURES}")
         object.__setattr__(self, "architecture", arch)
         set_counts(self, {"input_dim": 1, "seed": 0})
-        sizes = tuple(self.hidden_sizes or ()) or HIDDEN_DEFAULTS[arch]
-        if not all(is_int(s) and s >= 1 for s in sizes):
-            raise ConfigError(
-                f"hidden sizes must be positive integers, got {sizes}")
+        sizes = (HIDDEN_DEFAULTS[arch] if self.hidden_sizes is None
+                 else tuple(self.hidden_sizes))
+        if not sizes or not all(is_int(s) and s >= 1 for s in sizes):
+            raise ConfigError("hidden sizes must be one or more positive "
+                              f"integers, got {sizes}")
         object.__setattr__(self, "hidden_sizes", tuple(int(s) for s in sizes))
-        if self.dropout_rate < 0:
+        if self.dropout_rate is None:
             object.__setattr__(self, "dropout_rate", DROPOUT_DEFAULTS[arch])
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(
@@ -109,22 +110,20 @@ def build_model(config: ModelConfig) -> Model:
     rng = np.random.default_rng([INIT_STREAM, config.seed])
     params: dict[str, np.ndarray] = {}
     if config.architecture == "cnn1d":
-        in_ch = 1
+        width = 1  # input channels
         for i, filters in enumerate(config.hidden_sizes):
-            params[f"conv{i}_w"] = _glorot(rng, in_ch * 3, filters * 3,
-                                           (filters, in_ch, 3))
+            params[f"conv{i}_w"] = _glorot(rng, width * 3, filters * 3,
+                                           (filters, width, 3))
             params[f"conv{i}_b"] = np.zeros(filters)
-            in_ch = filters
-        params["head_w"] = _glorot(rng, in_ch, 1, (in_ch, 1))
-        params["head_b"] = np.zeros(1)
+            width = filters
     else:
         width = config.input_dim
         for i, units in enumerate(config.hidden_sizes):
             params[f"layer{i}_w"] = _glorot(rng, width, units, (width, units))
             params[f"layer{i}_b"] = np.zeros(units)
             width = units
-        params["head_w"] = _glorot(rng, width, 1, (width, 1))
-        params["head_b"] = np.zeros(1)
+    params["head_w"] = _glorot(rng, width, 1, (width, 1))
+    params["head_b"] = np.zeros(1)
     return Model(config=config, parameters=params)
 
 
@@ -154,11 +153,9 @@ def forward_with_params(model: Model, batch, training: bool = False,
     return ad.reshape(out, (n,)), nodes
 
 
-def forward(model: Model, batch, training: bool = False,
-            rng: np.random.Generator | None = None) -> Node:
-    """Length-N prediction node; dropout is active only when training."""
-    preds, _ = forward_with_params(model, batch, training=training, rng=rng)
-    return preds
+def forward(model: Model, batch) -> Node:
+    """Length-N eval-mode prediction node (no dropout)."""
+    return forward_with_params(model, batch)[0]
 
 
 def save_model(model: Model, path) -> None:

@@ -299,10 +299,10 @@ def _penalty_node(preds: Node, fit: BatchFit, total: float) -> Node:
             if f is None:
                 continue
             v = f.violations
-            g_diff = ad._masked(v > 0, 2.0 * v * np.full_like(v, g_p))
+            g_diff = np.where(v > 0, 2.0 * v * g_p, 0.0)
             if f.coeffs is not None:
                 g_slope = (g_diff * f.dx).sum(axis=0)
-                ad._accumulate(preds, np.full_like(preds.value, g_slope) * f.coeffs)
+                ad._accumulate(preds, g_slope * f.coeffs)
             g_dpred = -g_diff if g_dpred is None else g_dpred + -g_diff
         # the transpose of differencing, then the scatter through perm
         g_sorted = np.concatenate(([0.0], g_dpred)) - np.concatenate((g_dpred, [0.0]))

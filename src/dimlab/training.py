@@ -127,20 +127,10 @@ class RunReport:
         return self.config["train"]["seed"]
 
 
-def _metrics_dict(m: Metrics | None):
-    return None if m is None else asdict(m)
-
-
 def report_to_json(report: RunReport) -> str:
-    payload = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "config": report.config,
-        "history": [asdict(rec) for rec in report.history],
-        "best_epoch": report.best_epoch,
-        "val_metrics": _metrics_dict(report.val_metrics),
-        "test_metrics": _metrics_dict(report.test_metrics),
-        "error": report.error,
-    }
+    payload = asdict(report)
+    del payload["wall_time_s"]
+    payload["schema_version"] = REPORT_SCHEMA_VERSION
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -414,19 +404,6 @@ def fit_cell(lam: float, seed: int, model_config: ModelConfig,
     return trained, replace(report, test_metrics=evaluate(trained, test_n))
 
 
-def _run_cell(lam: float, seed: int, model_config: ModelConfig,
-              train_config: TrainConfig, train_n: Dataset, test_n: Dataset,
-              validate_on_test: bool) -> RunReport:
-    try:
-        return fit_cell(lam, seed, model_config, train_config, train_n,
-                        test_n, validate_on_test)[1]
-    except DimlabError as exc:  # keep sweeping the other cells
-        log.warning("cell lam=%s seed=%s failed: %s", lam, seed, exc)
-        return RunReport(
-            config=_config_snapshot(model_config, train_config, (lam, seed)),
-            history=(), best_epoch=-1, error=str(exc))
-
-
 # (get, set) names of OpenBLAS's thread-count functions: numpy's bundled
 # scipy-openblas build, then a plain OpenBLAS
 _OPENBLAS_SYMBOLS = (
@@ -549,8 +526,14 @@ def lambda_grid_search(dataset: Dataset, model_config: ModelConfig,
 
     def run_cell(cell):
         lam, seed = cell
-        return _run_cell(lam, seed, model_config, train_config, *splits[seed],
-                         validate_on_test)
+        try:
+            return fit_cell(lam, seed, model_config, train_config,
+                            *splits[seed], validate_on_test)[1]
+        except DimlabError as exc:  # keep sweeping the other cells
+            log.warning("cell lam=%s seed=%s failed: %s", lam, seed, exc)
+            return RunReport(
+                config=_config_snapshot(model_config, train_config, (lam, seed)),
+                history=(), best_epoch=-1, error=str(exc))
 
     cells = [(lam, seed) for seed in seeds for lam in grid]
     if max_workers == 1:

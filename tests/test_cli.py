@@ -93,6 +93,38 @@ def test_sweep_flag_overrides(tmp_path):
     assert (out / "x2" / "run_lam0_seed3.json").exists()
 
 
+def write_one_epoch_config(tmp_path):
+    return write_config(tmp_path, grid=[0.0, 1.0],
+                        train={"batch_size": 32, "max_epochs": 1})
+
+
+def test_sweep_protocol_flags_reach_the_written_config(tmp_path):
+    cfg = write_one_epoch_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg), "--validate-on-test",
+                 "--norm-fit-on-train", "--baseline-mode", "coupled"]) == 0
+    written = json.loads((tmp_path / "out" / "config.json").read_text())
+    assert written["validate_on_test"] is True
+    assert written["norm_fit_on_train"] is True
+    assert written["train"]["baseline_mode"] == "coupled"
+
+
+def test_train_baseline_mode_flag_reaches_the_report(tmp_path, capsys):
+    cfg = write_one_epoch_config(tmp_path)
+    assert main(["train", "--config", str(cfg), "--lambda", "1",
+                 "--baseline-mode", "coupled"]) == 0
+    report = tr.report_from_json(capsys.readouterr().out)
+    assert report.config["train"]["baseline_mode"] == "coupled"
+
+
+def test_report_finds_the_run_directory_through_the_config(tmp_path, capsys):
+    cfg = write_one_epoch_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    summary = (tmp_path / "out" / "summary.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["report", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.encode() == summary
+
+
 def test_sweep_failed_cell_exits_one(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path)
     real_train = tr.train

@@ -485,6 +485,27 @@ def test_audit_line_fit_predictions_are_compliant(tmp_path):
     assert payload["features"]["x"]["top_violations"] == []
 
 
+def test_audit_lists_the_five_worst_pairs_later_pair_first_on_ties(tmp_path):
+    # the increments of the prediction-sorted rows; x rises by exactly 1 per
+    # sorted row, so sorted pair i violates by slope - inc[i] when positive
+    inc = [0.25, 2.0, 0.5, 0.25, 3.0, 0.125, 2.5, 0.75, 0.375, 4.0, 0.625]
+    row_of = [5, 2, 9, 0, 11, 7, 3, 10, 1, 8, 4, 6]  # file row of sorted row
+    p, x = np.empty(12), np.empty(12)
+    p[row_of] = np.concatenate(([0.0], np.cumsum(inc)))
+    x[row_of] = np.arange(12.0)
+    preds, feats = tmp_path / "p.csv", tmp_path / "f.csv"
+    write_table(preds, ["p"], [[v] for v in p])
+    write_table(feats, ["x"], [[v] for v in x])
+    entry = ex.audit(preds, feats, ["x"])["features"]["x"]
+    violating = [i for i, d in enumerate(inc) if entry["slope"] > d]
+    assert violating == [0, 2, 3, 5, 7, 8, 10]
+    # 5 first; 3 and 0 tie, the later pair first; 10 and 7 are cut
+    listed = [5, 3, 0, 8, 2]
+    assert entry["top_violations"] == [
+        {"rows": [row_of[i], row_of[i + 1]],
+         "violation": entry["slope"] - inc[i]} for i in listed]
+
+
 def test_audit_constant_predictions_have_zero_slope(tmp_path):
     preds = tmp_path / "p.csv"
     feats = tmp_path / "f.csv"

@@ -86,6 +86,18 @@ def test_hidden_sizes_must_be_integers(sizes):
     assert cfg("ann", hidden_sizes=(np.int64(8),)).hidden_sizes == (8,)
 
 
+@pytest.mark.parametrize("field,value,match", [
+    ("dropout_rate", -0.3, "dropout_rate"),
+    ("dropout_rate", -1.0, "dropout_rate"),
+    ("dropout_rate", -np.inf, "dropout_rate"),
+    ("hidden_sizes", (), "hidden sizes")])
+def test_only_none_means_the_architecture_default(field, value, match):
+    with pytest.raises(ConfigError, match=match):
+        cfg("mlp3", **{field: value})
+    default = cfg("mlp3", **{field: None})
+    assert (default.hidden_sizes, default.dropout_rate) == ((128, 64, 32), 0.2)
+
+
 def test_same_seed_same_parameters():
     a = mz.build_model(cfg("mlp3", seed=7))
     b = mz.build_model(cfg("mlp3", seed=7))
@@ -156,12 +168,13 @@ def test_training_dropout_changes_output_but_eval_does_not():
     model = mz.build_model(cfg("mlp3", seed=5))
     batch = np.random.default_rng(5).normal(size=(8, 4))
     base = mz.forward(model, batch).value
-    dropped = mz.forward(model, batch, training=True,
-                         rng=np.random.default_rng(0)).value
+    dropped = mz.forward_with_params(model, batch, training=True,
+                                     rng=np.random.default_rng(0))[0].value
     assert not np.array_equal(base, dropped)
     # ann has no dropout, so training-mode forward equals eval
     ann = mz.build_model(cfg("ann", seed=5))
-    t = mz.forward(ann, batch, training=True, rng=np.random.default_rng(0)).value
+    t = mz.forward_with_params(ann, batch, training=True,
+                               rng=np.random.default_rng(0))[0].value
     e = mz.forward(ann, batch).value
     assert np.array_equal(t, e)
 
