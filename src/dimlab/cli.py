@@ -55,8 +55,9 @@ def _split_names(items) -> list[str]:
     return names
 
 
-def _load_config(args) -> ExperimentConfig:
-    """Config file or defaults; a flag this parser lacks reads as absent."""
+def _load_config(args) -> tuple[ExperimentConfig, int | None]:
+    """Config file or defaults, and the seed resolved from --seed or
+    DIMLAB_SEED; a flag this parser lacks reads as absent."""
     flag = vars(args).get
     cfg = (load_experiment_config(args.config) if args.config
            else ExperimentConfig())
@@ -76,12 +77,11 @@ def _load_config(args) -> ExperimentConfig:
     seed = _resolve_seed(args)
     if seed is not None:
         updates["seeds"] = (seed,)
-    return replace(cfg, **updates) if updates else cfg
+    return (replace(cfg, **updates) if updates else cfg), seed
 
 
 def cmd_generate(args) -> int:
-    cfg = _load_config(args)
-    seed = _resolve_seed(args)
+    cfg, seed = _load_config(args)
     synth = cfg.dataset.get("synthetic")
     if seed is not None and isinstance(synth, dict):
         cfg = replace(cfg, dataset={"synthetic": {**synth, "seed": seed}})
@@ -92,9 +92,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args)
+    cfg, seed = _load_config(args)
     lam = args.lam if args.lam is not None else cfg.train.lam
-    seed = _resolve_seed(args)
     report = run_single(cfg, lam, cfg.train.seed if seed is None else seed)
     sys.stdout.write(report_to_json(report))
     print(f"artifacts in {cfg.output_dir}", file=sys.stderr)
@@ -102,7 +101,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args)[0]
     result = run_experiment(cfg)
     sys.stdout.write(summary_to_csv(result.rows))
     print(f"artifacts in {cfg.output_dir}", file=sys.stderr)
@@ -130,7 +129,7 @@ def cmd_audit(args) -> int:
 def cmd_report(args) -> int:
     run_dir = args.run_dir or args.out
     if run_dir is None and args.config:
-        run_dir = _load_config(args).output_dir
+        run_dir = _load_config(args)[0].output_dir
     if run_dir is None:
         raise ConfigError(
             "report needs a run directory (positional, --out, or --config)")

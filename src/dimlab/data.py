@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DataError, SchemaError
-from .models import set_counts
+from .models import set_counts, set_reals
 from .penalty import MonotonicitySpec
 
 log = logging.getLogger(__name__)
@@ -84,16 +84,12 @@ class SyntheticConfig:
         # numpy seeds only from non-negative integers
         set_counts(self, {"bins": 1, "seed": 0},
                    "need {name} >= {minimum}, got {value}")
-        if not (np.isfinite(self.noise_sd) and self.noise_sd >= 0):
-            raise ConfigError(
-                f"noise_sd must be finite and >= 0, got {self.noise_sd}")
+        set_reals(self, {"noise_sd": "[0, inf)"})
         if self.bump_sds is not None:
-            sds = tuple(float(s) for s in self.bump_sds)
-            if len(sds) != 4 or not all(np.isfinite(s) and s >= 0
-                                        for s in sds):
+            set_reals(self, {"bump_sds": "[0, inf)"}, each=True)
+            if len(self.bump_sds) != 4:
                 raise ConfigError(
-                    f"bump_sds must be 4 finite values >= 0, got {sds}")
-            object.__setattr__(self, "bump_sds", sds)
+                    f"bump_sds must be 4 values, got {self.bump_sds}")
 
 
 def default_bump_sds() -> tuple[float, ...]:

@@ -34,7 +34,7 @@ from .errors import (
     ParameterError,
     SchemaError,
 )
-from .models import ModelConfig, save_model, set_counts
+from .models import ModelConfig, save_model, set_counts, set_reals
 from .penalty import COMPLIANCE_ATOL, MonotonicitySpec, fit_batch
 from .training import (
     LAMBDA_GRID_DEFAULT,
@@ -111,11 +111,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
-        object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
-        if (0.0 not in self.grid
-                or not all(np.isfinite(v) and v >= 0 for v in self.grid)):
-            raise ConfigError(f"grid values must be finite and >= 0 and "
-                              f"include the 0.0 baseline, got {self.grid}")
+        set_reals(self, {"grid": "[0, inf)"}, each=True)
+        if 0.0 not in self.grid:
+            raise ConfigError(
+                f"grid must include the 0.0 baseline, got {self.grid}")
         if (not isinstance(self.dataset, dict) or len(self.dataset) != 1
                 or set(self.dataset) - {"synthetic", "csv"}):
             raise ConfigError(
@@ -123,9 +122,7 @@ class ExperimentConfig:
                 f"keys, got {self.dataset!r}")
         if "csv" in self.dataset:
             config_section(CsvSource, self.dataset["csv"], "csv")
-        if not 0.0 < self.train_frac < 1.0:
-            raise ConfigError(
-                f"train_frac must be in (0, 1), got {self.train_frac}")
+        set_reals(self, {"train_frac": "(0, 1)"})
         set_counts(self, {"seeds": 0}, each=True)
         # each cell writes to files named by its (lam, seed) stem
         if len(set(self.seeds)) != len(self.seeds):
@@ -141,6 +138,10 @@ class ExperimentConfig:
             if not sets or any(not s for s in sets):
                 raise ConfigError("monotonic_sets must be non-empty name lists")
             object.__setattr__(self, "monotonic_sets", sets)
+        for flag in ("norm_fit_on_train", "validate_on_test"):
+            if not isinstance(getattr(self, flag), bool):
+                raise ConfigError(f"{flag} must be true or false, "
+                                  f"got {getattr(self, flag)!r}")
 
 
 def experiment_config_from_dict(raw: dict) -> ExperimentConfig:
@@ -309,6 +310,13 @@ def run_experiment(cfg: ExperimentConfig, max_workers: int = 1) -> ExperimentRes
             f"monotonic sets must name distinct feature sets, got {sets}")
 
     out = Path(cfg.output_dir)
+    # rebuild_summary reads every <out>/*/run_*.json, this sweep's or not
+    ours = {out / label / f"{_cell_stem(lam, seed)}.json"
+            for label, _ in row_data for lam in cfg.grid for seed in cfg.seeds}
+    stale = sorted(str(p) for p in set(out.glob("*/run_*.json")) - ours)
+    if stale:
+        raise ConfigError(f"{out} holds run reports this sweep would not "
+                          f"write, which would mix into its summary: {stale}")
     row_reports = {}
     for label, ds in row_data:
         log.info("sweep %s: %d lambdas x %d seeds", label, len(cfg.grid),

@@ -62,6 +62,25 @@ def set_counts(owner, minimums: dict[str, int],
         object.__setattr__(owner, name, int(value))
 
 
+def set_reals(owner, intervals: dict[str, str], each: bool = False) -> None:
+    """Check each named number field of the frozen dataclass ``owner``, in
+    order, against its interval, "[lo, hi)" or "(lo, hi)", and store it as
+    a float (bools and strings are not numbers); with ``each``, every field
+    is a sequence of numbers, stored as a tuple of floats."""
+    for name, interval in intervals.items():
+        value = getattr(owner, name)
+        values = tuple(value) if each else (value,)
+        lo, hi = (float(end) for end in interval[1:-1].split(","))
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                   and (v > lo if interval[0] == "(" else v >= lo) and v < hi
+                   for v in values):
+            kind = "finite numbers" if each else "a finite number"
+            raise ConfigError(f"{name} must be {kind} in {interval}, "
+                              f"got {value!r}")
+        values = tuple(map(float, values))
+        object.__setattr__(owner, name, values if each else values[0])
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     architecture: str
@@ -86,9 +105,7 @@ class ModelConfig:
         object.__setattr__(self, "hidden_sizes", tuple(int(s) for s in sizes))
         if self.dropout_rate is None:
             object.__setattr__(self, "dropout_rate", DROPOUT_DEFAULTS[arch])
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(
-                f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        set_reals(self, {"dropout_rate": "[0, 1)"})
         if arch == "cnn1d" and self.dropout_rate > 0.0:
             raise ConfigError("cnn1d has no dropout layer, so its dropout_rate "
                               f"must be 0, got {self.dropout_rate}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -39,6 +38,7 @@ from .models import (
     forward,
     forward_with_params,
     set_counts,
+    set_reals,
 )
 
 log = logging.getLogger(__name__)
@@ -71,16 +71,10 @@ class TrainConfig:
     baseline_mode: str = "frozen"
 
     def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(
-                f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        set_reals(self, {"lam": "[0, inf)", "learning_rate": "(0, inf)"})
         set_counts(self, {"batch_size": 1, "max_epochs": 0,
                           "early_stop_patience": 1, "seed": 0})
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ConfigError(
-                f"val_fraction must be in [0, 1), got {self.val_fraction}")
+        set_reals(self, {"val_fraction": "[0, 1)"})
         if self.baseline_mode not in pen.BASELINE_MODES:
             raise ConfigError(
                 f"baseline_mode must be one of {pen.BASELINE_MODES}, "
@@ -413,28 +407,17 @@ _OPENBLAS_SYMBOLS = (
 
 
 def _find_openblas():
-    """(get, set) thread-count functions of the OpenBLAS this process has
-    loaded (numpy's), or None when no loaded library exports them."""
+    """(get, set) thread-count functions of numpy's OpenBLAS, or None; dlsym
+    on numpy's LAPACK extension also searches the libraries it links."""
     import ctypes
 
-    try:  # the last field of a mapping is the file it maps
-        with open("/proc/self/maps", "rb") as maps:
-            mapped = {line.split(maxsplit=5)[-1].rstrip(b"\n") for line in maps}
-    except OSError:  # no /proc: not Linux
-        return None
-    for path in sorted(mapped):
-        if b"openblas" not in os.path.basename(path).lower():
-            continue
-        try:
-            lib = ctypes.CDLL(os.fsdecode(path))
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_SYMBOLS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for get_name, set_name in _OPENBLAS_SYMBOLS:
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
     return None
 
 

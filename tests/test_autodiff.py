@@ -255,6 +255,17 @@ def test_conv1d_channel_mismatch():
                        ad.leaf(np.zeros(1)))
 
 
+@pytest.mark.parametrize("x, kernels, bias", [
+    ((4, 1), (1, 1, 3), (1,)),
+    ((1, 4, 1), (1, 3), (1,)),
+    ((1, 4, 1), (1, 1, 2), (1,)),
+    ((1, 4, 1), (1, 1, 3), (2,))],
+    ids=["input_2d", "kernels_2d", "kernel_width_2", "bias_width"])
+def test_conv1d_rejects_bad_shapes(x, kernels, bias):
+    with pytest.raises(DimensionError):
+        ad.conv1d_same(*(ad.leaf(np.zeros(s)) for s in (x, kernels, bias)))
+
+
 def test_conv1d_backward_all_parents():
     rng = np.random.default_rng(3)
     x_val = rng.normal(size=(2, 4, 2))
@@ -340,6 +351,12 @@ def test_gap_against_sum_over_length():
     x = rng.normal(size=(3, 7, 2))
     got = ad.global_avg_pool(ad.leaf(x)).value
     assert np.allclose(got, x.sum(axis=1) / 7, atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (1, 0, 2)])
+def test_gap_rejects_bad_shapes(shape):
+    with pytest.raises(DimensionError):
+        ad.global_avg_pool(ad.leaf(np.zeros(shape)))
 
 
 def test_gap_backward_distributes_over_length():

@@ -7,6 +7,7 @@ import pytest
 import dimlab.data as dp
 import dimlab.experiments as ex
 import dimlab.training as tr
+from dimlab import cli
 from dimlab.cli import build_parser, main
 from dimlab.errors import ConfigError, NumericError
 
@@ -36,6 +37,23 @@ def test_generate_writes_csv(tmp_path, capsys):
     assert rows[0] == ["x1", "x2", "x3", "x4", "y"]
     assert len(rows) == 61
     assert "wrote 60 rows" in capsys.readouterr().out
+
+
+def test_generate_without_a_config_writes_the_default_benchmark(
+        tmp_path, monkeypatch, capsys):
+    # README's first command; the seed is resolved once
+    calls = []
+    real = cli._resolve_seed
+    monkeypatch.setattr(cli, "_resolve_seed",
+                        lambda args: calls.append(args) or real(args))
+    out = tmp_path / "synth.csv"
+    assert main(["generate", "--out", str(out), "--seed", "0"]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["x1", "x2", "x3", "x4", "y"]
+    assert len(rows) == 5001
+    assert "wrote 5000 rows" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_generate_env_seed_fallback(tmp_path, monkeypatch):
@@ -184,7 +202,9 @@ def test_sweep_with_a_non_integer_data_count_or_seed_is_a_config_error(
 @pytest.mark.parametrize("synthetic", [
     {"n": 60, "seed": 2, "noise_sd": float("nan")},
     {"n": 60, "seed": 2, "bump_sds": [1.0, float("inf"), 0.0, 0.0]},
-], ids=["noise_sd", "bump_sds"])
+    {"n": 60, "seed": 2, "noise_sd": True},
+    {"n": 60, "seed": 2, "bump_sds": [1.0, "2", 0.0, 0.0]},
+], ids=["noise_sd", "bump_sds", "noise_sd_true", "bump_sds_string"])
 def test_sweep_with_a_non_finite_spread_is_a_config_error(
         synthetic, tmp_path, capsys):
     # json writes NaN and Infinity, and reads them back
@@ -374,10 +394,14 @@ def test_non_utf8_csv_is_a_data_error(tmp_path, capsys):
     assert "error [audit]" in capsys.readouterr().err
 
 
-def edit_config(text, edit):
+def edit_report(text, edit):
     payload = json.loads(text)
-    edit(payload["config"])
+    edit(payload)
     return json.dumps(payload).encode()
+
+
+def edit_config(text, edit):
+    return edit_report(text, lambda report: edit(report["config"]))
 
 
 DAMAGED_REPORTS = {
@@ -390,6 +414,12 @@ DAMAGED_REPORTS = {
         text, lambda config: config.pop("train")),
     "no_model_architecture": lambda text: edit_config(
         text, lambda config: config["model"].pop("architecture")),
+    "schema_version_2": lambda text: edit_report(
+        text, lambda report: report.update(schema_version=2)),
+    "history_extra_key": lambda text: edit_report(
+        text, lambda report: report["history"][0].update(extra=1.0)),
+    "no_train_lam": lambda text: edit_config(
+        text, lambda config: config["train"].pop("lam")),
 }
 
 

@@ -140,6 +140,54 @@ def test_experiment_config_rejects_empty_monotonic_set():
         ex.ExperimentConfig(monotonic_sets=((),))
 
 
+# (config class, its required arguments, number field, a valid integer)
+NUMBER_FIELDS = [
+    (tr.TrainConfig, {}, "lam", 2),
+    (tr.TrainConfig, {}, "learning_rate", 1),
+    (tr.TrainConfig, {}, "val_fraction", 0),
+    (mz.ModelConfig, {"architecture": "ann", "input_dim": 4},
+     "dropout_rate", 0),
+    (dp.SyntheticConfig, {}, "noise_sd", 3),
+    (ex.ExperimentConfig, {}, "train_frac", None),  # no integer in (0, 1)
+]
+
+
+@pytest.mark.parametrize("cls, required, field, whole", NUMBER_FIELDS,
+                         ids=[f"{c.__name__}.{f}" for c, _, f, _ in NUMBER_FIELDS])
+def test_config_numbers_are_floats_not_bools_or_strings(cls, required, field,
+                                                        whole):
+    for bad in (True, False, "0.5"):
+        with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
+            cls(**required, **{field: bad})
+    if whole is not None:  # so 0 and 0.0 write the same report bytes
+        assert type(getattr(cls(**required, **{field: whole}), field)) is float
+
+
+@pytest.mark.parametrize("cls, field, values", [
+    (dp.SyntheticConfig, "bump_sds", (1, 0, 2, 0)),
+    (ex.ExperimentConfig, "grid", (0, 1))], ids=["bump_sds", "grid"])
+def test_config_number_lists_are_floats_not_bools_or_strings(cls, field,
+                                                             values):
+    for bad in (True, "1"):
+        with pytest.raises(ConfigError, match=f"{field} must be finite numbers"):
+            cls(**{field: (*values[:-1], bad)})
+    stored = getattr(cls(**{field: values}), field)
+    assert stored == values and {type(v) for v in stored} == {float}
+
+
+def test_config_from_json_rejects_true_as_a_number():
+    with pytest.raises(ConfigError, match="learning_rate"):
+        ex.experiment_config_from_dict({"train": {"learning_rate": True}})
+
+
+@pytest.mark.parametrize("flag", ["norm_fit_on_train", "validate_on_test"])
+@pytest.mark.parametrize("value", ["false", 0])
+def test_protocol_flags_must_be_true_or_false(flag, value):
+    with pytest.raises(ConfigError, match=f"{flag} must be true or false"):
+        ex.experiment_config_from_dict({flag: value})
+    assert getattr(ex.experiment_config_from_dict({flag: False}), flag) is False
+
+
 def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown config keys"):
         ex.experiment_config_from_dict({"gird": [0.0]})
@@ -311,6 +359,31 @@ def test_run_experiment_default_rows_cover_monotonic_features(tmp_path):
     result = ex.run_experiment(cfg)
     assert [r.features for r in result.rows] == ["x1", "x2", "x3"]
     assert all(r.drop_mse_pct == 0.0 for r in result.rows)
+
+
+@pytest.mark.parametrize("change", [
+    {"grid": (0.0, 1.0)}, {"seeds": (1,)}, {"monotonic_sets": (("x1",),)}],
+    ids=["grid", "seeds", "monotonic_sets"])
+def test_run_experiment_refuses_an_output_dir_with_other_cells(tmp_path,
+                                                               change):
+    cfg = small_experiment(tmp_path)
+    first = ex.run_experiment(cfg)
+    assert ex.run_experiment(cfg) == first  # the same sweep may rerun
+    out = Path(cfg.output_dir)
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    with pytest.raises(ConfigError, match="x3/run_lam0.5_seed0.json"):
+        ex.run_experiment(replace(cfg, **change))
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
+def test_run_experiment_needs_a_monotonic_set_from_config_or_csv(tmp_path):
+    data = tmp_path / "data.csv"
+    write_table(data, ["x", "y"], np.random.default_rng(0).uniform(size=(40, 2)))
+    cfg = small_experiment(tmp_path, monotonic_sets=None, dataset={
+        "csv": {"path": str(data), "target": "y"}})
+    with pytest.raises(ConfigError, match="designates no monotonic features"):
+        ex.run_experiment(cfg)
+    assert not Path(cfg.output_dir).exists()
 
 
 def test_run_reports_roundtrip_through_own_loader(tmp_path):
@@ -525,6 +598,30 @@ def test_audit_skips_constant_feature(tmp_path):
     assert payload["features"]["c"]["skipped"] is True
     assert payload["features"]["c"]["penalty"] == 0.0
     assert payload["features"]["x"]["skipped"] is False
+
+
+def test_audit_all_constant_monotonic_columns_leave_compliance_undefined(
+        tmp_path):
+    preds = tmp_path / "p.csv"
+    feats = tmp_path / "f.csv"
+    write_table(preds, ["p"], [[1.0], [2.0], [3.0]])
+    write_table(feats, ["c", "d"], [[7.0, 1.0]] * 3)
+    payload = ex.audit(preds, feats, ["c", "d"])
+    assert payload["compliance"] is None
+    assert payload["penalty_total"] == 0.0
+    assert all(f["skipped"] for f in payload["features"].values())
+
+
+@pytest.mark.parametrize("text, match", [
+    ("x\n0\nabc\n", r"f.csv, line 3: non-numeric cell"),
+    ("x\n", r"f.csv: no data rows")], ids=["non_numeric", "header_only"])
+def test_audit_rejects_a_table_without_numeric_rows(tmp_path, text, match):
+    preds = tmp_path / "p.csv"
+    feats = tmp_path / "f.csv"
+    write_table(preds, ["p"], [[1.0], [2.0]])
+    feats.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match=match):
+        ex.audit(preds, feats, ["x"])
 
 
 def test_audit_rejects_row_mismatch(tmp_path):

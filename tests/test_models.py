@@ -250,6 +250,16 @@ def test_checkpoint_invalid_config_value_names_the_file(tmp_path, field, value):
         mz.load_model(path)
 
 
+def test_checkpoint_without_config_or_of_another_architecture(tmp_path):
+    bare = tmp_path / "bare.npz"
+    np.savez(bare, **mz.build_model(cfg("ann")).parameters)
+    with pytest.raises(SchemaError, match="bare.npz: not a model checkpoint"):
+        mz.load_model(bare)
+    path = _checkpoint_with_config(tmp_path, json.dumps(asdict(cfg("mlp3"))))
+    with pytest.raises(SchemaError, match="do not match architecture mlp3"):
+        mz.load_model(path)
+
+
 def test_checkpoint_malformed_config_json_names_the_file(tmp_path):
     path = _checkpoint_with_config(tmp_path, '{"architecture": "ann",')
     with pytest.raises(SchemaError, match="hand.npz: bad checkpoint config"):

@@ -356,6 +356,12 @@ def test_train_config_validation():
         tr.TrainConfig(baseline_mode="melted")
 
 
+def test_val_fraction_that_leaves_no_training_rows():
+    model = mz.build_model(mz.ModelConfig("ann", 1, seed=0))
+    with pytest.raises(ConfigError, match="leaves no training rows"):
+        tr.train(model, linear_dataset(n=2), small_cfg(val_fraction=0.9))
+
+
 def test_report_json_roundtrip():
     m = tr.Metrics(mse=0.5, mae=0.25, mape=12.5, compliance=None)
     rep = tr.RunReport(config={"train": {"lam": 0.2, "seed": 1}, "model": {}},
@@ -401,6 +407,14 @@ def test_grid_search_requires_baseline_lambda():
     with pytest.raises(ParameterError):
         tr.lambda_grid_search(ds, mz.ModelConfig("ann", 1), small_cfg(),
                               grid=(0.2,), seeds=(0,))
+
+
+@pytest.mark.parametrize("kw, match", [
+    ({"seeds": ()}, "at least one seed"), ({"max_workers": 0}, "max_workers")])
+def test_grid_search_rejects_no_seeds_and_no_workers(kw, match):
+    with pytest.raises(ParameterError, match=match):
+        tr.lambda_grid_search(linear_dataset(n=40), mz.ModelConfig("ann", 1),
+                              small_cfg(), grid=(0.0,), **{"seeds": (0,), **kw})
 
 
 def test_grid_search_failed_cell_marked_and_sweep_continues():
@@ -615,6 +629,13 @@ def test_select_lambda_ignores_failed_cells():
     failed = tr.RunReport(config={"train": {"lam": 0.8, "seed": 0}, "model": {}},
                           history=(), best_epoch=-1, error="boom")
     assert tr.select_lambda([good, failed]) == 0.0
+
+
+def test_select_lambda_needs_a_successful_report():
+    failed = tr.RunReport(config={"train": {"lam": 0.0, "seed": 0}, "model": {}},
+                          history=(), best_epoch=-1, error="boom")
+    with pytest.raises(ParameterError, match="no successful reports"):
+        tr.select_lambda([failed])
 
 
 @pytest.mark.parametrize("field", ["batch_size", "max_epochs",
