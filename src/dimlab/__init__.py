@@ -4,16 +4,12 @@ Exports the sweep API and the error classes; the rest lives in submodules."""
 
 from .data import SyntheticConfig, generate_synthetic
 from .errors import (
-    ComplianceUndefined,
     ConfigError,
-    ContractError,
     DataError,
-    DegenerateFeature,
     DimensionError,
     DimlabError,
     NumericError,
     ParameterError,
-    PermutationError,
     SchemaError,
 )
 from .experiments import ExperimentConfig, run_experiment
@@ -23,18 +19,14 @@ from .training import TrainConfig, lambda_grid_search, select_lambda
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComplianceUndefined",
     "ConfigError",
-    "ContractError",
     "DataError",
-    "DegenerateFeature",
     "DimensionError",
     "DimlabError",
     "ExperimentConfig",
     "ModelConfig",
     "NumericError",
     "ParameterError",
-    "PermutationError",
     "SchemaError",
     "SyntheticConfig",
     "TrainConfig",

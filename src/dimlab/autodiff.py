@@ -13,13 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    ContractError,
-    DimensionError,
-    NumericError,
-    ParameterError,
-    PermutationError,
-)
+from .errors import DimensionError, NumericError, ParameterError
 
 
 def as_tensor(x) -> np.ndarray:
@@ -233,7 +227,7 @@ def gather_rows(a: Node, perm: Sequence[int]) -> Node:
     n = a.value.shape[0]
     if idx.ndim != 1 or idx.shape[0] != n or np.any(idx < 0) or np.any(idx >= n) \
             or np.any(np.bincount(idx, minlength=n) != 1):
-        raise PermutationError(f"index list is not a permutation of 0..{n - 1}")
+        raise ParameterError(f"index list is not a permutation of 0..{n - 1}")
 
     def vjp(g):
         scattered = np.empty_like(a.value)
@@ -369,7 +363,7 @@ def backward_pass(root: Node) -> None:
     seeded with 1; nodes the root does not depend on keep ``grad`` None.
     """
     if root.value.size != 1:
-        raise ContractError(
+        raise DimensionError(
             f"backward_pass needs a scalar root, got shape {root.value.shape}")
     order = _topo_order(root)
     _accumulate(root, np.ones_like(root.value))

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class is a fault that a caller can tell apart from the others; a
+result that may be undefined (a degenerate fit, a compliance with no
+usable pair) is returned as None, not raised."""
 
 
 class DimlabError(Exception):
@@ -11,14 +15,6 @@ class DimensionError(DimlabError):
 
 class ParameterError(DimlabError):
     """An argument value is outside its legal range."""
-
-
-class PermutationError(DimlabError):
-    """An index list that must be a permutation is not a bijection."""
-
-
-class ContractError(DimlabError):
-    """A caller violated an operation's precondition."""
 
 
 class NumericError(DimlabError):
@@ -35,12 +31,3 @@ class SchemaError(DimlabError):
 
 class DataError(DimlabError):
     """Loaded data is unusable (empty, mismatched, corrupt)."""
-
-
-class DegenerateFeature(DimlabError):
-    """A feature column is constant in the batch (or the batch is too small)
-    so no linear baseline can be fitted. Callers decide whether to skip."""
-
-
-class ComplianceUndefined(DimlabError):
-    """No valid adjacent pairs exist, so the compliance score has no value."""

@@ -27,13 +27,7 @@ from .data import (
     read_csv_rows,
     write_csv,
 )
-from .errors import (
-    ComplianceUndefined,
-    ConfigError,
-    DataError,
-    ParameterError,
-    SchemaError,
-)
+from .errors import ConfigError, DataError, ParameterError, SchemaError
 from .models import ModelConfig, save_model, set_counts, set_reals
 from .penalty import COMPLIANCE_ATOL, MonotonicitySpec, fit_batch
 from .training import (
@@ -109,8 +103,6 @@ class ExperimentConfig:
     validate_on_test: bool = False
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ConfigError("seeds must be non-empty")
         set_reals(self, {"grid": "[0, inf)"}, each=True)
         if 0.0 not in self.grid:
             raise ConfigError(
@@ -124,6 +116,8 @@ class ExperimentConfig:
             config_section(CsvSource, self.dataset["csv"], "csv")
         set_reals(self, {"train_frac": "(0, 1)"})
         set_counts(self, {"seeds": 0}, each=True)
+        if not self.seeds:
+            raise ConfigError("seeds must be non-empty")
         # each cell writes to files named by its (lam, seed) stem
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct, got {self.seeds}")
@@ -452,10 +446,6 @@ def audit(predictions_csv, features_csv, monotonic_names) -> dict:
 
     fit = fit_batch(preds, X, spec)
     breakdown = fit.breakdown()
-    try:
-        score = fit.compliance()
-    except ComplianceUndefined:
-        score = None
 
     features = {}
     for name, j in zip(monotonic_names, idx):
@@ -478,6 +468,6 @@ def audit(predictions_csv, features_csv, monotonic_names) -> dict:
     return {
         "batch_size": breakdown.batch_size,
         "penalty_total": breakdown.total,
-        "compliance": score,
+        "compliance": fit.compliance(),
         "features": features,
     }

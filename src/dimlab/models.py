@@ -49,10 +49,12 @@ def set_counts(owner, minimums: dict[str, int],
     for name, minimum in minimums.items():
         value = getattr(owner, name)
         if each:
-            if not all(is_int(v) and v >= minimum for v in value):
+            # read once (a generator); a string is one item, not a count
+            values = (value,) if isinstance(value, str) else tuple(value)
+            if not all(is_int(v) and v >= minimum for v in values):
                 raise ConfigError(
                     f"{name} must be integers >= {minimum}, got {value}")
-            object.__setattr__(owner, name, tuple(int(v) for v in value))
+            object.__setattr__(owner, name, tuple(int(v) for v in values))
             continue
         if not is_int(value):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -69,7 +71,8 @@ def set_reals(owner, intervals: dict[str, str], each: bool = False) -> None:
     is a sequence of numbers, stored as a tuple of floats."""
     for name, interval in intervals.items():
         value = getattr(owner, name)
-        values = tuple(value) if each else (value,)
+        seq = each and not isinstance(value, str)
+        values = tuple(value) if seq else (value,)
         lo, hi = (float(end) for end in interval[1:-1].split(","))
         if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
                    and (v > lo if interval[0] == "(" else v >= lo) and v < hi

@@ -24,12 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .errors import (
-    ComplianceUndefined,
-    DegenerateFeature,
-    DimensionError,
-    ParameterError,
-)
+from .errors import DimensionError, ParameterError
 
 # a violation counts as zero when at or below this (absolute)
 COMPLIANCE_ATOL = 1e-12
@@ -89,12 +84,12 @@ class PenaltyBreakdown:
     skipped: tuple[int, ...] = ()
 
 
-def fit_linear_baseline(x_col, preds) -> LinearBaseline:
+def fit_linear_baseline(x_col, preds) -> LinearBaseline | None:
     """Least-squares line from one feature column to the predictions.
 
-    Uses population (1/N) covariance and variance. Raises
-    :class:`DegenerateFeature` when N < 2 or the column is constant;
-    callers decide whether that skips the feature or aborts.
+    Uses population (1/N) covariance and variance. Returns None when
+    N < 2 or the column is constant or has zero variance, since no line
+    can then be fitted.
     """
     x_col = np.asarray(x_col, dtype=np.float64)
     preds = np.asarray(preds, dtype=np.float64)
@@ -103,17 +98,15 @@ def fit_linear_baseline(x_col, preds) -> LinearBaseline:
             f"fit_linear_baseline expects equal-length vectors, got "
             f"{x_col.shape} and {preds.shape}")
     n = x_col.shape[0]
-    if n < 2:
-        raise DegenerateFeature(f"need at least 2 rows to fit a line, got {n}")
-    if x_col.max() == x_col.min():
-        raise DegenerateFeature("feature column is constant within the batch")
+    if n < 2 or x_col.max() == x_col.min():
+        return None
     # sum() / n is np.mean's own reduction and division, bit for bit
     mean_x = x_col.sum() / n
     mean_p = preds.sum() / n
     centred = x_col - mean_x
     var = (centred * centred).sum() / n
     if var == 0.0:
-        raise DegenerateFeature("feature column has zero variance")
+        return None
     cov = (centred * (preds - mean_p)).sum() / n
     slope = cov / var
     return LinearBaseline(slope=float(slope),
@@ -173,9 +166,10 @@ class BatchFit:
         return PenaltyBreakdown(per_feature=per_feature, total=p_sum * (1.0 / n),
                                 batch_size=n, skipped=self.skipped)
 
-    def compliance(self) -> float:
+    def compliance(self) -> float | None:
         """Share of adjacent pairs, pooled over non-degenerate features,
-        whose violation is zero within COMPLIANCE_ATOL."""
+        whose violation is zero within COMPLIANCE_ATOL; None when no
+        feature has a usable pair."""
         pairs = 0
         compliant = 0
         for f in self.features.values():
@@ -183,9 +177,7 @@ class BatchFit:
                 v = f.violations
                 pairs += v.size
                 compliant += int(np.count_nonzero(v <= COMPLIANCE_ATOL))
-        if pairs == 0:
-            raise ComplianceUndefined("no adjacent pairs with a usable baseline")
-        return compliant / pairs
+        return compliant / pairs if pairs else None
 
 
 def fit_batch(preds, X, spec: MonotonicitySpec,
@@ -198,7 +190,7 @@ def fit_batch(preds, X, spec: MonotonicitySpec,
     coeffs)`` with ``coeffs = (x - mean_x) / (N * var)`` (the mean of the
     predictions drops out since ``sum(coeffs) = 0``), which may differ from
     the fitted slope in its last bits. Degenerate features (constant in
-    the batch, or N < 2) are recorded as skipped rather than raising.
+    the batch, or N < 2) are recorded as skipped.
     """
     if baseline_mode not in BASELINE_MODES:
         raise ParameterError(
@@ -215,9 +207,8 @@ def fit_batch(preds, X, spec: MonotonicitySpec,
     features: dict[int, FeatureFit | None] = {}
     for j in spec.indices:
         x_col = X[:, j]
-        try:
-            b = fit_linear_baseline(x_col, preds)
-        except DegenerateFeature:
+        b = fit_linear_baseline(x_col, preds)
+        if b is None:
             features[j] = None
             continue
         slope, coeffs = b.slope, None
@@ -235,12 +226,12 @@ def monotonicity_penalty(preds, X, spec: MonotonicitySpec) -> PenaltyBreakdown:
 
     One stable sort of the predictions is shared by every feature.
     Degenerate features (constant in the batch, or N < 2) contribute 0
-    and are reported in ``skipped`` rather than raising.
+    and are reported in ``skipped``.
     """
     return fit_batch(preds, X, spec).breakdown()
 
 
-def compliance_score(preds, X, spec: MonotonicitySpec) -> float:
+def compliance_score(preds, X, spec: MonotonicitySpec) -> float | None:
     """Fraction of adjacent sorted pairs, pooled over non-degenerate
     monotonic features, whose violation is zero within 1e-12 absolute.
 
@@ -250,8 +241,8 @@ def compliance_score(preds, X, spec: MonotonicitySpec) -> float:
     other features held fixed, and the true targets of a monotone function
     can score well below 1.
 
-    Raises :class:`ComplianceUndefined` when no valid pairs exist (all
-    features degenerate, empty spec, or N < 2).
+    None when no valid pairs exist (all features degenerate, empty spec,
+    or N < 2).
     """
     return fit_batch(preds, X, spec).compliance()
 

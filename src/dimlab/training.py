@@ -23,7 +23,6 @@ from . import penalty as pen
 from .autodiff import backward_pass
 from .data import Dataset, apply_normalization, minmax_normalize, train_test_split
 from .errors import (
-    ComplianceUndefined,
     ConfigError,
     DataError,
     DimlabError,
@@ -244,11 +243,8 @@ def metrics_from_predictions(preds, ds: Dataset) -> Metrics:
     mse = float(np.mean(err * err))
     mae = float(np.mean(np.abs(err)))
     mape = float(100.0 * np.mean(np.abs(err) / np.maximum(np.abs(ds.y), MAPE_GUARD)))
-    try:
-        compliance = pen.compliance_score(preds, ds.X, ds.monotonic)
-    except ComplianceUndefined:
-        compliance = None
-    return Metrics(mse=mse, mae=mae, mape=mape, compliance=compliance)
+    return Metrics(mse=mse, mae=mae, mape=mape,
+                   compliance=pen.compliance_score(preds, ds.X, ds.monotonic))
 
 
 def evaluate(model: Model, ds: Dataset) -> Metrics:
@@ -304,6 +300,8 @@ def train(model: Model, train_ds: Dataset, config: TrainConfig,
     ``early_stop_patience`` epochs without validation-MSE improvement and
     restores the best parameters. Returns (model, RunReport).
     """
+    if train_ds.n_rows == 0:
+        raise DataError("cannot train on an empty dataset")
     t0 = time.perf_counter()
     if val_ds is None:
         train_ds, val_ds = _carve_validation(train_ds, config)

@@ -87,6 +87,12 @@ def test_experiment_config_seeds_must_be_integers(seeds):
         ex.ExperimentConfig(seeds=seeds)
 
 
+def test_experiment_config_reads_a_seed_generator_once():
+    assert ex.ExperimentConfig(seeds=(s for s in [1, 2])).seeds == (1, 2)
+    with pytest.raises(ConfigError, match="seeds must be non-empty"):
+        ex.ExperimentConfig(seeds=iter(()))
+
+
 def test_experiment_config_numpy_seeds_become_ints():
     cfg = ex.ExperimentConfig(seeds=(np.int64(3), np.int32(4)))
     assert cfg.seeds == (3, 4)
@@ -683,11 +689,9 @@ def test_package_exports_the_sweep_api_and_the_error_classes():
     import dimlab
 
     assert sorted(dimlab.__all__) == [
-        "ComplianceUndefined", "ConfigError", "ContractError", "DataError",
-        "DegenerateFeature", "DimensionError", "DimlabError",
+        "ConfigError", "DataError", "DimensionError", "DimlabError",
         "ExperimentConfig", "ModelConfig", "NumericError", "ParameterError",
-        "PermutationError", "SchemaError", "SyntheticConfig", "TrainConfig",
-        "generate_synthetic", "lambda_grid_search", "run_experiment",
-        "select_lambda"]
+        "SchemaError", "SyntheticConfig", "TrainConfig", "generate_synthetic",
+        "lambda_grid_search", "run_experiment", "select_lambda"]
     for name in dimlab.__all__:
         assert getattr(dimlab, name) is not None, name

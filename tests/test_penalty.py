@@ -3,12 +3,7 @@ import pytest
 
 from dimlab import autodiff as ad
 from dimlab import penalty as pen
-from dimlab.errors import (
-    ComplianceUndefined,
-    DegenerateFeature,
-    DimensionError,
-    ParameterError,
-)
+from dimlab.errors import DimensionError, ParameterError
 from oracles import loss_terms_reference
 
 
@@ -66,10 +61,8 @@ def test_fit_hand_case():
 
 
 def test_fit_degenerate_cases():
-    with pytest.raises(DegenerateFeature):
-        pen.fit_linear_baseline([1.0], [1.0])
-    with pytest.raises(DegenerateFeature):
-        pen.fit_linear_baseline([4.0, 4.0, 4.0], [1.0, 2.0, 3.0])
+    assert pen.fit_linear_baseline([1.0], [1.0]) is None
+    assert pen.fit_linear_baseline([4.0, 4.0, 4.0], [1.0, 2.0, 3.0]) is None
 
 
 def test_fit_passes_through_centroid():
@@ -315,13 +308,11 @@ def test_compliance_pools_features_with_equal_pair_counts():
 
 def test_compliance_undefined_when_all_degenerate():
     X = np.full((4, 1), 2.0)
-    with pytest.raises(ComplianceUndefined):
-        pen.compliance_score([1.0, 2.0, 3.0, 4.0], X, spec_for(0))
+    assert pen.compliance_score([1.0, 2.0, 3.0, 4.0], X, spec_for(0)) is None
 
 
 def test_compliance_undefined_for_single_row():
-    with pytest.raises(ComplianceUndefined):
-        pen.compliance_score([1.0], np.array([[1.0]]), spec_for(0))
+    assert pen.compliance_score([1.0], np.array([[1.0]]), spec_for(0)) is None
 
 
 def test_compliance_excludes_degenerate_from_both_sides():

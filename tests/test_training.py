@@ -11,7 +11,7 @@ from dimlab import data as dp
 from dimlab import models as mz
 from dimlab import penalty as pen
 from dimlab import training as tr
-from dimlab.errors import ConfigError, NumericError, ParameterError
+from dimlab.errors import ConfigError, DataError, NumericError, ParameterError
 from dimlab.penalty import MonotonicitySpec
 from oracles import ReferenceAdam
 
@@ -214,6 +214,14 @@ def test_train_zero_epochs_returns_initial_model():
     assert report.best_epoch == -1
     for k in model.parameters:
         assert np.array_equal(trained.parameters[k], model.parameters[k])
+
+
+def test_train_rejects_an_empty_training_split():
+    empty = dp.Dataset(X=np.empty((0, 1)), y=np.empty(0), feature_names=("x",),
+                       monotonic=MonotonicitySpec([0]))
+    model = mz.build_model(mz.ModelConfig("ann", 1))
+    with pytest.raises(DataError, match="empty"):
+        tr.train(model, empty, tr.TrainConfig(max_epochs=1))
 
 
 def test_train_same_seed_bit_identical_report():
