@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DataError, SchemaError
-from .models import set_counts, set_reals
+from .models import set_numbers
 from .penalty import MonotonicitySpec
 
 log = logging.getLogger(__name__)
@@ -79,14 +79,11 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
-        set_counts(self, {"n": 2},
-                   "need {name} >= {minimum} samples, got {value}")
         # numpy seeds only from non-negative integers
-        set_counts(self, {"bins": 1, "seed": 0},
-                   "need {name} >= {minimum}, got {value}")
-        set_reals(self, {"noise_sd": "[0, inf)"})
+        set_numbers(self, {"n": 2, "bins": 1, "seed": 0,
+                           "noise_sd": "[0, inf)"})
         if self.bump_sds is not None:
-            set_reals(self, {"bump_sds": "[0, inf)"}, each=True)
+            set_numbers(self, {"bump_sds": "[0, inf)"}, each=True)
             if len(self.bump_sds) != 4:
                 raise ConfigError(
                     f"bump_sds must be 4 values, got {self.bump_sds}")

@@ -28,7 +28,7 @@ from .data import (
     write_csv,
 )
 from .errors import ConfigError, DataError, ParameterError, SchemaError
-from .models import ModelConfig, save_model, set_counts, set_reals
+from .models import ModelConfig, save_model, set_numbers
 from .penalty import COMPLIANCE_ATOL, MonotonicitySpec, fit_batch
 from .training import (
     LAMBDA_GRID_DEFAULT,
@@ -103,7 +103,8 @@ class ExperimentConfig:
     validate_on_test: bool = False
 
     def __post_init__(self):
-        set_reals(self, {"grid": "[0, inf)"}, each=True)
+        set_numbers(self, {"grid": "[0, inf)", "seeds": 0}, each=True)
+        set_numbers(self, {"train_frac": "(0, 1)"})
         if 0.0 not in self.grid:
             raise ConfigError(
                 f"grid must include the 0.0 baseline, got {self.grid}")
@@ -114,21 +115,23 @@ class ExperimentConfig:
                 f"keys, got {self.dataset!r}")
         if "csv" in self.dataset:
             config_section(CsvSource, self.dataset["csv"], "csv")
-        set_reals(self, {"train_frac": "(0, 1)"})
-        set_counts(self, {"seeds": 0}, each=True)
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
         # each cell writes to files named by its (lam, seed) stem
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct, got {self.seeds}")
+        # -0.0 == 0.0, but their stems differ
         stems = {_cell_stem(lam, 0) for lam in self.grid}
         if len(stems) != len(self.grid) or len(set(self.grid)) != len(self.grid):
             raise ConfigError(
                 f"grid values must be distinct, also in their artifact names "
                 f"(6 significant digits), got {self.grid}")
         if self.monotonic_sets is not None:
-            sets = tuple(tuple(str(n) for n in names)
-                         for names in self.monotonic_sets)
+            try:
+                sets = tuple(tuple(str(n) for n in names)
+                             for names in self.monotonic_sets)
+            except TypeError:  # a single name or number where a list belongs
+                sets = ()
             if not sets or any(not s for s in sets):
                 raise ConfigError("monotonic_sets must be non-empty name lists")
             object.__setattr__(self, "monotonic_sets", sets)

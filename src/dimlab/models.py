@@ -33,54 +33,35 @@ DROPOUT_DEFAULTS = {"ann": 0.0, "mlp3": 0.2, "mlp5": 0.2, "cnn1d": 0.0}
 INIT_STREAM = 101
 
 
-def is_int(value) -> bool:
-    """True for a config count: bools and floats, even 16.0, are not."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def set_counts(owner, minimums: dict[str, int],
-               too_small: str = "{name} must be >= {minimum}, got {value}",
-               each: bool = False) -> None:
-    """Check each named count field of the frozen dataclass ``owner``, in
-    order, against its minimum, and store it as an int (a numpy integer
-    becomes an int, which a config's JSON holds). ``too_small`` is the
-    message for a count below its minimum; with ``each``, every field is a
-    sequence of counts."""
-    for name, minimum in minimums.items():
+def set_numbers(owner, rules: dict[str, int | str], each: bool = False) -> None:
+    """Check each named field of the frozen dataclass ``owner``, in order,
+    against its rule, and store it in one form. An int rule is a count's
+    minimum: the value must be an integer, stored as an int (a numpy integer
+    becomes an int, which a config's JSON holds). A string rule is a real's
+    interval, "[lo, hi)" or "(lo, hi)": the value must be a number, stored
+    as a float. A bool is neither, and a float such as 16.0 is no count.
+    With ``each``, every field is a sequence of such values, stored as a
+    tuple; it is read once (a generator), a string is one item, and a value
+    that is not iterable is refused."""
+    for name, rule in rules.items():
         value = getattr(owner, name)
-        if each:
-            # read once (a generator); a string is one item, not a count
-            values = (value,) if isinstance(value, str) else tuple(value)
-            if not all(is_int(v) and v >= minimum for v in values):
-                raise ConfigError(
-                    f"{name} must be integers >= {minimum}, got {value}")
-            object.__setattr__(owner, name, tuple(int(v) for v in values))
-            continue
-        if not is_int(value):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if value < minimum:
-            raise ConfigError(too_small.format(name=name, minimum=minimum,
-                                               value=int(value)))
-        object.__setattr__(owner, name, int(value))
-
-
-def set_reals(owner, intervals: dict[str, str], each: bool = False) -> None:
-    """Check each named number field of the frozen dataclass ``owner``, in
-    order, against its interval, "[lo, hi)" or "(lo, hi)", and store it as
-    a float (bools and strings are not numbers); with ``each``, every field
-    is a sequence of numbers, stored as a tuple of floats."""
-    for name, interval in intervals.items():
-        value = getattr(owner, name)
-        seq = each and not isinstance(value, str)
-        values = tuple(value) if seq else (value,)
+        try:
+            values = (tuple(value) if each and not isinstance(value, str)
+                      else (value,))
+        except TypeError:  # a single value where a list belongs: refused below
+            values = (None,)
+        count = isinstance(rule, int)
+        interval = f"[{rule}, inf)" if count else rule
         lo, hi = (float(end) for end in interval[1:-1].split(","))
-        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+        kind = numbers.Integral if count else numbers.Real
+        if not all(isinstance(v, kind) and not isinstance(v, bool)
                    and (v > lo if interval[0] == "(" else v >= lo) and v < hi
                    for v in values):
-            kind = "finite numbers" if each else "a finite number"
-            raise ConfigError(f"{name} must be {kind} in {interval}, "
-                              f"got {value!r}")
-        values = tuple(map(float, values))
+            noun = (("integers" if each else "an integer") if count
+                    else ("finite numbers" if each else "a finite number"))
+            bound = f">= {rule}" if count else f"in {rule}"
+            raise ConfigError(f"{name} must be {noun} {bound}, got {value!r}")
+        values = tuple(map(int if count else float, values))
         object.__setattr__(owner, name, values if each else values[0])
 
 
@@ -99,16 +80,14 @@ class ModelConfig:
                 f"unknown architecture {self.architecture!r}, "
                 f"expected one of {ARCHITECTURES}")
         object.__setattr__(self, "architecture", arch)
-        set_counts(self, {"input_dim": 1, "seed": 0})
-        sizes = (HIDDEN_DEFAULTS[arch] if self.hidden_sizes is None
-                 else tuple(self.hidden_sizes))
-        if not sizes or not all(is_int(s) and s >= 1 for s in sizes):
-            raise ConfigError("hidden sizes must be one or more positive "
-                              f"integers, got {sizes}")
-        object.__setattr__(self, "hidden_sizes", tuple(int(s) for s in sizes))
+        if self.hidden_sizes is None:
+            object.__setattr__(self, "hidden_sizes", HIDDEN_DEFAULTS[arch])
         if self.dropout_rate is None:
             object.__setattr__(self, "dropout_rate", DROPOUT_DEFAULTS[arch])
-        set_reals(self, {"dropout_rate": "[0, 1)"})
+        set_numbers(self, {"input_dim": 1, "seed": 0, "dropout_rate": "[0, 1)"})
+        set_numbers(self, {"hidden_sizes": 1}, each=True)
+        if not self.hidden_sizes:
+            raise ConfigError("hidden_sizes must be non-empty")
         if arch == "cnn1d" and self.dropout_rate > 0.0:
             raise ConfigError("cnn1d has no dropout layer, so its dropout_rate "
                               f"must be 0, got {self.dropout_rate}")

@@ -36,8 +36,7 @@ from .models import (
     build_model,
     forward,
     forward_with_params,
-    set_counts,
-    set_reals,
+    set_numbers,
 )
 
 log = logging.getLogger(__name__)
@@ -70,10 +69,10 @@ class TrainConfig:
     baseline_mode: str = "frozen"
 
     def __post_init__(self):
-        set_reals(self, {"lam": "[0, inf)", "learning_rate": "(0, inf)"})
-        set_counts(self, {"batch_size": 1, "max_epochs": 0,
-                          "early_stop_patience": 1, "seed": 0})
-        set_reals(self, {"val_fraction": "[0, 1)"})
+        set_numbers(self, {"lam": "[0, inf)", "learning_rate": "(0, inf)",
+                           "batch_size": 1, "max_epochs": 0,
+                           "early_stop_patience": 1, "seed": 0,
+                           "val_fraction": "[0, 1)"})
         if self.baseline_mode not in pen.BASELINE_MODES:
             raise ConfigError(
                 f"baseline_mode must be one of {pen.BASELINE_MODES}, "
@@ -302,6 +301,8 @@ def train(model: Model, train_ds: Dataset, config: TrainConfig,
     """
     if train_ds.n_rows == 0:
         raise DataError("cannot train on an empty dataset")
+    if val_ds is not None and val_ds.n_rows == 0:
+        raise DataError("cannot validate on an empty dataset")
     t0 = time.perf_counter()
     if val_ds is None:
         train_ds, val_ds = _carve_validation(train_ds, config)

@@ -199,6 +199,14 @@ def test_sweep_with_a_non_integer_data_count_or_seed_is_a_config_error(
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_with_a_single_seed_for_a_list_names_the_field(tmp_path, capsys):
+    cfg = write_config(tmp_path, seeds=5)
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "error [config]: seeds must be integers >= 0, got 5" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("synthetic", [
     {"n": 60, "seed": 2, "noise_sd": float("nan")},
     {"n": 60, "seed": 2, "bump_sds": [1.0, float("inf"), 0.0, 0.0]},

@@ -101,7 +101,7 @@ def test_synthetic_config_counts_must_be_integers(field, value):
 
 
 def test_synthetic_config_rejects_a_negative_seed():
-    with pytest.raises(ConfigError, match="seed >= 0"):
+    with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
         dp.SyntheticConfig(seed=-1)
 
 

@@ -141,6 +141,21 @@ def test_experiment_config_rejects_bad_train_frac():
         ex.ExperimentConfig(train_frac=1.0)
 
 
+@pytest.mark.parametrize("cls, required, field, value", [
+    (ex.ExperimentConfig, {}, "seeds", 5),
+    (ex.ExperimentConfig, {}, "grid", 0.0),
+    (ex.ExperimentConfig, {}, "monotonic_sets", 5),
+    (ex.ExperimentConfig, {}, "monotonic_sets", (5,)),
+    (mz.ModelConfig, {"architecture": "ann", "input_dim": 4}, "hidden_sizes", 8),
+    (dp.SyntheticConfig, {}, "bump_sds", 1.0),
+], ids=["seeds", "grid", "monotonic_sets", "monotonic_set", "hidden_sizes",
+        "bump_sds"])
+def test_a_single_value_where_a_list_belongs_is_a_config_error(
+        cls, required, field, value):
+    with pytest.raises(ConfigError, match=field):
+        cls(**required, **{field: value})
+
+
 def test_experiment_config_rejects_empty_monotonic_set():
     with pytest.raises(ConfigError, match="monotonic_sets"):
         ex.ExperimentConfig(monotonic_sets=((),))

@@ -81,7 +81,7 @@ def test_cnn1d_rejects_a_dropout_rate_it_would_ignore():
 
 @pytest.mark.parametrize("sizes", [(64.7,), (64.0, 32), (True, 8), ("64",)])
 def test_hidden_sizes_must_be_integers(sizes):
-    with pytest.raises(ConfigError, match="hidden sizes"):
+    with pytest.raises(ConfigError, match="hidden_sizes must be integers >= 1"):
         cfg("mlp3", hidden_sizes=sizes)
     assert cfg("ann", hidden_sizes=(np.int64(8),)).hidden_sizes == (8,)
 
@@ -90,7 +90,7 @@ def test_hidden_sizes_must_be_integers(sizes):
     ("dropout_rate", -0.3, "dropout_rate"),
     ("dropout_rate", -1.0, "dropout_rate"),
     ("dropout_rate", -np.inf, "dropout_rate"),
-    ("hidden_sizes", (), "hidden sizes")])
+    ("hidden_sizes", (), "hidden_sizes must be non-empty")])
 def test_only_none_means_the_architecture_default(field, value, match):
     with pytest.raises(ConfigError, match=match):
         cfg("mlp3", **{field: value})

@@ -1,8 +1,10 @@
 """Property tests, derandomized so that every run draws the same examples.
 
 A degenerate fit and an undefined compliance are None exactly when the
-input leaves nothing to fit, and the config validators accept a value
-only when it is valid and store it in one canonical form.
+input leaves nothing to fit; the loss terms and ``conv1d_same`` keep the
+bytes of their references in ``tests/oracles.py``; and the config
+validator accepts a value only when it is valid and stores it in one
+canonical form.
 """
 
 import math
@@ -10,11 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from dimlab import autodiff as ad
 from dimlab import penalty as pen
 from dimlab.errors import ConfigError
-from dimlab.models import set_counts, set_reals
+from dimlab.models import set_numbers
+from oracles import conv1d_same_reference, loss_terms_reference
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -66,6 +70,71 @@ def test_compliance_is_none_exactly_when_every_feature_is_skipped(batch, mode):
         assert pen.compliance_score(preds, X, spec) == c
 
 
+@st.composite
+def loss_batches(draw):
+    """(preds, y, X, spec): a batch of :func:`batches` and its targets."""
+    preds, X, spec = draw(batches())
+    y = np.array(draw(st.lists(VALUES, min_size=len(preds),
+                               max_size=len(preds))))
+    return preds, y, X, spec
+
+
+def bits(value):
+    return np.float64(value).tobytes()
+
+
+def loss_terms_bits(build, preds, y, X, spec, lam, mode):
+    node = ad.leaf(preds, requires_grad=True)
+    terms = build(node, y, X, spec, lam, mode)
+    ad.backward_pass(terms.total)
+    b = terms.breakdown
+    return (terms.total.value.tobytes(), node.grad.tobytes(),
+            terms.penalty is None, b.batch_size, b.skipped, bits(b.total),
+            {j: bits(v) for j, v in b.per_feature.items()})
+
+
+@PROPERTY
+@given(loss_batches(), st.floats(1e-3, 10.0))
+def test_loss_terms_match_the_op_graph_byte_for_byte(batch, lam):
+    # every batch in both modes, at lambda 0 and > 0: a batch that violates
+    # its trend is the one that tells the modes' gradients apart
+    preds, y, X, spec = batch
+    for mode in pen.BASELINE_MODES:
+        for weight in (0.0, lam):
+            args = (preds, y, X, spec, weight, mode)
+            if len(preds) == 0:
+                for build in (pen.build_loss_terms, loss_terms_reference):
+                    with pytest.raises(ZeroDivisionError):
+                        loss_terms_bits(build, *args)
+                continue
+            assert (loss_terms_bits(pen.build_loss_terms, *args)
+                    == loss_terms_bits(loss_terms_reference, *args))
+
+
+@PROPERTY
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 3),
+       st.integers(1, 3), st.data())
+def test_conv1d_same_matches_its_reference_byte_for_byte(batch, length, in_ch,
+                                                         out_ch, data):
+    # one input and one output channel move the kernel gradient in its last
+    # bits (see conv1d_same); test_autodiff bounds that case by rounding
+    assume(not in_ch == out_ch == 1)
+
+    def draw(*shape):
+        size = int(np.prod(shape))
+        return np.array(data.draw(st.lists(VALUES, min_size=size,
+                                           max_size=size))).reshape(shape)
+
+    x, k = draw(batch, length, in_ch), draw(out_ch, in_ch, 3)
+    b, g = draw(out_ch), draw(batch, length, out_ch)
+    nodes = [ad.leaf(v, requires_grad=True) for v in (x, k, b)]
+    out = ad.conv1d_same(*nodes)
+    ad.backward_pass(ad.sum_all(out * ad.constant(g)))
+    got = (out.value, *(n.grad for n in nodes))
+    for a, want in zip(got, conv1d_same_reference(x, k, b, g)):
+        assert a.shape == want.shape and a.tobytes() == want.tobytes()
+
+
 @dataclass(frozen=True)
 class Field:
     value: object
@@ -90,12 +159,15 @@ SCALARS = st.one_of(
 
 def sequences(items):
     """(items, value): ``items`` as a list, a tuple or a generator, or
-    (None, a string), since a string is not a sequence of numbers."""
+    (None, a string or a value that is not iterable), since neither is a
+    sequence of numbers."""
     kinds = st.sampled_from([list, tuple, lambda xs: (x for x in xs)])
     return st.one_of(
         st.tuples(st.lists(items, max_size=4), kinds).map(
             lambda t: (t[0], t[1](t[0]))),
-        st.text(max_size=3).map(lambda text: (None, text)))
+        st.one_of(st.text(max_size=3), st.integers(-3, 3),
+                  st.floats(allow_nan=True), st.none()).map(
+            lambda value: (None, value)))
 
 
 def in_interval(v, interval) -> bool:
@@ -108,11 +180,11 @@ def in_interval(v, interval) -> bool:
 def test_set_counts_accepts_exactly_the_counts(value, minimum):
     owner = Field(value)
     if is_count(value) and value >= minimum:
-        set_counts(owner, {"value": minimum})
+        set_numbers(owner, {"value": minimum})
         assert type(owner.value) is int and owner.value == value
     else:
         with pytest.raises(ConfigError):
-            set_counts(owner, {"value": minimum})
+            set_numbers(owner, {"value": minimum})
 
 
 @PROPERTY
@@ -121,12 +193,12 @@ def test_set_counts_each_accepts_exactly_sequences_of_counts(seq, minimum):
     items, value = seq
     owner = Field(value)
     if items is not None and all(is_count(v) and v >= minimum for v in items):
-        set_counts(owner, {"value": minimum}, each=True)
+        set_numbers(owner, {"value": minimum}, each=True)
         assert owner.value == tuple(items)
         assert all(type(v) is int for v in owner.value)
     else:
         with pytest.raises(ConfigError):
-            set_counts(owner, {"value": minimum}, each=True)
+            set_numbers(owner, {"value": minimum}, each=True)
 
 
 @PROPERTY
@@ -134,11 +206,11 @@ def test_set_counts_each_accepts_exactly_sequences_of_counts(seq, minimum):
 def test_set_reals_accepts_exactly_the_numbers_in_the_interval(value, interval):
     owner = Field(value)
     if in_interval(value, interval):
-        set_reals(owner, {"value": interval})
+        set_numbers(owner, {"value": interval})
         assert type(owner.value) is float and owner.value == value
     else:
         with pytest.raises(ConfigError):
-            set_reals(owner, {"value": interval})
+            set_numbers(owner, {"value": interval})
 
 
 @PROPERTY
@@ -148,9 +220,9 @@ def test_set_reals_each_accepts_exactly_sequences_in_the_interval(seq,
     items, value = seq
     owner = Field(value)
     if items is not None and all(in_interval(v, interval) for v in items):
-        set_reals(owner, {"value": interval}, each=True)
+        set_numbers(owner, {"value": interval}, each=True)
         assert owner.value == tuple(map(float, items))
         assert all(type(v) is float for v in owner.value)
     else:
         with pytest.raises(ConfigError):
-            set_reals(owner, {"value": interval}, each=True)
+            set_numbers(owner, {"value": interval}, each=True)

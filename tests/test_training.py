@@ -224,6 +224,15 @@ def test_train_rejects_an_empty_training_split():
         tr.train(model, empty, tr.TrainConfig(max_epochs=1))
 
 
+def test_train_rejects_an_empty_validation_split_before_training():
+    empty = dp.Dataset(X=np.empty((0, 1)), y=np.empty(0), feature_names=("x",),
+                       monotonic=MonotonicitySpec([0]))
+    model = mz.build_model(mz.ModelConfig("ann", 1))
+    with pytest.raises(DataError, match="cannot validate on an empty dataset"):
+        tr.train(model, linear_dataset(n=40), tr.TrainConfig(max_epochs=3),
+                 val_ds=empty)
+
+
 def test_train_same_seed_bit_identical_report():
     ds = linear_dataset(n=120, noise=0.3)
     cfg = small_cfg(lam=0.4, max_epochs=8, seed=3)
