@@ -10,7 +10,6 @@ from .errors import (
     DimlabError,
     NumericError,
     ParameterError,
-    SchemaError,
 )
 from .experiments import ExperimentConfig, run_experiment
 from .models import ModelConfig
@@ -27,7 +26,6 @@ __all__ = [
     "ModelConfig",
     "NumericError",
     "ParameterError",
-    "SchemaError",
     "SyntheticConfig",
     "TrainConfig",
     "generate_synthetic",

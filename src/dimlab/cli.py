@@ -62,7 +62,7 @@ def _load_config(args) -> tuple[ExperimentConfig, int | None]:
     cfg = (load_experiment_config(args.config) if args.config
            else ExperimentConfig())
     updates: dict = {}
-    if flag("arch") and isinstance(cfg.model, dict):
+    if flag("arch"):
         updates["model"] = {**cfg.model, "architecture": args.arch}
     if flag("monotonic"):
         updates["monotonic_sets"] = (tuple(_split_names(args.monotonic)),)

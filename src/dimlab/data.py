@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, SchemaError
+from .errors import ConfigError, DataError
 from .models import set_numbers
 from .penalty import MonotonicitySpec
 
@@ -151,7 +151,7 @@ def read_csv_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
         raise DataError(f"{path}: unreadable CSV: {exc}") from exc
     duplicates = sorted({h for h in header if header.count(h) > 1})
     if duplicates:
-        raise SchemaError(f"{path}: duplicate column names {duplicates}")
+        raise DataError(f"{path}: duplicate column names {duplicates}")
     return header, rows
 
 
@@ -164,14 +164,10 @@ def load_csv(path, target_column: str, monotonic_columns=()) -> Dataset:
     """
     header, rows = read_csv_rows(path)
     if target_column not in header:
-        raise SchemaError(f"{path}: no column named {target_column!r}")
+        raise DataError(f"{path}: no column named {target_column!r}")
     feature_names = [h for h in header
                      if h != target_column and not _is_id_column(h)]
-    missing = [m for m in monotonic_columns if m not in feature_names]
-    if missing:
-        raise SchemaError(
-            f"{path}: monotonic columns {missing} not among features "
-            f"{feature_names}")
+    mono = MonotonicitySpec.of_names(feature_names, monotonic_columns)
     keep = [header.index(h) for h in feature_names]
     target_pos = header.index(target_column)
 
@@ -194,7 +190,6 @@ def load_csv(path, target_column: str, monotonic_columns=()) -> Dataset:
     if not parsed:
         raise DataError(f"{path}: no usable rows")
 
-    mono = MonotonicitySpec(feature_names.index(m) for m in monotonic_columns)
     return Dataset(X=np.array(parsed), y=np.array(targets),
                    feature_names=tuple(feature_names), monotonic=mono)
 

@@ -25,9 +25,5 @@ class ConfigError(DimlabError):
     """An invalid configuration value or combination."""
 
 
-class SchemaError(DimlabError):
-    """A file does not match its expected schema."""
-
-
 class DataError(DimlabError):
-    """Loaded data is unusable (empty, mismatched, corrupt)."""
+    """Loaded data or a file is unusable (empty, mismatched, malformed)."""

@@ -27,7 +27,7 @@ from .data import (
     read_csv_rows,
     write_csv,
 )
-from .errors import ConfigError, DataError, ParameterError, SchemaError
+from .errors import ConfigError, DataError, ParameterError
 from .models import ModelConfig, save_model, set_numbers
 from .penalty import COMPLIANCE_ATOL, MonotonicitySpec, fit_batch
 from .training import (
@@ -87,8 +87,9 @@ class ExperimentConfig:
 
     ``dataset`` is either {"synthetic": {...SyntheticConfig keys...}} or
     {"csv": {...CsvSource keys...}}; ``model`` holds ModelConfig keys but
-    input_dim and seed, which the run sets. ``monotonic_sets`` of None
-    means one single-feature row per monotonic feature of the dataset.
+    input_dim and seed, which the run sets; ``train`` is a TrainConfig or
+    a dict of its keys. ``monotonic_sets`` of None means one
+    single-feature row per monotonic feature of the dataset.
     """
 
     dataset: dict = field(default_factory=lambda: {"synthetic": {}})
@@ -103,6 +104,11 @@ class ExperimentConfig:
     validate_on_test: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.train, TrainConfig):
+            object.__setattr__(self, "train",
+                               config_section(TrainConfig, self.train, "train"))
+        if not isinstance(self.model, dict):
+            raise ConfigError(f"model section must be an object, got {self.model!r}")
         set_numbers(self, {"grid": "[0, inf)", "seeds": 0}, each=True)
         set_numbers(self, {"train_frac": "(0, 1)"})
         if 0.0 not in self.grid:
@@ -127,13 +133,15 @@ class ExperimentConfig:
                 f"grid values must be distinct, also in their artifact names "
                 f"(6 significant digits), got {self.grid}")
         if self.monotonic_sets is not None:
-            try:
-                sets = tuple(tuple(str(n) for n in names)
-                             for names in self.monotonic_sets)
-            except TypeError:  # a single name or number where a list belongs
+            try:  # a string or a number where a list belongs is refused
+                sets = () if isinstance(self.monotonic_sets, str) else tuple(
+                    () if isinstance(s, str) else tuple(map(str, s))
+                    for s in self.monotonic_sets)
+            except TypeError:
                 sets = ()
-            if not sets or any(not s for s in sets):
-                raise ConfigError("monotonic_sets must be non-empty name lists")
+            if not sets or not all(sets):
+                raise ConfigError("monotonic_sets must be non-empty lists of "
+                                  f"name lists, got {self.monotonic_sets!r}")
             object.__setattr__(self, "monotonic_sets", sets)
         for flag in ("norm_fit_on_train", "validate_on_test"):
             if not isinstance(getattr(self, flag), bool):
@@ -143,8 +151,6 @@ class ExperimentConfig:
 
 def experiment_config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a config from parsed JSON, applying defaults for absent keys."""
-    if isinstance(raw, dict) and "train" in raw:
-        raw = {**raw, "train": config_section(TrainConfig, raw["train"], "train")}
     return config_section(ExperimentConfig, raw, "config")
 
 
@@ -171,20 +177,13 @@ def resolve_dataset(cfg: ExperimentConfig) -> Dataset:
 def build_model_config(cfg: ExperimentConfig, input_dim: int) -> ModelConfig:
     """The model section with the run's input_dim; every cell sets the seed.
     A section without an architecture means the default one."""
-    model = cfg.model
-    if isinstance(model, dict):
-        model = {"architecture": DEFAULT_ARCH, **model}
-    return config_section(ModelConfig, model, "model",
-                          input_dim=input_dim, seed=0)
+    return config_section(ModelConfig, {"architecture": DEFAULT_ARCH, **cfg.model},
+                          "model", input_dim=input_dim, seed=0)
 
 
 def with_monotonic_names(ds: Dataset, names) -> Dataset:
-    missing = [n for n in names if n not in ds.feature_names]
-    if missing:
-        raise ConfigError(
-            f"monotonic names {missing} not among features {list(ds.feature_names)}")
-    spec = MonotonicitySpec(ds.feature_names.index(n) for n in names)
-    return replace(ds, monotonic=spec)
+    return replace(ds, monotonic=MonotonicitySpec.of_names(ds.feature_names,
+                                                           names))
 
 
 # ---------------------------------------------------------------- summary
@@ -379,10 +378,10 @@ def read_reports(row_dir: Path) -> list[RunReport]:
             report = report_from_json(path.read_text(encoding="utf-8"))
             model = report.config.get("model")
             if not isinstance(model, dict) or "architecture" not in model:
-                raise SchemaError("report config lacks model.architecture")
+                raise DataError("report config lacks model.architecture")
             reports.append(report)
-        except (SchemaError, UnicodeDecodeError) as exc:
-            raise SchemaError(f"{path}: {exc}") from exc
+        except (DataError, UnicodeDecodeError) as exc:
+            raise DataError(f"{path}: {exc}") from exc
     return reports
 
 
@@ -441,17 +440,13 @@ def audit(predictions_csv, features_csv, monotonic_names) -> dict:
         raise DataError(
             f"row mismatch: {preds.shape[0]} predictions vs {X.shape[0]} "
             f"feature rows")
-    missing = [n for n in monotonic_names if n not in feat_names]
-    if missing:
-        raise DataError(f"monotonic columns {missing} not in {feat_names}")
-    idx = [feat_names.index(n) for n in monotonic_names]
-    spec = MonotonicitySpec(idx)
-
-    fit = fit_batch(preds, X, spec)
+    fit = fit_batch(preds, X, MonotonicitySpec.of_names(feat_names,
+                                                        monotonic_names))
     breakdown = fit.breakdown()
 
     features = {}
-    for name, j in zip(monotonic_names, idx):
+    for name in monotonic_names:
+        j = feat_names.index(name)
         f = fit.features[j]
         entry: dict = {"penalty": breakdown.per_feature[j],
                        "skipped": f is None}

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .errors import ConfigError, DimensionError, SchemaError
+from .errors import ConfigError, DataError, DimensionError
 
 ARCHITECTURES = ("ann", "mlp3", "mlp5", "cnn1d")
 
@@ -167,20 +167,20 @@ def save_model(model: Model, path) -> None:
 def load_model(path) -> Model:
     with np.load(path, allow_pickle=False) as archive:
         if "__config__" not in archive:
-            raise SchemaError(f"{path}: not a model checkpoint (no __config__)")
+            raise DataError(f"{path}: not a model checkpoint (no __config__)")
         try:
             config = ModelConfig(**json.loads(str(archive["__config__"])))
         except (TypeError, ValueError, ConfigError) as exc:  # JSON errors too
-            raise SchemaError(f"{path}: bad checkpoint config: {exc}") from exc
+            raise DataError(f"{path}: bad checkpoint config: {exc}") from exc
         params = {k: archive[k] for k in archive.files if k != "__config__"}
     expected = build_model(config).parameters
     if params.keys() != expected.keys():
-        raise SchemaError(
+        raise DataError(
             f"{path}: checkpoint parameters {sorted(params)} do not match "
             f"architecture {config.architecture}")
     for name, arr in params.items():
         if arr.shape != expected[name].shape:
-            raise SchemaError(
+            raise DataError(
                 f"{path}: parameter {name} has shape {arr.shape}, "
                 f"expected {expected[name].shape}")
     return Model(config=config, parameters={k: np.ascontiguousarray(v, dtype=np.float64)

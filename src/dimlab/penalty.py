@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .errors import DimensionError, ParameterError
+from .errors import ConfigError, DimensionError, ParameterError
 
 # a violation counts as zero when at or below this (absolute)
 COMPLIANCE_ATOL = 1e-12
@@ -60,6 +60,19 @@ class MonotonicitySpec:
         if len(set(idx)) != len(idx):
             raise ParameterError(f"duplicate feature index in {idx}")
         object.__setattr__(self, "indices", idx)
+
+    @classmethod
+    def of_names(cls, feature_names, names) -> MonotonicitySpec:
+        """The spec of the features ``names`` among ``feature_names``: a
+        bare string, or a name that is not a feature, is a ConfigError."""
+        if isinstance(names, str):
+            raise ConfigError(f"monotonic names must be a list, got {names!r}")
+        names, feature_names = list(names), list(feature_names)
+        missing = [n for n in names if n not in feature_names]
+        if missing:
+            raise ConfigError(f"monotonic names {missing} not among "
+                              f"features {feature_names}")
+        return cls(feature_names.index(n) for n in names)
 
     def validate_for(self, num_features: int) -> None:
         bad = [i for i in self.indices if i >= num_features]
@@ -330,9 +343,9 @@ def build_loss_terms(preds: Node, y, X, spec: MonotonicitySpec, lam: float,
             f"targets shape {y.shape} does not match predictions "
             f"{preds.value.shape}")
 
+    breakdown = fit.breakdown()  # refuses a 0-row batch
     residual = preds - ad.constant(y)
     mse = ad.scale(ad.sum_all(ad.square(residual)), 1.0 / fit.batch_size)
-    breakdown = fit.breakdown()
     if lam == 0 or all(f is None for f in fit.features.values()):
         # penalty not built into the graph; report the decomposition anyway
         return LossTerms(total=mse, mse=mse, penalty=None, breakdown=breakdown)

@@ -22,14 +22,8 @@ import numpy as np
 from . import penalty as pen
 from .autodiff import backward_pass
 from .data import Dataset, apply_normalization, minmax_normalize, train_test_split
-from .errors import (
-    ConfigError,
-    DataError,
-    DimlabError,
-    NumericError,
-    ParameterError,
-    SchemaError,
-)
+from .errors import (ConfigError, DataError, DimlabError, NumericError,
+                     ParameterError)
 from .models import (
     Model,
     ModelConfig,
@@ -127,14 +121,14 @@ def report_to_json(report: RunReport) -> str:
 
 
 def report_from_json(text: str) -> RunReport:
-    """Parse ``report_to_json``'s output; anything else is a SchemaError."""
+    """Parse ``report_to_json``'s output; anything else is a DataError."""
     try:
         payload = json.loads(text)
     except ValueError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from exc
+        raise DataError(f"invalid JSON: {exc}") from exc
     version = payload.get("schema_version") if isinstance(payload, dict) else None
     if version != REPORT_SCHEMA_VERSION:
-        raise SchemaError(f"unsupported report schema {version!r}")
+        raise DataError(f"unsupported report schema {version!r}")
 
     def mk(d):
         return None if d is None else Metrics(**d)
@@ -143,7 +137,7 @@ def report_from_json(text: str) -> RunReport:
         config = payload["config"]
         for key in ("lam", "seed"):  # read by RunReport.lam and .seed
             if key not in config["train"]:
-                raise SchemaError(f"report config lacks train.{key}")
+                raise DataError(f"report config lacks train.{key}")
         return RunReport(
             config=config,
             history=tuple(EpochRecord(**rec) for rec in payload["history"]),
@@ -153,9 +147,9 @@ def report_from_json(text: str) -> RunReport:
             error=payload["error"],
         )
     except KeyError as exc:
-        raise SchemaError(f"missing report key {exc}") from exc
+        raise DataError(f"missing report key {exc}") from exc
     except TypeError as exc:
-        raise SchemaError(f"malformed report: {exc}") from exc
+        raise DataError(f"malformed report: {exc}") from exc
 
 
 # ---------------------------------------------------------------- optimizer

@@ -62,13 +62,14 @@ def loss_terms_reference(preds, y, X, spec, lam, baseline_mode):
     X = np.asarray(X, dtype=np.float64)
     fit = pen.fit_batch(preds.value, X, spec)
     n = fit.batch_size
+    breakdown = fit.breakdown()  # refuses a 0-row batch
 
     residual = preds - ad.constant(y)
     mse = ad.scale(ad.sum_all(ad.square(residual)), 1.0 / n)
 
     if lam == 0 or all(f is None for f in fit.features.values()):
         return pen.LossTerms(total=mse, mse=mse, penalty=None,
-                             breakdown=fit.breakdown())
+                             breakdown=breakdown)
 
     per_feature = {}
     p_sum_node = None

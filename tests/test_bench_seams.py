@@ -125,20 +125,27 @@ def test_run_experiment_calls_module_level_grid_search(tmp_path, monkeypatch):
     assert sorted(r.lam for r in captured) == [0.0, 1.0]
 
 
-@pytest.mark.parametrize("trace", [[], ["--trace"]], ids=["plain", "traced"])
-def test_worker_sweep_passes_its_checks(trace, tmp_path, capsys):
-    """The benchmark worker, run in-process on its smallest workload,
-    finds every name it calls and passes every check it makes; traced, it
-    also checks that its phases sum to the cell time and that every
+@pytest.mark.parametrize("workload, trace", [
+    pytest.param("penalty_small_batch", [], id="plain"),
+    pytest.param("penalty_small_batch", ["--trace"], id="traced"),
+    pytest.param("sweep_mlp3", [], id="sweep_mlp3-plain"),
+    pytest.param("sweep_mlp3", ["--trace"], id="sweep_mlp3-traced")])
+def test_worker_sweep_passes_its_checks(workload, trace, tmp_path, capsys):
+    """The benchmark worker, run in-process on its serial smallest workload
+    and on its pooled one, finds every name it calls, passes every check it
+    makes and writes the reports whose digest the benchmark expects; traced,
+    it also checks that its phases sum to the cell time and that every
     wrapper is restored."""
     saved_path = list(sys.path)
     sys.path.insert(0, str(PERFBENCH))
     try:
         worker = importlib.import_module("worker")
         capsys.readouterr()
-        assert worker.main(["--workload", "penalty_small_batch", "--seed", "1",
+        assert worker.main(["--workload", workload, "--seed", "1",
                             "--out", str(tmp_path / "w"), *trace]) == 0
     finally:
         sys.path[:] = saved_path
     record = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert record["checks"] and all(record["checks"].values()), record["checks"]
+    digests = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))
+    assert record["digest"] == digests[workload]["1"]

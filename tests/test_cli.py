@@ -250,6 +250,17 @@ def test_audit_requires_monotonic(tmp_path, capsys):
     assert "error [config]" in capsys.readouterr().err
 
 
+def test_audit_of_a_name_that_is_not_a_feature_is_a_config_error(tmp_path,
+                                                                 capsys):
+    preds = tmp_path / "p.csv"
+    feats = tmp_path / "f.csv"
+    preds.write_text("pred\n0\n3\n", encoding="utf-8")
+    feats.write_text("x\n0\n1\n", encoding="utf-8")
+    assert main(["audit", str(preds), str(feats), "--monotonic", "z"]) == 2
+    err = capsys.readouterr().err
+    assert "error [config]" in err and "['z']" in err
+
+
 def test_report_needs_artifacts(tmp_path, capsys):
     assert main(["report", str(tmp_path)]) == 2
     assert "error [report]" in capsys.readouterr().err

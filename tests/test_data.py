@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dimlab import data as dp
-from dimlab.errors import ConfigError, DataError, SchemaError
+from dimlab.errors import ConfigError, DataError
 from dimlab.penalty import MonotonicitySpec
 
 
@@ -152,16 +152,16 @@ def test_load_csv_monotonic_name_resolution(tmp_path):
 def test_load_csv_missing_columns(tmp_path):
     p = tmp_path / "toy.csv"
     p.write_text("a,b\n1,2\n")
-    with pytest.raises(SchemaError, match="y"):
+    with pytest.raises(DataError, match="y"):
         dp.load_csv(p, "y")
-    with pytest.raises(SchemaError, match="c"):
+    with pytest.raises(ConfigError, match="c"):
         dp.load_csv(p, "b", monotonic_columns=("c",))
 
 
 def test_load_csv_rejects_duplicate_columns(tmp_path):
     p = tmp_path / "toy.csv"
     p.write_text("a, a,y\n1,2,3\n")
-    with pytest.raises(SchemaError, match="duplicate column names \\['a'\\]"):
+    with pytest.raises(DataError, match="duplicate column names \\['a'\\]"):
         dp.load_csv(p, "y")
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -10,8 +11,7 @@ import dimlab.data as dp
 import dimlab.experiments as ex
 import dimlab.models as mz
 import dimlab.training as tr
-from dimlab.errors import (ConfigError, DataError, NumericError,
-                           ParameterError, SchemaError)
+from dimlab.errors import ConfigError, DataError, NumericError, ParameterError
 
 
 def exp_report(lam, seed, mse, mae=1.0, mape=100.0, error=None, val_mse=None):
@@ -253,6 +253,66 @@ def test_build_model_config_fills_input_dim():
     assert mc.input_dim == 4
     with pytest.raises(ConfigError, match="unknown model keys"):
         ex.build_model_config(ex.ExperimentConfig(model={"depth": 3}), 4)
+
+
+def test_train_section_given_as_a_dict_writes_the_same_summary(tmp_path):
+    as_dict = small_experiment(tmp_path / "d",
+                               train={"batch_size": 32, "max_epochs": 2})
+    assert as_dict.train == tr.TrainConfig(batch_size=32, max_epochs=2)
+    ex.run_experiment(as_dict)
+    ex.run_experiment(small_experiment(tmp_path / "t"))
+    summary = "out/summary.csv"
+    assert ((tmp_path / "d" / summary).read_bytes()
+            == (tmp_path / "t" / summary).read_bytes())
+
+
+@pytest.mark.parametrize("train, match", [
+    ({"max_epoch": 1}, "unknown train keys"),
+    (5, "train section must be an object")], ids=["unknown_key", "number"])
+def test_bad_train_section_is_refused_at_construction(train, match):
+    with pytest.raises(ConfigError, match=match):
+        ex.ExperimentConfig(train=train)
+
+
+@pytest.mark.parametrize("model", ["mlp3", None, ["mlp3"]])
+def test_model_that_is_not_an_object_is_refused_at_construction(model):
+    with pytest.raises(ConfigError, match="model section must be an object"):
+        ex.ExperimentConfig(model=model)
+
+
+def name_entry_points(tmp_path):
+    """Each way a list of monotonic names enters a run, as a function of
+    that list; x1 and x3 are features of every dataset here."""
+    table = tmp_path / "t.csv"
+    table.write_text("x1,x3,y\n0,1,2\n1,0,3\n", encoding="utf-8")
+    preds, feats = tmp_path / "p.csv", tmp_path / "f.csv"
+    write_table(preds, ["p"], [[1.0], [2.0]])
+    write_table(feats, ["x1", "x3"], [[0.0, 1.0], [1.0, 0.0]])
+    ds = dp.generate_synthetic(dp.SyntheticConfig(n=30))
+    return {
+        "load_csv": lambda names: dp.load_csv(table, "y", names),
+        "with_monotonic_names": lambda names: ex.with_monotonic_names(ds, names),
+        "audit": lambda names: ex.audit(preds, feats, names),
+        "monotonic_sets": lambda names: ex.ExperimentConfig(
+            monotonic_sets=names),
+        "monotonic_sets_item": lambda names: ex.ExperimentConfig(
+            monotonic_sets=[names]),
+    }
+
+
+@pytest.mark.parametrize("entry, names, match", [
+    *(pytest.param(entry, "x3", "got 'x3'", id=f"{entry}-bare_string")
+      for entry in ("load_csv", "with_monotonic_names", "audit",
+                    "monotonic_sets")),
+    pytest.param("monotonic_sets_item", "x3", "got ['x3']",
+                 id="monotonic_sets_item-bare_string"),
+    *(pytest.param(entry, ("x1", "z"), "monotonic names ['z'] not among "
+                   "features", id=f"{entry}-stray_name")
+      for entry in ("load_csv", "with_monotonic_names", "audit"))])
+def test_a_bare_string_or_a_stray_name_is_a_config_error(tmp_path, entry,
+                                                        names, match):
+    with pytest.raises(ConfigError, match=re.escape(match)):
+        name_entry_points(tmp_path)[entry](names)
 
 
 def test_with_monotonic_names_maps_to_indices():
@@ -668,7 +728,7 @@ def test_audit_rejects_unknown_monotonic_name(tmp_path):
     feats = tmp_path / "f.csv"
     write_table(preds, ["p"], [[1.0], [2.0]])
     write_table(feats, ["x"], [[0.0], [1.0]])
-    with pytest.raises(DataError, match="z"):
+    with pytest.raises(ConfigError, match="z"):
         ex.audit(preds, feats, ["z"])
 
 
@@ -677,7 +737,7 @@ def test_audit_rejects_duplicate_feature_names(tmp_path):
     feats = tmp_path / "f.csv"
     write_table(preds, ["p"], [[1.0], [2.0]])
     write_table(feats, ["x", " x"], [[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(SchemaError, match="duplicate"):
+    with pytest.raises(DataError, match="duplicate"):
         ex.audit(preds, feats, ["x"])
 
 
@@ -706,7 +766,7 @@ def test_package_exports_the_sweep_api_and_the_error_classes():
     assert sorted(dimlab.__all__) == [
         "ConfigError", "DataError", "DimensionError", "DimlabError",
         "ExperimentConfig", "ModelConfig", "NumericError", "ParameterError",
-        "SchemaError", "SyntheticConfig", "TrainConfig", "generate_synthetic",
+        "SyntheticConfig", "TrainConfig", "generate_synthetic",
         "lambda_grid_search", "run_experiment", "select_lambda"]
     for name in dimlab.__all__:
         assert getattr(dimlab, name) is not None, name

@@ -8,7 +8,7 @@ import pytest
 from dimlab import autodiff as ad
 from dimlab import models as mz
 from dimlab import penalty as pen
-from dimlab.errors import ConfigError, DimensionError, SchemaError
+from dimlab.errors import ConfigError, DataError, DimensionError
 
 
 def cfg(arch, d=4, **kw):
@@ -229,7 +229,7 @@ def test_checkpoint_shape_mismatch_rejected(tmp_path):
     model.parameters["head_w"] = np.zeros((64, 1))  # inconsistent with config
     path = tmp_path / "bad.npz"
     mz.save_model(model, path)
-    with pytest.raises(SchemaError):
+    with pytest.raises(DataError):
         mz.load_model(path)
 
 
@@ -245,7 +245,7 @@ def _checkpoint_with_config(tmp_path, meta: str):
 def test_checkpoint_invalid_config_value_names_the_file(tmp_path, field, value):
     meta = json.dumps({**asdict(cfg("ann")), field: value})
     path = _checkpoint_with_config(tmp_path, meta)
-    with pytest.raises(SchemaError, match=f"hand.npz: bad checkpoint config: "
+    with pytest.raises(DataError, match=f"hand.npz: bad checkpoint config: "
                                           f"{field} must be"):
         mz.load_model(path)
 
@@ -253,14 +253,14 @@ def test_checkpoint_invalid_config_value_names_the_file(tmp_path, field, value):
 def test_checkpoint_without_config_or_of_another_architecture(tmp_path):
     bare = tmp_path / "bare.npz"
     np.savez(bare, **mz.build_model(cfg("ann")).parameters)
-    with pytest.raises(SchemaError, match="bare.npz: not a model checkpoint"):
+    with pytest.raises(DataError, match="bare.npz: not a model checkpoint"):
         mz.load_model(bare)
     path = _checkpoint_with_config(tmp_path, json.dumps(asdict(cfg("mlp3"))))
-    with pytest.raises(SchemaError, match="do not match architecture mlp3"):
+    with pytest.raises(DataError, match="do not match architecture mlp3"):
         mz.load_model(path)
 
 
 def test_checkpoint_malformed_config_json_names_the_file(tmp_path):
     path = _checkpoint_with_config(tmp_path, '{"architecture": "ann",')
-    with pytest.raises(SchemaError, match="hand.npz: bad checkpoint config"):
+    with pytest.raises(DataError, match="hand.npz: bad checkpoint config"):
         mz.load_model(path)

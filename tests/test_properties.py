@@ -2,9 +2,10 @@
 
 A degenerate fit and an undefined compliance are None exactly when the
 input leaves nothing to fit; the loss terms and ``conv1d_same`` keep the
-bytes of their references in ``tests/oracles.py``; and the config
-validator accepts a value only when it is valid and stores it in one
-canonical form.
+bytes of their references in ``tests/oracles.py``, and ``dense`` those of
+the op chain it fuses; monotonic names map to their features' positions or
+are refused; and the config validator accepts a value only when it is
+valid and stores it in one canonical form.
 """
 
 import math
@@ -16,7 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dimlab import autodiff as ad
 from dimlab import penalty as pen
-from dimlab.errors import ConfigError
+from dimlab.errors import ConfigError, DimensionError, ParameterError
 from dimlab.models import set_numbers
 from oracles import conv1d_same_reference, loss_terms_reference
 
@@ -104,7 +105,7 @@ def test_loss_terms_match_the_op_graph_byte_for_byte(batch, lam):
             args = (preds, y, X, spec, weight, mode)
             if len(preds) == 0:
                 for build in (pen.build_loss_terms, loss_terms_reference):
-                    with pytest.raises(ZeroDivisionError):
+                    with pytest.raises(DimensionError):
                         loss_terms_bits(build, *args)
                 continue
             assert (loss_terms_bits(pen.build_loss_terms, *args)
@@ -133,6 +134,51 @@ def test_conv1d_same_matches_its_reference_byte_for_byte(batch, length, in_ch,
     got = (out.value, *(n.grad for n in nodes))
     for a, want in zip(got, conv1d_same_reference(x, k, b, g)):
         assert a.shape == want.shape and a.tobytes() == want.tobytes()
+
+
+@PROPERTY
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+       st.one_of(st.just(0.0), st.floats(0.01, 0.9)), st.integers(0, 2**32),
+       st.data())
+def test_dense_matches_its_unfused_chain_byte_for_byte(n, d, units, rate,
+                                                       seed, data):
+    def draw(*shape):
+        size = int(np.prod(shape))
+        return np.array(data.draw(st.lists(VALUES, min_size=size,
+                                           max_size=size))).reshape(shape)
+
+    h, w, b, g = draw(n, d), draw(d, units), draw(units), draw(n, units)
+
+    def run(layer):
+        """The value, the gradients of h, w and b, and the generator's
+        state after the layer draws its mask."""
+        nodes = [ad.leaf(v, requires_grad=True) for v in (h, w, b)]
+        rng = np.random.default_rng(seed)
+        out = layer(*nodes, rate, rng)
+        ad.backward_pass(ad.sum_all(out * ad.constant(g)))
+        arrays = [out.value, *(node.grad for node in nodes)]
+        return [(a.shape, a.tobytes()) for a in arrays], rng.bit_generator.state
+
+    assert run(ad.dense) == run(lambda h, w, b, rate, rng: ad.dropout(
+        ad.relu(ad.matmul(h, w) + b), rate, True, rng))
+
+
+@PROPERTY
+@given(st.lists(st.text(max_size=2), unique=True, max_size=5).flatmap(
+    lambda features: st.tuples(st.just(features), st.lists(
+        st.sampled_from(features) | st.text(max_size=2)
+        if features else st.text(max_size=2), max_size=5))))
+def test_of_names_gives_the_positions_of_feature_names_or_refuses(case):
+    features, names = case
+    if any(name not in features for name in names):
+        with pytest.raises(ConfigError):
+            pen.MonotonicitySpec.of_names(features, names)
+    elif len(set(names)) < len(names):
+        with pytest.raises(ParameterError, match="duplicate"):
+            pen.MonotonicitySpec.of_names(features, names)
+    else:
+        spec = pen.MonotonicitySpec.of_names(features, iter(names))
+        assert spec.indices == tuple(sorted(map(features.index, names)))
 
 
 @dataclass(frozen=True)
