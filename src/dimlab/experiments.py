@@ -4,8 +4,7 @@ An experiment is a dataset source, one model architecture, a lambda grid,
 and a list of seeds, applied once per requested monotonic feature set.
 Every (feature set, lambda, seed) training run leaves a canonical JSON
 report plus a per-epoch CSV under the output directory; the summary table
-is a pure function of those reports and can be rebuilt byte-identically
-from disk.
+is built from those reports alone, by the same code as ``dimlab report``.
 """
 
 from __future__ import annotations
@@ -214,16 +213,15 @@ def summarize_row(label: str, model_name: str, reports) -> SummaryRow:
     with those at ``select_lambda``'s validation choice; every %drop
     column comes from that one lambda, so a choice of 0 drops nothing.
     """
-    med = lambda_medians(reports, "test_metrics")
-    if 0.0 not in med:
+    mse, mae, mape = (lambda_medians(reports, "test_metrics", metric)
+                      for metric in ("mse", "mae", "mape"))
+    if 0.0 not in mse:
         raise DataError(f"row {label!r}: no successful baseline (lambda=0) runs")
     lam = select_lambda(reports)
-    if lam not in med:
+    if lam not in mse:
         raise DataError(f"row {label!r}: no test metrics at lambda {lam:g}")
-    base, chosen = med[0.0], med[lam]
-    drops = [percent_drop(getattr(base, metric), getattr(chosen, metric))
-             for metric in ("mse", "mae", "mape")]
-    return SummaryRow(label, model_name, base.mse, chosen.mse, lam, *drops)
+    drops = [percent_drop(med[0.0], med[lam]) for med in (mse, mae, mape)]
+    return SummaryRow(label, model_name, mse[0.0], mse[lam], lam, *drops)
 
 
 def _summary_cell(name: str, value) -> str:
@@ -278,11 +276,12 @@ def run_experiment(cfg: ExperimentConfig, max_workers: int = 1) -> ExperimentRes
     """Execute the full sweep and leave artifacts in cfg.output_dir.
 
     Layout: <out>/config.json, <out>/summary.csv, and per feature-set
-    <out>/<label>/run_lam*_seed*.{json,csv}. Rows are ordered by label so
-    the table is a pure function of the artifacts.
-    Grid cells may run on a thread pool (max_workers); all file writes
-    happen here, on the orchestrating thread, once the dataset, the model
-    and every row resolve and the first row has trained.
+    <out>/<label>/run_lam*_seed*.{json,csv}. Once every row's run files
+    are written, summary.csv and the result's rows are rebuild_summary's
+    table of them. Grid cells may run on a thread pool (max_workers); all
+    file writes happen here, on the orchestrating thread, once the
+    dataset, the model and every row resolve and the first row has
+    trained.
     """
     base = resolve_dataset(cfg)
     if cfg.monotonic_sets is not None:
@@ -313,8 +312,8 @@ def run_experiment(cfg: ExperimentConfig, max_workers: int = 1) -> ExperimentRes
     if stale:
         raise ConfigError(f"{out} holds run reports this sweep would not "
                           f"write, which would mix into its summary: {stale}")
-    row_reports = {}
-    for label, ds in row_data:
+    all_ok = True
+    for i, (label, ds) in enumerate(row_data):
         log.info("sweep %s: %d lambdas x %d seeds", label, len(cfg.grid),
                  len(cfg.seeds))
         reports = lambda_grid_search(
@@ -323,18 +322,15 @@ def run_experiment(cfg: ExperimentConfig, max_workers: int = 1) -> ExperimentRes
             norm_fit_on_train=cfg.norm_fit_on_train,
             validate_on_test=cfg.validate_on_test,
             max_workers=max_workers)
-        if not row_reports:  # lambda_grid_search's own checks passed too
+        if i == 0:  # lambda_grid_search's own checks passed too
             out.mkdir(parents=True, exist_ok=True)
             (out / "config.json").write_text(
                 json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n",
                 encoding="utf-8")
-        row_reports[label] = reports
+        all_ok &= all(r.error is None for r in reports)
         write_run_artifacts(reports, out / label)
     # every row has trained and left its run files before any summary
-    rows = tuple(summarize_row(label, model_cfg.architecture, reports)
-                 for label, reports in row_reports.items())
-    all_ok = all(r.error is None for rs in row_reports.values() for r in rs)
-
+    rows = rebuild_summary(out)
     (out / "summary.csv").write_text(summary_to_csv(rows), encoding="utf-8")
     return ExperimentResult(rows=rows, all_cells_ok=all_ok)
 
@@ -376,8 +372,7 @@ def read_reports(row_dir: Path) -> list[RunReport]:
     for path in sorted(row_dir.glob("run_*.json")):
         try:
             report = report_from_json(path.read_text(encoding="utf-8"))
-            model = report.config.get("model")
-            if not isinstance(model, dict) or "architecture" not in model:
+            if "architecture" not in report.config["model"]:
                 raise DataError("report config lacks model.architecture")
             reports.append(report)
         except (DataError, UnicodeDecodeError) as exc:
@@ -386,7 +381,8 @@ def read_reports(row_dir: Path) -> list[RunReport]:
 
 
 def rebuild_summary(output_dir) -> tuple[SummaryRow, ...]:
-    """Reconstruct the summary table purely from on-disk run reports."""
+    """The summary table of the run reports under ``output_dir``, one row
+    per directory that holds any, ordered by its name."""
     out = Path(output_dir)
     rows = []
     row_dirs = sorted(d for d in out.iterdir()

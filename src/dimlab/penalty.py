@@ -64,7 +64,8 @@ class MonotonicitySpec:
     @classmethod
     def of_names(cls, feature_names, names) -> MonotonicitySpec:
         """The spec of the features ``names`` among ``feature_names``: a
-        bare string, or a name that is not a feature, is a ConfigError."""
+        bare string, a name that is not a feature, or a repeated name is a
+        ConfigError."""
         if isinstance(names, str):
             raise ConfigError(f"monotonic names must be a list, got {names!r}")
         names, feature_names = list(names), list(feature_names)
@@ -72,6 +73,9 @@ class MonotonicitySpec:
         if missing:
             raise ConfigError(f"monotonic names {missing} not among "
                               f"features {feature_names}")
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise ConfigError(f"duplicate monotonic names {repeated} in {names}")
         return cls(feature_names.index(n) for n in names)
 
     def validate_for(self, num_features: int) -> None:
@@ -169,7 +173,7 @@ class BatchFit:
         their sum divided by the batch size."""
         n = self.batch_size
         if n < 1:
-            raise DimensionError("monotonicity_penalty needs at least one row")
+            raise DimensionError("a batch penalty needs at least one row, got 0")
         per_feature: dict[int, float] = {}
         p_sum = 0.0
         for j, f in self.features.items():

@@ -15,7 +15,7 @@ import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict, fields, replace
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
@@ -130,20 +130,37 @@ def report_from_json(text: str) -> RunReport:
     if version != REPORT_SCHEMA_VERSION:
         raise DataError(f"unsupported report schema {version!r}")
 
-    def mk(d):
-        return None if d is None else Metrics(**d)
+    def check(where, value, kind, noun):
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise DataError(f"report {where} must be {noun}, got {value!r}")
+
+    def mk(split):
+        if payload[split] is None:
+            return None
+        m = Metrics(**payload[split])
+        for name in ("mse", "mae", "mape"):
+            check(f"{split}.{name}", getattr(m, name), (int, float), "a number")
+        if m.compliance is not None:
+            check(f"{split}.compliance", m.compliance, (int, float),
+                  "a number or null")
+        return m
 
     try:
         config = payload["config"]
-        for key in ("lam", "seed"):  # read by RunReport.lam and .seed
+        for section in ("train", "model"):
+            check(f"config.{section}", config[section], dict, "an object")
+        # read by RunReport.lam and .seed
+        for key, kind, noun in (("lam", (int, float), "a number"),
+                                ("seed", int, "an integer")):
             if key not in config["train"]:
                 raise DataError(f"report config lacks train.{key}")
+            check(f"train.{key}", config["train"][key], kind, noun)
         return RunReport(
             config=config,
             history=tuple(EpochRecord(**rec) for rec in payload["history"]),
             best_epoch=payload["best_epoch"],
-            val_metrics=mk(payload["val_metrics"]),
-            test_metrics=mk(payload["test_metrics"]),
+            val_metrics=mk("val_metrics"),
+            test_metrics=mk("test_metrics"),
             error=payload["error"],
         )
     except KeyError as exc:
@@ -518,31 +535,24 @@ def lambda_grid_search(dataset: Dataset, model_config: ModelConfig,
         return list(pool.map(run_cell, cells))
 
 
-def lambda_medians(reports, split: str) -> dict[float, Metrics]:
+def lambda_medians(reports, split: str, metric: str) -> dict[float, float]:
     """Per-lambda medians, across seeds, of the successful reports'
-    ``split`` metrics ("val_metrics" or "test_metrics"), in ascending
-    lambda order. Compliance is the median of the seeds that define it,
-    or None when none does."""
-    by_lam: dict[float, list[Metrics]] = {}
+    ``split`` ("val_metrics" or "test_metrics") ``metric``, in ascending
+    lambda order."""
+    by_lam: dict[float, list[float]] = {}
     for r in reports:
         m = getattr(r, split)
         if r.error is None and m is not None:
-            by_lam.setdefault(r.lam, []).append(m)
-
-    def median(values):
-        defined = [v for v in values if v is not None]
-        return float(np.median(defined)) if defined else None
-
-    return {lam: Metrics(**{f.name: median([getattr(m, f.name) for m in ms])
-                            for f in fields(Metrics)})
-            for lam, ms in sorted(by_lam.items())}
+            by_lam.setdefault(r.lam, []).append(getattr(m, metric))
+    return {lam: float(np.median(values))
+            for lam, values in sorted(by_lam.items())}
 
 
 def select_lambda(reports) -> float:
     """The lambda with the lowest median validation MSE across seeds
     (``lambda_medians``); ties go to the smaller lambda."""
-    med = lambda_medians(reports, "val_metrics")
+    med = lambda_medians(reports, "val_metrics", "mse")
     if not med:
         raise ParameterError("no successful reports to select from")
     # ascending keys, so min() returns the smallest lambda on ties
-    return min(med, key=lambda lam: med[lam].mse)
+    return min(med, key=med.get)

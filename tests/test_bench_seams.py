@@ -66,7 +66,8 @@ def test_cell_pipeline_runs_through_traced_names(tmp_path):
                  "training.train", "training.evaluate",
                  "penalty.build_loss_terms", "penalty.fit_linear_baseline",
                  "penalty.compliance_score", "training.adam_step",
-                 "autodiff.backward_pass", "experiments.write_run_artifacts"):
+                 "autodiff.backward_pass", "experiments.write_run_artifacts",
+                 "experiments.rebuild_summary"):
         assert name in names, name
 
 

@@ -261,6 +261,16 @@ def test_audit_of_a_name_that_is_not_a_feature_is_a_config_error(tmp_path,
     assert "error [config]" in err and "['z']" in err
 
 
+def test_audit_of_a_repeated_name_is_a_config_error(tmp_path, capsys):
+    preds = tmp_path / "p.csv"
+    feats = tmp_path / "f.csv"
+    preds.write_text("pred\n0\n3\n", encoding="utf-8")
+    feats.write_text("x\n0\n1\n", encoding="utf-8")
+    assert main(["audit", str(preds), str(feats), "--monotonic", "x,x"]) == 2
+    err = capsys.readouterr().err
+    assert "error [config]: duplicate monotonic names ['x']" in err
+
+
 def test_report_needs_artifacts(tmp_path, capsys):
     assert main(["report", str(tmp_path)]) == 2
     assert "error [report]" in capsys.readouterr().err
@@ -452,3 +462,38 @@ def test_report_names_a_damaged_run_report(name, tmp_path, capsys):
     assert main(["report", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "error [report]" in err and str(path) in err
+
+
+# (where, key, value): a field of the lam=0.5 report set to a wrong type
+DAMAGED_FIELDS = {
+    "train_is_a_list": (("config",), "train", ["lam", "seed"]),
+    "train_is_a_string": (("config",), "train", "lam seed"),
+    "lam_is_a_string": (("config", "train"), "lam", "0.5"),
+    "lam_is_a_bool": (("config", "train"), "lam", True),
+    "seed_is_a_float": (("config", "train"), "seed", 0.5),
+    "seed_is_a_string": (("config", "train"), "seed", "0"),
+    "test_mse_is_a_string": (("test_metrics",), "mse", "1.0"),
+    "test_mae_is_null": (("test_metrics",), "mae", None),
+    "test_mape_is_a_list": (("test_metrics",), "mape", [1.0]),
+    "val_mse_is_a_bool": (("val_metrics",), "mse", True),
+    "compliance_is_a_string": (("test_metrics",), "compliance", "high"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DAMAGED_FIELDS))
+def test_report_refuses_a_field_of_the_wrong_type(name, tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    path = tmp_path / "out" / "x3" / "run_lam0.5_seed0.json"
+    where, key, value = DAMAGED_FIELDS[name]
+
+    def damage(report):
+        for section in where:
+            report = report[section]
+        report[key] = value
+
+    path.write_bytes(edit_report(path.read_text(encoding="utf-8"), damage))
+    capsys.readouterr()
+    assert main(["report", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"error [report]: {path}: report {where[-1]}.{key} must be" in err

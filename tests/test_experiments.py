@@ -432,6 +432,23 @@ def test_run_experiment_artifacts_and_rebuild(tmp_path):
     assert ex.summary_to_csv(rebuilt).encode() == (out / "summary.csv").read_bytes()
 
 
+def test_sweep_summary_is_read_back_from_the_run_files(tmp_path, monkeypatch):
+    real_write = ex.write_run_artifacts
+
+    def write_then_alter(reports, row_dir):
+        real_write(reports, row_dir)
+        path = row_dir / "run_lam0_seed0.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["test_metrics"]["mse"] = 1234.5
+        path.write_text(json.dumps(payload), encoding="utf-8")
+
+    monkeypatch.setattr(ex, "write_run_artifacts", write_then_alter)
+    result = ex.run_experiment(small_experiment(tmp_path))
+    assert result.rows[0].baseline_mse == 1234.5
+    summary = (tmp_path / "out" / "summary.csv").read_text(encoding="utf-8")
+    assert summary.splitlines()[1].startswith("x3,ann,1234.50000,")
+
+
 def test_run_experiment_default_rows_cover_monotonic_features(tmp_path):
     cfg = small_experiment(
         tmp_path, dataset={"synthetic": {"n": 60, "seed": 1}},
@@ -730,6 +747,13 @@ def test_audit_rejects_unknown_monotonic_name(tmp_path):
     write_table(feats, ["x"], [[0.0], [1.0]])
     with pytest.raises(ConfigError, match="z"):
         ex.audit(preds, feats, ["z"])
+
+
+def test_run_experiment_refuses_a_repeated_monotonic_name(tmp_path):
+    cfg = small_experiment(tmp_path, monotonic_sets=(("x1", "x1"),))
+    with pytest.raises(ConfigError, match=r"duplicate monotonic names \['x1'\]"):
+        ex.run_experiment(cfg)
+    assert not Path(cfg.output_dir).exists()
 
 
 def test_audit_rejects_duplicate_feature_names(tmp_path):

@@ -389,6 +389,15 @@ def test_report_json_roundtrip():
     assert "wall_time" not in tr.report_to_json(rep)
 
 
+@pytest.mark.parametrize("model", [["mlp3"], "mlp3", None])
+def test_report_from_json_refuses_a_model_section_that_is_not_an_object(model):
+    rep = tr.RunReport(config={"train": {"lam": 0.2, "seed": 1},
+                               "model": model},
+                       history=(), best_epoch=-1)
+    with pytest.raises(DataError, match="config.model must be an object"):
+        tr.report_from_json(tr.report_to_json(rep))
+
+
 # ---------------------------------------------------------------- sweep
 
 def test_grid_search_degenerate_grid_equals_plain_training():
