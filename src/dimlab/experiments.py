@@ -41,6 +41,7 @@ from .training import (
     report_to_json,
     select_lambda,
     split_for_seed,
+    sweep_axes,
 )
 
 log = logging.getLogger(__name__)
@@ -108,11 +109,10 @@ class ExperimentConfig:
                                config_section(TrainConfig, self.train, "train"))
         if not isinstance(self.model, dict):
             raise ConfigError(f"model section must be an object, got {self.model!r}")
-        set_numbers(self, {"grid": "[0, inf)", "seeds": 0}, each=True)
+        for name, axis in zip(("grid", "seeds"),
+                              sweep_axes(self.grid, self.seeds)):
+            object.__setattr__(self, name, axis)
         set_numbers(self, {"train_frac": "(0, 1)"})
-        if 0.0 not in self.grid:
-            raise ConfigError(
-                f"grid must include the 0.0 baseline, got {self.grid}")
         if (not isinstance(self.dataset, dict) or len(self.dataset) != 1
                 or set(self.dataset) - {"synthetic", "csv"}):
             raise ConfigError(
@@ -120,12 +120,8 @@ class ExperimentConfig:
                 f"keys, got {self.dataset!r}")
         if "csv" in self.dataset:
             config_section(CsvSource, self.dataset["csv"], "csv")
-        if not self.seeds:
-            raise ConfigError("seeds must be non-empty")
-        # each cell writes to files named by its (lam, seed) stem
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError(f"seeds must be distinct, got {self.seeds}")
-        # -0.0 == 0.0, but their stems differ
+        # each cell writes to files named by its (lam, seed) stem; -0.0 ==
+        # 0.0, but their stems differ
         stems = {_cell_stem(lam, 0) for lam in self.grid}
         if len(stems) != len(self.grid) or len(set(self.grid)) != len(self.grid):
             raise ConfigError(
@@ -371,10 +367,7 @@ def read_reports(row_dir: Path) -> list[RunReport]:
     reports = []
     for path in sorted(row_dir.glob("run_*.json")):
         try:
-            report = report_from_json(path.read_text(encoding="utf-8"))
-            if "architecture" not in report.config["model"]:
-                raise DataError("report config lacks model.architecture")
-            reports.append(report)
+            reports.append(report_from_json(path.read_text(encoding="utf-8")))
         except (DataError, UnicodeDecodeError) as exc:
             raise DataError(f"{path}: {exc}") from exc
     return reports

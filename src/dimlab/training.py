@@ -10,12 +10,15 @@ for identical seeds.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -149,12 +152,14 @@ def report_from_json(text: str) -> RunReport:
         config = payload["config"]
         for section in ("train", "model"):
             check(f"config.{section}", config[section], dict, "an object")
-        # read by RunReport.lam and .seed
-        for key, kind, noun in (("lam", (int, float), "a number"),
-                                ("seed", int, "an integer")):
-            if key not in config["train"]:
-                raise DataError(f"report config lacks train.{key}")
-            check(f"train.{key}", config["train"][key], kind, noun)
+        # read by RunReport.lam and .seed, and by rebuild_summary
+        for section, key, kind, noun in (
+                ("train", "lam", (int, float), "a number"),
+                ("train", "seed", int, "an integer"),
+                ("model", "architecture", str, "a string")):
+            if key not in config[section]:
+                raise DataError(f"report config lacks {section}.{key}")
+            check(f"{section}.{key}", config[section][key], kind, noun)
         return RunReport(
             config=config,
             history=tuple(EpochRecord(**rec) for rec in payload["history"]),
@@ -269,16 +274,9 @@ def _val_mse(model: Model, ds: Dataset) -> float:
 
 # ---------------------------------------------------------------- training
 
-def _config_snapshot(model_config: ModelConfig, config: TrainConfig,
-                     cell: tuple[float, int] | None = None) -> dict:
-    """Report config; ``cell`` = (lam, seed) overrides those fields on the
-    dicts, unvalidated, so a cell with an invalid lam is still recorded."""
+def _config_snapshot(model_config: ModelConfig, config: TrainConfig) -> dict:
     snap = {"model": asdict(model_config), "train": asdict(config)}
     snap["model"]["hidden_sizes"] = list(model_config.hidden_sizes)
-    if cell is not None:
-        lam, seed = cell
-        snap["model"]["seed"] = seed
-        snap["train"].update(lam=float(lam), seed=seed)
     return snap
 
 
@@ -416,9 +414,10 @@ _OPENBLAS_SYMBOLS = (
 )
 
 
+@functools.cache
 def _find_openblas():
-    """(get, set) thread-count functions of numpy's OpenBLAS, or None; dlsym
-    on numpy's LAPACK extension also searches the libraries it links."""
+    """(get, set) thread-count functions of numpy's OpenBLAS, or None, found
+    once by dlsym on numpy's LAPACK extension and the libraries it links."""
     import ctypes
 
     lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
@@ -428,58 +427,48 @@ def _find_openblas():
             get.argtypes, get.restype = [], ctypes.c_int
             set_.argtypes, set_.restype = [ctypes.c_int], None
             return get, set_
+    log.info("no OpenBLAS thread-count functions found; pooled sweeps run "
+             "with BLAS threads unpinned")
     return None
 
 
-class _OneBlasThread:
-    """Holds OpenBLAS at one thread while any pooled sweep runs.
-
-    Each pool worker is one thread; OpenBLAS threads of its own per
-    worker would oversubscribe the cores. The thread count is
-    process-wide, so overlapping sweeps share one set and one restore
-    under a lock and a depth count: the count found when the first sweep
-    enters is the count left when the last one exits, also when a cell
-    raised. The library is looked up on first use; without it, sweeps run
-    unpinned and that is logged once.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._saved = 0
-        self._api = None  # (get, set) once looked up, () when not found
-
-    def _functions(self):  # the caller holds the lock
-        if self._api is None:
-            self._api = _find_openblas() or ()
-            if not self._api:
-                log.info("no OpenBLAS thread-count functions found; pooled "
-                         "sweeps run with BLAS threads unpinned")
-        return self._api
-
-    def threads(self) -> int | None:
-        """OpenBLAS's current thread count, or None without the library."""
-        with self._lock:
-            api = self._functions()
-            return api[0]() if api else None
-
-    def __enter__(self):
-        with self._lock:
-            api = self._functions()
-            if api and self._depth == 0:
-                self._saved = api[0]()
-                api[1](1)
-            self._depth += 1
-
-    def __exit__(self, *exc_info):
-        with self._lock:
-            self._depth -= 1
-            if self._api and self._depth == 0:
-                self._api[1](self._saved)
+_BLAS_LOCK = threading.Lock()  # one per process, like the thread count
 
 
-# one per process, like the thread count it guards
-_ONE_BLAS_THREAD = _OneBlasThread()
+@contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread while a pooled sweep runs, then restore
+    the count found, also when a cell raised. Each pool worker is one
+    thread; OpenBLAS threads of its own per worker would oversubscribe the
+    cores. The count is process-wide, so overlapping pooled sweeps take
+    turns. Without the library, sweeps run unpinned."""
+    with _BLAS_LOCK:
+        api = _find_openblas()
+        if api is None:
+            yield
+            return
+        get, set_ = api
+        saved = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(saved)
+
+
+def sweep_axes(grid, seeds) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """A sweep's lambda grid and seeds, each read once (a generator is
+    fine): finite lambdas >= 0 that include the 0.0 baseline, and one or
+    more distinct integer seeds >= 0. A ConfigError names the field."""
+    axes = SimpleNamespace(grid=grid, seeds=seeds)
+    set_numbers(axes, {"grid": "[0, inf)", "seeds": 0}, each=True)
+    if 0.0 not in axes.grid:
+        raise ConfigError(f"grid must include the 0.0 baseline, got {axes.grid}")
+    if not axes.seeds:
+        raise ConfigError("seeds must be non-empty")
+    if len(set(axes.seeds)) != len(axes.seeds):
+        raise ConfigError(f"seeds must be distinct, got {axes.seeds}")
+    return axes.grid, axes.seeds
 
 
 def lambda_grid_search(dataset: Dataset, model_config: ModelConfig,
@@ -491,21 +480,17 @@ def lambda_grid_search(dataset: Dataset, model_config: ModelConfig,
                        max_workers: int = 1) -> list[RunReport]:
     """One full train+evaluate per (lambda, seed).
 
+    ``sweep_axes`` checks ``grid`` and ``seeds`` as for ExperimentConfig.
     Within a seed every lambda shares the same split, normalization, and
-    initial parameters. A cell that raises a DimlabError is recorded on
-    its report (error field) and does not stop the sweep; any other
-    exception is a bug and propagates. Every seed is split first; cells
-    are independent and share only frozen datasets, so with
+    initial parameters. A cell whose training raises a DimlabError is
+    recorded on its report (error field) and does not stop the sweep; any
+    other exception is a bug and propagates. Every seed is split first;
+    cells are independent and share only frozen datasets, so with
     max_workers > 1 all (seed, lambda) cells run on one thread pool, with
     OpenBLAS at one thread while it runs. Reports come back seed-major,
     in grid order, either way.
     """
-    if not grid:
-        raise ParameterError("lambda grid must be non-empty")
-    if 0.0 not in grid:
-        raise ParameterError("lambda grid must contain the 0.0 baseline")
-    if not seeds:
-        raise ParameterError("need at least one seed")
+    grid, seeds = sweep_axes(grid, seeds)
     if max_workers < 1:
         raise ParameterError(f"max_workers must be >= 1, got {max_workers}")
     if train_config.max_epochs < 1:
@@ -522,16 +507,17 @@ def lambda_grid_search(dataset: Dataset, model_config: ModelConfig,
         try:
             return fit_cell(lam, seed, model_config, train_config,
                             *splits[seed], validate_on_test)[1]
-        except DimlabError as exc:  # keep sweeping the other cells
+        except DimlabError as exc:  # a training fault: keep sweeping
             log.warning("cell lam=%s seed=%s failed: %s", lam, seed, exc)
-            return RunReport(
-                config=_config_snapshot(model_config, train_config, (lam, seed)),
-                history=(), best_epoch=-1, error=str(exc))
+            config = _config_snapshot(replace(model_config, seed=seed),
+                                      replace(train_config, lam=lam, seed=seed))
+            return RunReport(config=config, history=(), best_epoch=-1,
+                             error=str(exc))
 
     cells = [(lam, seed) for seed in seeds for lam in grid]
     if max_workers == 1:
         return list(map(run_cell, cells))
-    with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=max_workers) as pool:
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=max_workers) as pool:
         return list(pool.map(run_cell, cells))
 
 

@@ -477,6 +477,9 @@ DAMAGED_FIELDS = {
     "test_mape_is_a_list": (("test_metrics",), "mape", [1.0]),
     "val_mse_is_a_bool": (("val_metrics",), "mse", True),
     "compliance_is_a_string": (("test_metrics",), "compliance", "high"),
+    "architecture_is_null": (("config", "model"), "architecture", None),
+    "architecture_is_a_list": (("config", "model"), "architecture", ["mlp3"]),
+    "architecture_is_a_number": (("config", "model"), "architecture", 5),
 }
 
 

@@ -1,6 +1,6 @@
 import json
 import logging
-import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -381,7 +381,8 @@ def test_val_fraction_that_leaves_no_training_rows():
 
 def test_report_json_roundtrip():
     m = tr.Metrics(mse=0.5, mae=0.25, mape=12.5, compliance=None)
-    rep = tr.RunReport(config={"train": {"lam": 0.2, "seed": 1}, "model": {}},
+    rep = tr.RunReport(config={"train": {"lam": 0.2, "seed": 1},
+                               "model": {"architecture": "ann"}},
                        history=(tr.EpochRecord(1.0, 2.0, 0.0),),
                        best_epoch=0, val_metrics=m, test_metrics=None)
     back = tr.report_from_json(tr.report_to_json(rep))
@@ -430,28 +431,69 @@ def test_grid_search_shapes_and_determinism():
 
 def test_grid_search_requires_baseline_lambda():
     ds = linear_dataset(n=40)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="0.0 baseline"):
         tr.lambda_grid_search(ds, mz.ModelConfig("ann", 1), small_cfg(),
                               grid=(0.2,), seeds=(0,))
 
 
-@pytest.mark.parametrize("kw, match", [
-    ({"seeds": ()}, "at least one seed"), ({"max_workers": 0}, "max_workers")])
-def test_grid_search_rejects_no_seeds_and_no_workers(kw, match):
-    with pytest.raises(ParameterError, match=match):
+@pytest.mark.parametrize("kw, error, match", [
+    ({"seeds": ()}, ConfigError, "seeds must be non-empty"),
+    ({"max_workers": 0}, ParameterError, "max_workers")],
+    ids=["no_seeds", "no_workers"])
+def test_grid_search_rejects_no_seeds_and_no_workers(kw, error, match):
+    with pytest.raises(error, match=match):
         tr.lambda_grid_search(linear_dataset(n=40), mz.ModelConfig("ann", 1),
                               small_cfg(), grid=(0.0,), **{"seeds": (0,), **kw})
 
 
-def test_grid_search_failed_cell_marked_and_sweep_continues():
+@pytest.mark.parametrize("grid, seeds, match", [
+    ((lam for lam in [0.0, 1.0]), (0,), None),
+    ((0.0,), (seed for seed in [0, 1]), None),
+    ((0.0,), (1, 1), "seeds must be distinct"),
+    ((0.0,), (-1,), "seeds must be integers >= 0"),
+    ((0.0,), (1.5,), "seeds must be integers >= 0"),
+    ((0.0, float("nan")), (0,), "grid must be finite numbers"),
+    ((0.0, -1.0), (0,), "grid must be finite numbers"),
+], ids=["generator_grid", "generator_seeds", "repeated_seed", "negative_seed",
+        "float_seed", "nan_lambda", "negative_lambda"])
+def test_grid_search_checks_grid_and_seeds_like_the_config(grid, seeds, match,
+                                                          monkeypatch):
+    """The sweep reads a generator once and refuses what ExperimentConfig
+    refuses, before any cell trains."""
+    cells = []
+
+    def record(lam, seed, *args):
+        cells.append((lam, seed))
+        return None, tr.RunReport(config={}, history=(), best_epoch=-1)
+
+    monkeypatch.setattr(tr, "fit_cell", record)
+    args = (linear_dataset(n=40), mz.ModelConfig("ann", 1), small_cfg())
+    if match is None:
+        assert len(tr.lambda_grid_search(*args, grid=grid, seeds=seeds)) == 2
+        assert len(cells) == 2 and (0.0, 0) in cells
+    else:
+        with pytest.raises(ConfigError, match=match):
+            tr.lambda_grid_search(*args, grid=grid, seeds=seeds)
+        assert cells == []
+
+
+def test_grid_search_failed_cell_marked_and_sweep_continues(monkeypatch):
+    real_fit = tr.fit_cell
+
+    def fails_at_one(lam, *args):
+        if lam == 1.0:
+            raise NumericError("non-finite loss")
+        return real_fit(lam, *args)
+
+    monkeypatch.setattr(tr, "fit_cell", fails_at_one)
     ds = linear_dataset(n=60, noise=0.2)
     m_cfg = mz.ModelConfig("ann", 1, seed=0)
     t_cfg = small_cfg(max_epochs=2)
-    reports = tr.lambda_grid_search(ds, m_cfg, t_cfg, grid=(0.0, -1.0), seeds=(0,))
+    reports = tr.lambda_grid_search(ds, m_cfg, t_cfg, grid=(0.0, 1.0), seeds=(0,))
     ok = {r.lam: r for r in reports if r.error is None}
     bad = [r for r in reports if r.error is not None]
     assert 0.0 in ok and len(bad) == 1
-    assert bad[0].config["train"]["lam"] == -1.0
+    assert bad[0].config["train"]["lam"] == 1.0
 
 
 def test_grid_search_programming_error_propagates(monkeypatch):
@@ -521,11 +563,14 @@ def pooled_sweep(seeds=(0,)):
                                  seeds=seeds, max_workers=2)
 
 
+def blas_threads():
+    return tr._find_openblas()[0]()
+
+
 def blas_threads_or_skip():
-    count = tr._ONE_BLAS_THREAD.threads()
-    if count is None:
+    if tr._find_openblas() is None:
         pytest.skip("numpy's BLAS exports no OpenBLAS thread-count functions")
-    return count
+    return blas_threads()
 
 
 def test_pooled_mlp3_reports_match_serial_across_blas_threads():
@@ -548,14 +593,14 @@ def test_pooled_sweep_runs_one_blas_thread_and_restores_count(monkeypatch):
     seen = []
 
     def recording(*args):
-        seen.append(tr._ONE_BLAS_THREAD.threads())
+        seen.append(blas_threads())
         return real_fit(*args)
 
     monkeypatch.setattr(tr, "fit_cell", recording)
     reports = pooled_sweep()
     assert all(r.error is None for r in reports)
     assert seen == [1, 1]
-    assert tr._ONE_BLAS_THREAD.threads() == before
+    assert blas_threads() == before
 
 
 def test_pooled_sweep_restores_blas_threads_when_a_cell_raises(monkeypatch):
@@ -567,52 +612,47 @@ def test_pooled_sweep_restores_blas_threads_when_a_cell_raises(monkeypatch):
     monkeypatch.setattr(tr, "fit_cell", broken)
     with pytest.raises(TypeError, match="not a cell failure"):
         pooled_sweep()
-    assert tr._ONE_BLAS_THREAD.threads() == before
+    assert blas_threads() == before
 
 
-def test_overlapping_pooled_sweeps_restore_the_first_count(monkeypatch):
-    """Sweep 0 enters first and exits first while sweep 1 still runs:
-    sweep 1 keeps one thread, and the count sweep 0 found is restored
-    when sweep 1 exits."""
+def test_overlapping_pooled_sweeps_take_turns(monkeypatch):
+    """Two pooled sweeps submitted together: one holds the pinned thread
+    count while all its cells run, then the other does."""
     before = blas_threads_or_skip()
-    first_running, second_running, first_done = (threading.Event()
-                                                 for _ in range(3))
     real_fit = tr.fit_cell
-    seen = {0: [], 1: []}
+    events = []  # (sweep, "start" or "end", thread count)
 
-    def overlapping(lam, seed, *args):
-        if seed == 0:
-            first_running.set()
-            assert second_running.wait(timeout=60)
-        else:
-            second_running.set()
-            assert first_done.wait(timeout=60)
-        seen[seed].append(tr._ONE_BLAS_THREAD.threads())
-        return real_fit(lam, seed, *args)
+    def recording(lam, seed, *args):
+        events.append((seed, "start", blas_threads()))
+        time.sleep(0.05)  # long enough for the other sweep to try to enter
+        report = real_fit(lam, seed, *args)
+        events.append((seed, "end", blas_threads()))
+        return report
 
-    monkeypatch.setattr(tr, "fit_cell", overlapping)
+    monkeypatch.setattr(tr, "fit_cell", recording)
     with ThreadPoolExecutor(max_workers=2) as outer:
-        first = outer.submit(pooled_sweep, seeds=(0,))
-        assert first_running.wait(timeout=60)
-        second = outer.submit(pooled_sweep, seeds=(1,))
-        try:
-            first.result(timeout=120)
-        finally:
-            first_done.set()
-        second.result(timeout=120)
-    assert seen == {0: [1, 1], 1: [1, 1]}
-    assert tr._ONE_BLAS_THREAD.threads() == before
+        sweeps = [outer.submit(pooled_sweep, seeds=(seed,)) for seed in (0, 1)]
+        for sweep in sweeps:
+            assert all(r.error is None for r in sweep.result(timeout=120))
+    assert len(events) == 8 and {count for *_, count in events} == {1}
+    order = [seed for seed, *_ in events]
+    assert order in ([0] * 4 + [1] * 4, [1] * 4 + [0] * 4)
+    assert blas_threads() == before
 
 
 def test_pooled_sweep_without_openblas_runs_unpinned_and_logs_once(
         monkeypatch, caplog):
-    monkeypatch.setattr(tr, "_find_openblas", lambda: None)
-    monkeypatch.setattr(tr, "_ONE_BLAS_THREAD", tr._OneBlasThread())
-    with caplog.at_level(logging.INFO, logger="dimlab.training"):
-        for _ in range(2):
-            assert all(r.error is None for r in pooled_sweep())
-    assert len([r for r in caplog.records if "OpenBLAS" in r.getMessage()]) == 1
-    assert tr._ONE_BLAS_THREAD.threads() is None
+    monkeypatch.setattr(tr, "_OPENBLAS_SYMBOLS", ())
+    tr._find_openblas.cache_clear()
+    try:
+        with caplog.at_level(logging.INFO, logger="dimlab.training"):
+            for _ in range(2):
+                assert all(r.error is None for r in pooled_sweep())
+        assert len([r for r in caplog.records
+                    if "OpenBLAS" in r.getMessage()]) == 1
+        assert tr._find_openblas() is None
+    finally:
+        tr._find_openblas.cache_clear()
 
 
 # ---------------------------------------------------------------- selection
