@@ -26,10 +26,10 @@ from .experiments import (
     audit,
     generate_to_csv,
     load_experiment_config,
-    rebuild_summary,
     run_experiment,
     run_single,
     summary_to_csv,
+    write_summary,
 )
 from .models import ARCHITECTURES
 from .penalty import BASELINE_MODES
@@ -133,9 +133,7 @@ def cmd_report(args) -> int:
     if run_dir is None:
         raise ConfigError(
             "report needs a run directory (positional, --out, or --config)")
-    text = summary_to_csv(rebuild_summary(run_dir))
-    (Path(run_dir) / "summary.csv").write_text(text, encoding="utf-8")
-    sys.stdout.write(text)
+    sys.stdout.write(summary_to_csv(write_summary(run_dir)))
     return 0
 
 

@@ -113,6 +113,9 @@ class ExperimentConfig:
                               sweep_axes(self.grid, self.seeds)):
             object.__setattr__(self, name, axis)
         set_numbers(self, {"train_frac": "(0, 1)"})
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ConfigError(f"output_dir must be a non-empty string, "
+                              f"got {self.output_dir!r}")
         if (not isinstance(self.dataset, dict) or len(self.dataset) != 1
                 or set(self.dataset) - {"synthetic", "csv"}):
             raise ConfigError(
@@ -120,10 +123,9 @@ class ExperimentConfig:
                 f"keys, got {self.dataset!r}")
         if "csv" in self.dataset:
             config_section(CsvSource, self.dataset["csv"], "csv")
-        # each cell writes to files named by its (lam, seed) stem; -0.0 ==
-        # 0.0, but their stems differ
+        # each cell writes to files named by its (lam, seed) stem
         stems = {_cell_stem(lam, 0) for lam in self.grid}
-        if len(stems) != len(self.grid) or len(set(self.grid)) != len(self.grid):
+        if len(stems) != len(self.grid):
             raise ConfigError(
                 f"grid values must be distinct, also in their artifact names "
                 f"(6 significant digits), got {self.grid}")
@@ -326,9 +328,7 @@ def run_experiment(cfg: ExperimentConfig, max_workers: int = 1) -> ExperimentRes
         all_ok &= all(r.error is None for r in reports)
         write_run_artifacts(reports, out / label)
     # every row has trained and left its run files before any summary
-    rows = rebuild_summary(out)
-    (out / "summary.csv").write_text(summary_to_csv(rows), encoding="utf-8")
-    return ExperimentResult(rows=rows, all_cells_ok=all_ok)
+    return ExperimentResult(rows=write_summary(out), all_cells_ok=all_ok)
 
 
 def run_single(cfg: ExperimentConfig, lam: float, seed: int) -> RunReport:
@@ -351,7 +351,7 @@ def run_single(cfg: ExperimentConfig, lam: float, seed: int) -> RunReport:
                                test_n, cfg.validate_on_test)
     out = Path(cfg.output_dir)
     write_run_artifacts([report], out)
-    save_model(trained, out / f"{_cell_stem(lam, seed)}.npz")
+    save_model(trained, out / f"{_cell_stem(report.lam, report.seed)}.npz")
     return report
 
 
@@ -387,6 +387,15 @@ def rebuild_summary(output_dir) -> tuple[SummaryRow, ...]:
         model_name = reports[0].config["model"]["architecture"]
         rows.append(summarize_row(d.name, model_name, reports))
     return tuple(rows)
+
+
+def write_summary(output_dir) -> tuple[SummaryRow, ...]:
+    """Write ``output_dir``/summary.csv from rebuild_summary's table of the
+    run reports under it, and return that table."""
+    rows = rebuild_summary(output_dir)
+    (Path(output_dir) / "summary.csv").write_text(summary_to_csv(rows),
+                                                  encoding="utf-8")
+    return rows
 
 
 # ---------------------------------------------------------------- audit
@@ -431,13 +440,12 @@ def audit(predictions_csv, features_csv, monotonic_names) -> dict:
             f"feature rows")
     fit = fit_batch(preds, X, MonotonicitySpec.of_names(feat_names,
                                                         monotonic_names))
-    breakdown = fit.breakdown()
 
     features = {}
     for name in monotonic_names:
         j = feat_names.index(name)
         f = fit.features[j]
-        entry: dict = {"penalty": breakdown.per_feature[j],
+        entry: dict = {"penalty": fit.per_feature[j],
                        "skipped": f is None}
         if f is not None:
             v = f.violations
@@ -453,8 +461,8 @@ def audit(predictions_csv, features_csv, monotonic_names) -> dict:
         features[name] = entry
 
     return {
-        "batch_size": breakdown.batch_size,
-        "penalty_total": breakdown.total,
+        "batch_size": fit.batch_size,
+        "penalty_total": fit.total,
         "compliance": fit.compliance(),
         "features": features,
     }

@@ -39,7 +39,8 @@ def set_numbers(owner, rules: dict[str, int | str], each: bool = False) -> None:
     minimum: the value must be an integer, stored as an int (a numpy integer
     becomes an int, which a config's JSON holds). A string rule is a real's
     interval, "[lo, hi)" or "(lo, hi)": the value must be a number, stored
-    as a float. A bool is neither, and a float such as 16.0 is no count.
+    as a float, with -0.0 as 0.0. A bool is neither, and a float such as
+    16.0 is no count.
     With ``each``, every field is a sequence of such values, stored as a
     tuple; it is read once (a generator), a string is one item, and a value
     that is not iterable is refused."""
@@ -61,7 +62,8 @@ def set_numbers(owner, rules: dict[str, int | str], each: bool = False) -> None:
                     else ("finite numbers" if each else "a finite number"))
             bound = f">= {rule}" if count else f"in {rule}"
             raise ConfigError(f"{name} must be {noun} {bound}, got {value!r}")
-        values = tuple(map(int if count else float, values))
+        # + 0.0 stores -0.0 as 0.0 and leaves every other real's bits
+        values = tuple(int(v) if count else float(v) + 0.0 for v in values)
         object.__setattr__(owner, name, values if each else values[0])
 
 

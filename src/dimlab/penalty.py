@@ -9,7 +9,8 @@ over features, divided by the batch size.
 
 The forward pass is :func:`fit_batch` alone: it validates the batch, sorts
 it once, fits every feature and measures its shortfalls, and every path
-reads that one fit. In training, :func:`build_loss_terms` puts the fit's
+reads that one fit, a :class:`BatchFit`, which also gives the penalty per
+feature and in total. In training, :func:`build_loss_terms` puts the fit's
 penalty into the autodiff graph as one node over the predictions, which
 adds only the backward pass (:func:`_penalty_node`).
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -86,21 +88,6 @@ class MonotonicitySpec:
                 f"{num_features} features")
 
 
-@dataclass(frozen=True)
-class PenaltyBreakdown:
-    """Penalty decomposition for one batch.
-
-    ``total * batch_size`` equals the sum of ``per_feature`` values (to
-    rounding). Features skipped as degenerate appear in ``per_feature``
-    with value 0 and are listed in ``skipped``.
-    """
-
-    per_feature: dict[int, float]
-    total: float
-    batch_size: int
-    skipped: tuple[int, ...] = ()
-
-
 def fit_linear_baseline(x_col, preds) -> LinearBaseline | None:
     """Least-squares line from one feature column to the predictions.
 
@@ -154,10 +141,14 @@ class FeatureFit(NamedTuple):
 
 @dataclass(frozen=True)
 class BatchFit:
-    """The shared per-batch work of every penalty and compliance path.
+    """The shared per-batch work of every penalty and compliance path,
+    and the batch penalty it measures.
 
     ``features`` maps each monotonic feature, in spec order, to its fit,
     or to None when the feature is degenerate in the batch (skipped).
+    ``per_feature`` and ``total`` are computed when first read; on a
+    0-row batch reading them raises DimensionError, while ``skipped`` and
+    ``compliance()`` still answer.
     """
 
     batch_size: int
@@ -168,20 +159,23 @@ class BatchFit:
     def skipped(self) -> tuple[int, ...]:
         return tuple(j for j, f in self.features.items() if f is None)
 
-    def breakdown(self) -> PenaltyBreakdown:
-        """Violation energy (sum of squared shortfalls) per feature, and
-        their sum divided by the batch size."""
-        n = self.batch_size
-        if n < 1:
+    @cached_property
+    def per_feature(self) -> dict[int, float]:
+        """Violation energy (sum of squared shortfalls) per feature, in
+        spec order; 0 for a skipped feature."""
+        if self.batch_size < 1:
             raise DimensionError("a batch penalty needs at least one row, got 0")
-        per_feature: dict[int, float] = {}
+        return {j: 0.0 if f is None else float(np.sum(f.violations * f.violations))
+                for j, f in self.features.items()}
+
+    @cached_property
+    def total(self) -> float:
+        """The batch penalty: ``per_feature`` summed in spec order, divided
+        by the batch size."""
         p_sum = 0.0
-        for j, f in self.features.items():
-            p_j = 0.0 if f is None else float(np.sum(f.violations * f.violations))
-            per_feature[j] = p_j
+        for p_j in self.per_feature.values():
             p_sum += p_j
-        return PenaltyBreakdown(per_feature=per_feature, total=p_sum * (1.0 / n),
-                                batch_size=n, skipped=self.skipped)
+        return p_sum * (1.0 / self.batch_size)
 
     def compliance(self) -> float | None:
         """Share of adjacent pairs, pooled over non-degenerate features,
@@ -238,14 +232,15 @@ def fit_batch(preds, X, spec: MonotonicitySpec,
     return BatchFit(batch_size=n, perm=perm, features=features)
 
 
-def monotonicity_penalty(preds, X, spec: MonotonicitySpec) -> PenaltyBreakdown:
-    """Batch penalty over all monotonic features.
-
-    One stable sort of the predictions is shared by every feature.
-    Degenerate features (constant in the batch, or N < 2) contribute 0
-    and are reported in ``skipped``.
-    """
-    return fit_batch(preds, X, spec).breakdown()
+def monotonicity_penalty(preds, X, spec: MonotonicitySpec) -> BatchFit:
+    """The frozen-mode fit of a batch, with its penalty read: degenerate
+    features (constant in the batch, or N < 2) contribute 0 and are listed
+    in ``skipped``, and a 0-row batch raises DimensionError. Nothing in
+    the package calls it; it stays as the name the benchmark's tracer
+    wraps."""
+    fit = fit_batch(preds, X, spec)
+    fit.total  # refuses a 0-row batch
+    return fit
 
 
 def compliance_score(preds, X, spec: MonotonicitySpec) -> float | None:
@@ -266,24 +261,25 @@ def compliance_score(preds, X, spec: MonotonicitySpec) -> float | None:
 
 @dataclass(frozen=True)
 class LossTerms:
-    """Graph nodes of the combined objective plus the logged decomposition.
+    """Graph nodes of the combined objective plus the batch's fit.
 
     ``total`` is ``mse + scale(penalty, lam)``. ``penalty`` is one graph
     node for the whole batch penalty, every feature included (see
     :func:`build_loss_terms`), or None when the penalty term is not part
     of the graph (lambda = 0, empty spec, or every feature degenerate).
-    ``breakdown`` is the batch fit's decomposition on every path.
+    ``fit`` is the batch's :class:`BatchFit` on every path; its
+    ``per_feature`` and ``total`` are the logged decomposition.
     """
 
     total: Node
     mse: Node
     penalty: Node | None
-    breakdown: PenaltyBreakdown
+    fit: BatchFit
 
 
-def _penalty_node(preds: Node, fit: BatchFit, total: float) -> Node:
+def _penalty_node(preds: Node, fit: BatchFit) -> Node:
     """The batch penalty as one node over ``preds``: its value is
-    ``total``, ``fit.breakdown().total``, and the node adds the backward.
+    ``fit.total``, and the node adds the backward.
 
     Its gradient equals, bit for bit, that of the graph
     ``scale(sum_j sum_all(square(relu(dg_j - adjacent_diff(gather_rows(
@@ -296,7 +292,7 @@ def _penalty_node(preds: Node, fit: BatchFit, total: float) -> Node:
     ``perm``.
     """
     c = 1.0 / fit.batch_size
-    out = ad._op("penalty", total, (preds, None))  # backward set below
+    out = ad._op("penalty", fit.total, (preds, None))  # backward set below
 
     def backward(g):
         if not preds.requires_grad:
@@ -332,8 +328,8 @@ def build_loss_terms(preds: Node, y, X, spec: MonotonicitySpec, lam: float,
     covariance/variance formulas. The sort permutation is constant in
     backward either way. ``preds.grad`` receives the MSE's contribution
     first, then the penalty node's, in the order that node documents.
-    At lambda = 0 the breakdown reports the fitted slope's penalty in
-    either mode.
+    At lambda = 0 the fit, and so its penalty, is at the fitted slope in
+    either mode. A 0-row batch raises DimensionError.
     """
     if not 0.0 <= lam < math.inf:
         raise ParameterError(f"penalty weight must be finite and >= 0, got {lam}")
@@ -347,13 +343,13 @@ def build_loss_terms(preds: Node, y, X, spec: MonotonicitySpec, lam: float,
             f"targets shape {y.shape} does not match predictions "
             f"{preds.value.shape}")
 
-    breakdown = fit.breakdown()  # refuses a 0-row batch
+    fit.total  # refuses a 0-row batch
     residual = preds - ad.constant(y)
     mse = ad.scale(ad.sum_all(ad.square(residual)), 1.0 / fit.batch_size)
     if lam == 0 or all(f is None for f in fit.features.values()):
-        # penalty not built into the graph; report the decomposition anyway
-        return LossTerms(total=mse, mse=mse, penalty=None, breakdown=breakdown)
+        # penalty not built into the graph; the fit still reports it
+        return LossTerms(total=mse, mse=mse, penalty=None, fit=fit)
 
-    penalty = _penalty_node(preds, fit, breakdown.total)
+    penalty = _penalty_node(preds, fit)
     return LossTerms(total=mse + ad.scale(penalty, lam), mse=mse,
-                     penalty=penalty, breakdown=breakdown)
+                     penalty=penalty, fit=fit)

@@ -351,7 +351,7 @@ def train(model: Model, train_ds: Dataset, config: TrainConfig,
             adam_step(flat, {name: node.grad for name, node in nodes.items()},
                       state, config.learning_rate)
             loss_sum += loss * rows.size
-            penalty_sum += terms.breakdown.total * rows.size
+            penalty_sum += terms.fit.total * rows.size
 
         val_mse = _val_mse(working, val_ds)
         history.append(EpochRecord(train_loss=loss_sum / n,
@@ -458,12 +458,15 @@ def _one_blas_thread():
 
 def sweep_axes(grid, seeds) -> tuple[tuple[float, ...], tuple[int, ...]]:
     """A sweep's lambda grid and seeds, each read once (a generator is
-    fine): finite lambdas >= 0 that include the 0.0 baseline, and one or
-    more distinct integer seeds >= 0. A ConfigError names the field."""
+    fine): distinct finite lambdas >= 0 that include the 0.0 baseline, and
+    one or more distinct integer seeds >= 0. A ConfigError names the
+    field."""
     axes = SimpleNamespace(grid=grid, seeds=seeds)
     set_numbers(axes, {"grid": "[0, inf)", "seeds": 0}, each=True)
     if 0.0 not in axes.grid:
         raise ConfigError(f"grid must include the 0.0 baseline, got {axes.grid}")
+    if len(set(axes.grid)) != len(axes.grid):
+        raise ConfigError(f"grid values must be distinct, got {axes.grid}")
     if not axes.seeds:
         raise ConfigError("seeds must be non-empty")
     if len(set(axes.seeds)) != len(axes.seeds):

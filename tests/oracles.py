@@ -2,6 +2,8 @@
 match bit for bit. They are kept here, outside the package, in their plain
 form, so an optimisation of the package cannot change them."""
 
+from types import SimpleNamespace
+
 import numpy as np
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -62,14 +64,13 @@ def loss_terms_reference(preds, y, X, spec, lam, baseline_mode):
     X = np.asarray(X, dtype=np.float64)
     fit = pen.fit_batch(preds.value, X, spec)
     n = fit.batch_size
-    breakdown = fit.breakdown()  # refuses a 0-row batch
+    fit.total  # refuses a 0-row batch
 
     residual = preds - ad.constant(y)
     mse = ad.scale(ad.sum_all(ad.square(residual)), 1.0 / n)
 
     if lam == 0 or all(f is None for f in fit.features.values()):
-        return pen.LossTerms(total=mse, mse=mse, penalty=None,
-                             breakdown=breakdown)
+        return pen.LossTerms(total=mse, mse=mse, penalty=None, fit=fit)
 
     per_feature = {}
     p_sum_node = None
@@ -92,8 +93,8 @@ def loss_terms_reference(preds, y, X, spec, lam, baseline_mode):
 
     penalty = ad.scale(p_sum_node, 1.0 / n)
     total = mse + ad.scale(penalty, lam)
-    breakdown = pen.PenaltyBreakdown(per_feature=per_feature,
-                                     total=penalty.value.item(),
-                                     batch_size=n, skipped=fit.skipped)
-    return pen.LossTerms(total=total, mse=mse, penalty=penalty,
-                         breakdown=breakdown)
+    # the graph's own penalty values, in the fields a BatchFit reports
+    graph_fit = SimpleNamespace(per_feature=per_feature,
+                                total=penalty.value.item(), batch_size=n,
+                                skipped=fit.skipped)
+    return pen.LossTerms(total=total, mse=mse, penalty=penalty, fit=graph_fit)

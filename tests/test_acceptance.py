@@ -250,10 +250,10 @@ def test_ac4_hand_batch_exact():
     v = fit.features[0].violations
     assert v[0] == 0.0
     assert abs(v[1] - 1.5) <= 1e-12
-    assert abs(fit.breakdown().per_feature[0] - 2.25) <= 1e-12
+    assert abs(fit.per_feature[0] - 2.25) <= 1e-12
 
-    breakdown = pen.monotonicity_penalty(preds, x[:, None], spec)
-    assert abs(breakdown.total - 0.75) <= 1e-12
+    penalty = pen.monotonicity_penalty(preds, x[:, None], spec)
+    assert abs(penalty.total - 0.75) <= 1e-12
     assert abs(pen.compliance_score(preds, x[:, None], spec) - 0.5) <= 1e-12
 
 

@@ -69,6 +69,11 @@ def test_cell_pipeline_runs_through_traced_names(tmp_path):
                  "autodiff.backward_pass", "experiments.write_run_artifacts",
                  "experiments.rebuild_summary"):
         assert name in names, name
+    # a span the sweep never records reads 0 in every per-layer metric
+    # built on it; monotonicity_penalty is wrapped by the tracer, but
+    # nothing in the package calls it
+    unrecorded = {span for _, _, span in tracer_mod.SPANS} - names
+    assert unrecorded == {"penalty.monotonicity_penalty"}, sorted(unrecorded)
 
 
 def test_trace_counts_one_adam_step_and_one_fit_per_feature_per_step(tmp_path):

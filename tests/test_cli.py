@@ -84,6 +84,23 @@ def test_train_single_run(tmp_path, capsys):
     assert (out / "run_lam0.4_seed1.npz").exists()
 
 
+def test_a_negative_zero_lambda_is_written_as_zero(tmp_path, capsys):
+    cfg = write_config(tmp_path, grid=[-0.0])
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    row = tmp_path / "out" / "x3"
+    assert sorted(p.name for p in row.iterdir()) == ["run_lam0_seed0.csv",
+                                                     "run_lam0_seed0.json"]
+    assert '"lam": 0.0' in (row / "run_lam0_seed0.json").read_text()
+    summary = (tmp_path / "out" / "summary.csv").read_text()
+    assert list(csv.DictReader(summary.splitlines()))[0]["selected_lambda"] == "0"
+
+    out = tmp_path / "single"
+    assert main(["train", "--config", str(cfg), "--lambda", "-0",
+                 "--seed", "1", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "run_lam0_seed1.csv", "run_lam0_seed1.json", "run_lam0_seed1.npz"]
+
+
 def test_sweep_then_report_is_byte_identical(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["sweep", "--config", str(cfg)]) == 0
@@ -269,6 +286,18 @@ def test_audit_of_a_repeated_name_is_a_config_error(tmp_path, capsys):
     assert main(["audit", str(preds), str(feats), "--monotonic", "x,x"]) == 2
     err = capsys.readouterr().err
     assert "error [config]: duplicate monotonic names ['x']" in err
+
+
+@pytest.mark.parametrize("output_dir", [5, None, ""],
+                         ids=["number", "null", "empty"])
+@pytest.mark.parametrize("command", ["sweep", "train"])
+def test_an_output_dir_that_is_not_a_path_is_a_config_error(
+        command, output_dir, tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path, output_dir=output_dir)
+    monkeypatch.chdir(tmp_path)  # a relative write would land here
+    assert main([command, "--config", str(cfg)]) == 2
+    assert "error [config]: output_dir" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_report_needs_artifacts(tmp_path, capsys):

@@ -153,7 +153,7 @@ def test_feature_penalty_values():
                                   x_var=1.0)
         fit = pen.BatchFit(batch_size=1, perm=np.arange(1), features={
             0: pen.FeatureFit(line, dx=violations, violations=violations)})
-        return fit.breakdown().per_feature[0]
+        return fit.per_feature[0]
 
     assert feature_penalty(np.zeros(5)) == 0.0
     assert feature_penalty(np.array([0.0, 1.5])) == 2.25
@@ -182,6 +182,16 @@ def test_penalty_single_row():
     out = pen.monotonicity_penalty([5.0], np.array([[1.0, 2.0]]), spec_for(0, 1))
     assert out.total == 0.0
     assert out.skipped == (0, 1)
+
+
+def test_an_empty_batch_has_a_fit_but_no_penalty():
+    X, spec = np.zeros((0, 1)), spec_for(0)
+    fit = pen.fit_batch(np.zeros(0), X, spec)
+    assert fit.skipped == (0,) and fit.compliance() is None
+    for read in (lambda: fit.per_feature, lambda: fit.total,
+                 lambda: pen.monotonicity_penalty(np.zeros(0), X, spec)):
+        with pytest.raises(DimensionError, match="at least one row, got 0"):
+            read()
 
 
 def test_penalty_skips_constant_column():
@@ -384,7 +394,7 @@ def test_loss_terms_penalty_matches_pure_computation():
                                      spec_for(0, 2), 0.7, baseline_mode=mode)
         pure = pen.monotonicity_penalty(p_val, X, spec_for(0, 2))
         assert abs(terms.penalty.value.item() - pure.total) <= tol
-        assert terms.breakdown.per_feature.keys() == pure.per_feature.keys()
+        assert terms.fit.per_feature.keys() == pure.per_feature.keys()
         total = terms.mse.value.item() + 0.7 * terms.penalty.value.item()
         assert abs(terms.total.value.item() - total) < 1e-12
 
@@ -575,7 +585,7 @@ def preds_node(values, kind):
     return ad.reshape(head, values.shape), (w, b)
 
 
-def breakdown_bits(b):
+def penalty_bits(b):
     return ({j: bits(v) for j, v in b.per_feature.items()}, bits(b.total),
             b.batch_size, b.skipped)
 
@@ -599,7 +609,7 @@ def test_penalty_node_matches_the_op_graph_byte_for_byte(name, mode, kind):
     if ref.penalty is not None:
         assert new.penalty.value.shape == ref.penalty.value.shape
         assert new.penalty.value.tobytes() == ref.penalty.value.tobytes()
-    assert breakdown_bits(new.breakdown) == breakdown_bits(ref.breakdown)
+    assert penalty_bits(new.fit) == penalty_bits(ref.fit)
     assert grad.tobytes() == ref_grad.tobytes()
     for g, ref_g in zip(param_grads, ref_param_grads):
         assert g.tobytes() == ref_g.tobytes()
@@ -620,7 +630,7 @@ def test_loss_terms_take_one_hinge_per_fitted_feature(mode, lam, monkeypatch):
     terms = pen.build_loss_terms(preds, y, X, pen.MonotonicitySpec(indices),
                                  lam, mode)
     ad.backward_pass(terms.total)
-    assert terms.breakdown.skipped == (1,)
+    assert terms.fit.skipped == (1,)
     assert len(calls) == 2
 
 

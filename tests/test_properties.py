@@ -88,7 +88,7 @@ def loss_terms_bits(build, preds, y, X, spec, lam, mode):
     node = ad.leaf(preds, requires_grad=True)
     terms = build(node, y, X, spec, lam, mode)
     ad.backward_pass(terms.total)
-    b = terms.breakdown
+    b = terms.fit
     return (terms.total.value.tobytes(), node.grad.tobytes(),
             terms.penalty is None, b.batch_size, b.skipped, bits(b.total),
             {j: bits(v) for j, v in b.per_feature.items()})

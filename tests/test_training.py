@@ -454,8 +454,11 @@ def test_grid_search_rejects_no_seeds_and_no_workers(kw, error, match):
     ((0.0,), (1.5,), "seeds must be integers >= 0"),
     ((0.0, float("nan")), (0,), "grid must be finite numbers"),
     ((0.0, -1.0), (0,), "grid must be finite numbers"),
+    ((0.0, 0.5, 0.5), (0,), "grid values must be distinct"),
+    ((0.0, -0.0), (0,), "grid values must be distinct"),
 ], ids=["generator_grid", "generator_seeds", "repeated_seed", "negative_seed",
-        "float_seed", "nan_lambda", "negative_lambda"])
+        "float_seed", "nan_lambda", "negative_lambda", "repeated_lambda",
+        "signed_zero_lambda"])
 def test_grid_search_checks_grid_and_seeds_like_the_config(grid, seeds, match,
                                                           monkeypatch):
     """The sweep reads a generator once and refuses what ExperimentConfig
