@@ -252,17 +252,18 @@ def conv1d_same(x: Node, kernels: Node, bias: Node) -> Node:
     """Width-3 cross-correlation over (batch, length, in_ch) with zero 'same'
     padding, producing (batch, length, out_ch).
 
-    The kernel gradient of tap k is an einsum over a contiguous copy of the
-    window ``padded[:, k:k + length, :]``. On the copy numpy merges batch
-    and length into one loop and still adds the (batch, length) terms of
-    each kernel entry in order, so the bytes of every report stay the same;
-    on the strided window it ran about three times slower. (With one input
-    and one output channel numpy sums the merged loop with its own
-    accumulators instead, and that gradient moves in its last bits.)
-    ``G.T @ P`` would be faster still, but BLAS adds in another order and
-    changes the bits. The forward and ``x_vjp`` multiply by the strided
-    ``kernels.value[:, :, k]``, which keeps them on numpy's own matmul
-    loop; every BLAS route for them that was measured changes bits too.
+    The forward and ``x_vjp`` multiply by ``taps``, one contiguous copy of
+    the kernels per call in (tap, out_ch, in_ch) order. Given the strided
+    ``kernels.value[:, :, k]``, numpy's matmul copies it again for every
+    batch row before its BLAS call; the one copy gives BLAS the same
+    operands, so the bytes stay and the cost per row goes. At length 1
+    numpy takes a one-row path whose bits depend on the operand's layout,
+    so there the taps stay views. The kernel gradient of tap k is an einsum
+    over a contiguous copy of the window ``padded[:, k:k + length, :]``:
+    numpy merges batch and length into one loop and still adds each kernel
+    entry's terms in order. (With one input and one output channel it sums
+    that loop with its own accumulators, and that gradient moves in its
+    last bits.) ``G.T @ P`` would be faster, but BLAS adds in another order.
     """
     if x.value.ndim != 3:
         raise DimensionError(f"conv1d_same input must be 3-D, got {x.value.shape}")
@@ -280,14 +281,17 @@ def conv1d_same(x: Node, kernels: Node, bias: Node) -> Node:
 
     padded = np.zeros((batch, length + 2, in_ch))
     padded[:, 1:-1, :] = x.value
+    taps = kernels.value.transpose(2, 0, 1)
+    if length > 1:
+        taps = np.ascontiguousarray(taps)
     value = np.broadcast_to(bias.value, (batch, length, out_ch)).copy()
     for k in range(3):
-        value += padded[:, k:k + length, :] @ kernels.value[:, :, k].T
+        value += padded[:, k:k + length, :] @ taps[k].T
 
     def x_vjp(g):
         g_padded = np.zeros_like(padded)
         for k in range(3):
-            g_padded[:, k:k + length, :] += g @ kernels.value[:, :, k]
+            g_padded[:, k:k + length, :] += g @ taps[k]
         return g_padded[:, 1:-1, :]
 
     def kernels_vjp(g):

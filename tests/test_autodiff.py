@@ -280,8 +280,10 @@ def test_conv1d_backward_all_parents():
 
 
 # The grid's channel pairs at batch 256, length 4 include the benchmark's
-# three cnn1d layers: 1->128, 128->64 and 64->32.
-CONV_BATCHES, CONV_LENGTHS = (1, 7, 256), (1, 3, 4, 9)
+# three cnn1d layers: 1->128, 128->64 and 64->32. Length 1 keeps the kernel
+# taps as views and every longer length multiplies by their contiguous copy
+# (see conv1d_same), so the grid covers both sides of that branch.
+CONV_BATCHES, CONV_LENGTHS = (1, 7, 256), (1, 2, 3, 4, 9)
 CONV_CHANNELS = [(c, o) for c in (1, 2, 64, 128) for o in (1, 2, 32, 64, 128)]
 
 

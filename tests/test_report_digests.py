@@ -13,10 +13,15 @@ import importlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dimlab
 from dimlab import experiments as ex
+from dimlab import training as tr
+from dimlab.data import Dataset
+from dimlab.models import ModelConfig
+from dimlab.penalty import MonotonicitySpec
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 DIGESTS = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))
@@ -43,3 +48,32 @@ def test_sweep_reports_match_recorded_digest(name, tmp_path, monkeypatch):
     assert worker.report_digest(out) == DIGESTS[name][str(SEED)]
     summary = (out / "summary.csv").read_bytes()
     assert hashlib.sha256(summary).hexdigest() == SUMMARY_DIGESTS[name]
+
+
+# cnn1d reads each feature as one position, so a 1-feature and a 2-feature
+# dataset run conv1d_same at lengths 1 and 2, on both sides of its tap-copy
+# branch; the benchmark's cnn1d sweep above runs at length 4 only.
+SHORT_CNN1D_DIGESTS = {
+    1: "9ffa2bb9d5dbcf00a05a0d860ab749a9"
+       "b53f17d90d8559ab8a268ee2cf79932e",
+    2: "a0e1ed90e5729df7c0a652598b0b9849"
+       "40b5f9c6986be48cd433d9b51a056970",
+}
+
+
+@pytest.mark.parametrize("n_features", sorted(SHORT_CNN1D_DIGESTS))
+def test_short_cnn1d_sweep_reports_match_recorded_digest(n_features):
+    rng = np.random.default_rng(n_features)
+    X = rng.uniform(0.0, 1.0, (96, n_features))
+    y = 2.0 * X.sum(axis=1) + 0.1 * rng.normal(size=96)
+    ds = Dataset(X=X, y=y,
+                 feature_names=tuple(f"x{j + 1}" for j in range(n_features)),
+                 monotonic=MonotonicitySpec([0]))
+    reports = tr.lambda_grid_search(
+        ds, ModelConfig("cnn1d", n_features),
+        tr.TrainConfig(learning_rate=1e-2, batch_size=32, max_epochs=2),
+        grid=(0.0, 0.5), seeds=(1,))
+    assert all(r.error is None for r in reports)
+    text = "".join(tr.report_to_json(r) for r in reports)
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == SHORT_CNN1D_DIGESTS[n_features])
