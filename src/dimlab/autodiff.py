@@ -17,8 +17,9 @@ from .errors import DimensionError, NumericError, ParameterError
 
 
 def as_tensor(x) -> np.ndarray:
-    """Coerce to a C-contiguous float64 array (copies only when needed)."""
-    return np.ascontiguousarray(np.asarray(x, dtype=np.float64))
+    """Coerce to a C-contiguous float64 array of at least one dimension (a
+    scalar becomes shape (1,)), copying only when needed."""
+    return np.ascontiguousarray(x, dtype=np.float64)
 
 
 class Node:
@@ -71,6 +72,8 @@ def _lift(x) -> Node:
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient over the axes numpy broadcast an operand along."""
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     if extra:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -96,8 +99,11 @@ def _op(tag: str, value, *edges) -> Node:
     A vjp maps the output gradient to that parent's contribution; it runs
     only when the parent requires a gradient.
     """
-    out = Node(value, parents=tuple(p for p, _ in edges), op_tag=tag,
-               requires_grad=any(p.requires_grad for p, _ in edges))
+    parents, requires_grad = [], False
+    for p, _ in edges:
+        parents.append(p)
+        requires_grad = requires_grad or p.requires_grad
+    out = Node(value, parents, op_tag=tag, requires_grad=requires_grad)
 
     def backward(g):
         for parent, vjp in edges:
@@ -141,7 +147,7 @@ def scale(a: Node, c: float) -> Node:
 
 
 def sum_all(a: Node) -> Node:
-    """Sum every entry into a scalar (shape ()) node."""
+    """Sum every entry into a scalar node, shape (1,) (see as_tensor)."""
     return _op("sum", a.value.sum(), (a, lambda g: np.full_like(a.value, g)))
 
 
@@ -165,13 +171,37 @@ def matmul(a: Node, b: Node) -> Node:
                (b, lambda g: a.value.T @ g))
 
 
+def linear_head(h: Node, w: Node, b: Node) -> Node:
+    """The scalar head h @ w + b, for a (k, 1) ``w`` and a (1,) ``b``, as one
+    node of shape (n,), with the bits of ``reshape(matmul(h, w) + b, (n,))``:
+    the same numpy calls in the same order, the bias add in place."""
+    _check_matmul(h, w)
+    pre = h.value @ w.value
+    pre += b.value
+    return _op("linear_head", pre.reshape(h.value.shape[0]),
+               (h, lambda g: g.reshape(pre.shape) @ w.value.T),
+               (w, lambda g: h.value.T @ g.reshape(pre.shape)),
+               (b, lambda g: _unbroadcast(g.reshape(pre.shape), b.value.shape)))
+
+
+def mse(preds: Node, y: np.ndarray) -> Node:
+    """Mean squared residual against constant targets ``y`` of ``preds``'s
+    shape, with the bits of ``scale(sum_all(square(preds - constant(y))), 1/size)``."""
+    if preds.value.size == 0:
+        raise DimensionError("a mean squared error needs at least one entry")
+    r = preds.value - y
+    c = 1.0 / r.size
+    return _op("mse", np.add.reduce(r * r, axis=None) * c,
+               (preds, lambda g: 2.0 * r * np.full_like(r, c * g)))
+
+
 def _masked(mask: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``np.where(mask, x, 0.0)`` for float64 ``x`` of ``mask``'s shape,
     byte for byte, without a branch per entry: each True becomes a word of
     all ones that keeps x's bits, each False a zero word, which is +0.0.
     ``x`` may be any view (transposed, sliced, stride-0 broadcast)."""
-    bits = np.empty(np.shape(mask), dtype=np.int64)  # an array also at 0-d
-    np.subtract(0, mask, out=bits, dtype=np.int64)
+    bits = mask.astype(np.int64)
+    np.negative(bits, out=bits)
     np.bitwise_and(bits, x.view(np.int64), out=bits)
     return bits.view(np.float64)
 
@@ -343,19 +373,19 @@ def dropout(a: Node, rate: float, training: bool,
 
 def _topo_order(root: Node) -> list[Node]:
     order: list[Node] = []
-    seen: set[int] = set()
+    seen: set[Node] = set()
     stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
-        for parent in node.parents:
-            if id(parent) not in seen:
+        for parent in node.parents:  # one without a gradient has none above
+            if parent.requires_grad and parent not in seen:
                 stack.append((parent, False))
     return order  # parents always precede children
 

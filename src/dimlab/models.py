@@ -139,9 +139,8 @@ def forward_with_params(model: Model, batch, training: bool = False,
     nodes = {name: ad.leaf(value, requires_grad=True)
              for name, value in model.parameters.items()}
     cfg = model.config
-    n = x.shape[0]
     if cfg.architecture == "cnn1d":
-        h = ad.reshape(ad.constant(x), (n, cfg.input_dim, 1))
+        h = ad.reshape(ad.constant(x), (len(x), cfg.input_dim, 1))
         for i in range(len(cfg.hidden_sizes)):
             h = ad.relu(ad.conv1d_same(h, nodes[f"conv{i}_w"], nodes[f"conv{i}_b"]))
         h = ad.global_avg_pool(h)
@@ -150,8 +149,7 @@ def forward_with_params(model: Model, batch, training: bool = False,
         h = ad.constant(x)
         for i in range(len(cfg.hidden_sizes)):
             h = ad.dense(h, nodes[f"layer{i}_w"], nodes[f"layer{i}_b"], rate, rng)
-    out = ad.matmul(h, nodes["head_w"]) + nodes["head_b"]
-    return ad.reshape(out, (n,)), nodes
+    return ad.linear_head(h, nodes["head_w"], nodes["head_b"]), nodes
 
 
 def forward(model: Model, batch) -> Node:

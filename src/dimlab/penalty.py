@@ -102,16 +102,16 @@ def fit_linear_baseline(x_col, preds) -> LinearBaseline | None:
             f"fit_linear_baseline expects equal-length vectors, got "
             f"{x_col.shape} and {preds.shape}")
     n = x_col.shape[0]
-    if n < 2 or x_col.max() == x_col.min():
+    # .max(), .min() and .sum() call these reduces; sum / n is np.mean's bits
+    if n < 2 or np.maximum.reduce(x_col) == np.minimum.reduce(x_col):
         return None
-    # sum() / n is np.mean's own reduction and division, bit for bit
-    mean_x = x_col.sum() / n
-    mean_p = preds.sum() / n
+    mean_x = np.add.reduce(x_col) / n
+    mean_p = np.add.reduce(preds) / n
     centred = x_col - mean_x
-    var = (centred * centred).sum() / n
+    var = np.add.reduce(centred * centred) / n
     if var == 0.0:
         return None
-    cov = (centred * (preds - mean_p)).sum() / n
+    cov = np.add.reduce(centred * (preds - mean_p)) / n
     slope = cov / var
     return LinearBaseline(slope=float(slope),
                           intercept=float(mean_p - slope * mean_x),
@@ -165,7 +165,7 @@ class BatchFit:
         spec order; 0 for a skipped feature."""
         if self.batch_size < 1:
             raise DimensionError("a batch penalty needs at least one row, got 0")
-        return {j: 0.0 if f is None else float(np.sum(f.violations * f.violations))
+        return {j: 0.0 if f is None else float(np.add.reduce(f.violations * f.violations))
                 for j, f in self.features.items()}
 
     @cached_property
@@ -214,7 +214,8 @@ def fit_batch(preds, X, spec: MonotonicitySpec,
     spec.validate_for(X.shape[1])
     n = preds.shape[0]
     perm = np.argsort(preds, kind="stable")
-    dpred = np.diff(preds[perm])
+    sorted_preds = preds[perm]
+    dpred = sorted_preds[1:] - sorted_preds[:-1]  # np.diff's bytes
     features: dict[int, FeatureFit | None] = {}
     for j in spec.indices:
         x_col = X[:, j]
@@ -225,8 +226,9 @@ def fit_batch(preds, X, spec: MonotonicitySpec,
         slope, coeffs = b.slope, None
         if baseline_mode == "coupled":
             coeffs = (x_col - b.x_mean) / (n * b.x_var)
-            slope = (preds * coeffs).sum()
-        dx = np.diff(x_col[perm])
+            slope = np.add.reduce(preds * coeffs)
+        sorted_x = x_col[perm]
+        dx = sorted_x[1:] - sorted_x[:-1]
         features[j] = FeatureFit(b, dx, adjacent_violations(dpred, dx, slope),
                                  coeffs)
     return BatchFit(batch_size=n, perm=perm, features=features)
@@ -305,11 +307,13 @@ def _penalty_node(preds: Node, fit: BatchFit) -> Node:
             v = f.violations
             g_diff = np.where(v > 0, 2.0 * v * g_p, 0.0)
             if f.coeffs is not None:
-                g_slope = (g_diff * f.dx).sum(axis=0)
+                g_slope = np.add.reduce(g_diff * f.dx)
                 ad._accumulate(preds, g_slope * f.coeffs)
-            g_dpred = -g_diff if g_dpred is None else g_dpred + -g_diff
-        # the transpose of differencing, then the scatter through perm
-        g_sorted = np.concatenate(([0.0], g_dpred)) - np.concatenate((g_dpred, [0.0]))
+            g_dpred = -g_diff if g_dpred is None else g_dpred - g_diff
+        # the transpose of differencing, (0, g) - (g, 0), then perm's scatter
+        g_sorted = np.empty_like(preds.value)
+        g_sorted[0], g_sorted[-1] = 0.0 - g_dpred[0], g_dpred[-1]
+        np.subtract(g_dpred[:-1], g_dpred[1:], out=g_sorted[1:-1])
         scattered = np.empty_like(preds.value)
         scattered[fit.perm] = g_sorted
         ad._accumulate(preds, scattered)
@@ -344,8 +348,7 @@ def build_loss_terms(preds: Node, y, X, spec: MonotonicitySpec, lam: float,
             f"{preds.value.shape}")
 
     fit.total  # refuses a 0-row batch
-    residual = preds - ad.constant(y)
-    mse = ad.scale(ad.sum_all(ad.square(residual)), 1.0 / fit.batch_size)
+    mse = ad.mse(preds, y)
     if lam == 0 or all(f is None for f in fit.features.values()):
         # penalty not built into the graph; the fit still reports it
         return LossTerms(total=mse, mse=mse, penalty=None, fit=fit)

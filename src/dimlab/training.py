@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -220,8 +221,11 @@ def adam_step(flat: np.ndarray, grads: dict[str, np.ndarray],
     The per-element arithmetic is the textbook per-array form, op for op,
     so the bits do not depend on how the parameters are packed.
     """
-    layout = [(name, g.shape) for name, g in grads.items()]
-    if layout != state.layout:
+    mismatch = len(grads) != len(state.layout)
+    for (name, g), (want, shape) in zip(grads.items(), state.layout):
+        mismatch = mismatch or name != want or g.shape != shape
+    if mismatch:
+        layout = [(name, g.shape) for name, g in grads.items()]
         raise ParameterError(f"gradients {layout} do not match the "
                              f"parameters {state.layout}")
     g = np.concatenate(list(grads.values()), axis=None)
@@ -344,7 +348,7 @@ def train(model: Model, train_ds: Dataset, config: TrainConfig,
             terms = pen.build_loss_terms(preds, yb, xb, spec, config.lam,
                                          config.baseline_mode)
             loss = terms.total.value.item()
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch row {start}")
             backward_pass(terms.total)

@@ -98,3 +98,26 @@ def loss_terms_reference(preds, y, X, spec, lam, baseline_mode):
                                 total=penalty.value.item(), batch_size=n,
                                 skipped=fit.skipped)
     return pen.LossTerms(total=total, mse=mse, penalty=penalty, fit=graph_fit)
+
+
+def topo_order_reference(root):
+    """The engine's graph order as it stood before it skipped the nodes
+    that need no gradient: every node ``root`` reaches, parents before
+    children, in the order of a depth-first walk that pushes each node's
+    parents in their order and expands the last one pushed first."""
+    order = []
+    seen = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node.parents:
+            if id(parent) not in seen:
+                stack.append((parent, False))
+    return order

@@ -212,6 +212,55 @@ def test_dense_rejects_bad_shapes_and_rates():
         ad.dense(h, w, b, 0.2)  # dropout needs a generator
 
 
+# ---------------------------------------------------------------- head, mse
+
+@pytest.mark.parametrize("which", ["h", "w", "b"])
+def test_linear_head_gradient_check(which):
+    data = np.random.default_rng(10)
+    point = {"h": data.normal(size=(5, 3)), "w": data.normal(size=(3, 1)),
+             "b": data.normal(size=1)}
+    weights = ad.constant(data.normal(size=5))
+
+    def loss(p):
+        args = {k: ad.constant(v) for k, v in point.items()}
+        args[which] = p
+        out = ad.linear_head(args["h"], args["w"], args["b"])
+        return ad.sum_all(ad.square(out * weights))
+
+    assert ad.gradient_check(loss, point[which], step=1e-6) < 1e-6
+
+
+def test_mse_gradient_check():
+    data = np.random.default_rng(11)
+    y = data.normal(size=6)
+    err = ad.gradient_check(lambda p: ad.mse(p, y), data.normal(size=6),
+                            step=1e-6)
+    assert err < 1e-6
+
+
+def test_mse_refuses_an_empty_batch():
+    with pytest.raises(DimensionError, match="at least one entry"):
+        ad.mse(ad.leaf(np.zeros(0)), np.zeros(0))
+
+
+def test_scalars_are_shape_one_not_zero_d():
+    for x in (2.5, np.float64(2.5), np.array(2.5)):
+        assert ad.as_tensor(x).shape == (1,)
+    p = ad.leaf([1.0, 2.0], requires_grad=True)
+    for node in (ad.sum_all(p), ad.scale(ad.sum_all(p), 2.0),
+                 ad.mse(p, np.zeros(2))):
+        assert node.value.shape == (1,)
+
+
+def test_as_tensor_returns_a_float64_c_contiguous_array_as_it_is():
+    x = np.arange(6.0).reshape(2, 3)
+    assert ad.as_tensor(x) is x
+    for other in (x.T, x.astype(np.float32), x[:, ::2]):
+        got = ad.as_tensor(other)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert np.array_equal(got, other)
+
+
 # ---------------------------------------------------------------- conv1d
 
 def _kernel(taps, out_ch=1, in_ch=1):

@@ -665,3 +665,14 @@ def test_coupled_penalty_is_one_graph_node():
     assert terms.penalty.parents == (preds,)
     # beyond the MSE's nodes: the penalty, its lambda scale and the sum
     assert len(reachable(terms.total)) == len(reachable(terms.mse)) + 3
+
+
+def test_loss_mse_and_penalty_nodes_are_shape_one():
+    """Every scalar node is shape (1,), as ``ad.as_tensor`` makes it."""
+    X = np.array([[0.0], [1.0], [2.0], [3.0]])
+    preds = ad.leaf([3.0, 1.0, 2.0, 0.0], requires_grad=True)
+    terms = pen.build_loss_terms(preds, np.zeros(4), X,
+                                 pen.MonotonicitySpec((0,)), 0.5, "coupled")
+    assert terms.penalty is not None
+    for node in (terms.total, terms.mse, terms.penalty):
+        assert node.value.shape == (1,)

@@ -3,7 +3,9 @@
 A degenerate fit and an undefined compliance are None exactly when the
 input leaves nothing to fit; the loss terms and ``conv1d_same`` keep the
 bytes of their references in ``tests/oracles.py``, and ``dense`` those of
-the op chain it fuses; monotonic names map to their features' positions or
+the op chain it fuses, as do the linear head and the MSE node;
+``backward_pass`` runs the node closures in the order of its frozen walk;
+monotonic names map to their features' positions or
 are refused; and the config validator accepts a value only when it is
 valid and stores it in one canonical form.
 """
@@ -19,7 +21,8 @@ from dimlab import autodiff as ad
 from dimlab import penalty as pen
 from dimlab.errors import ConfigError, DimensionError
 from dimlab.models import set_numbers
-from oracles import conv1d_same_reference, loss_terms_reference
+from oracles import (conv1d_same_reference, loss_terms_reference,
+                     topo_order_reference)
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -162,6 +165,117 @@ def test_dense_matches_its_unfused_chain_byte_for_byte(n, d, units, rate,
 
     assert run(ad.dense) == run(lambda h, w, b, rate, rng: ad.dropout(
         ad.relu(ad.matmul(h, w) + b), rate, True, rng))
+
+
+def draw_array(data, *shape):
+    size = int(np.prod(shape))
+    return np.array(data.draw(st.lists(VALUES, min_size=size,
+                                       max_size=size))).reshape(shape)
+
+
+def value_and_grads(out, nodes, g):
+    """``out``'s value and the gradients of ``nodes`` under the loss
+    sum(out * g), as (shape, bytes) pairs."""
+    ad.backward_pass(ad.sum_all(out * ad.constant(g)))
+    return [(a.shape, a.tobytes()) for a in (out.value, *(n.grad for n in nodes))]
+
+
+@PROPERTY
+@given(st.integers(1, 5), st.integers(1, 4), st.data())
+def test_linear_head_matches_its_unfused_chain_byte_for_byte(n, d, data):
+    h, w, b = draw_array(data, n, d), draw_array(data, d, 1), draw_array(data, 1)
+    g = draw_array(data, n)
+
+    def run(head):
+        nodes = [ad.leaf(v, requires_grad=True) for v in (h, w, b)]
+        return value_and_grads(head(*nodes), nodes, g)
+
+    assert run(ad.linear_head) == run(
+        lambda h, w, b: ad.reshape(ad.matmul(h, w) + b, (n,)))
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.floats(-1e3, 1e3), st.data())
+def test_mse_matches_its_unfused_chain_byte_for_byte(n, weight, data):
+    preds, y = draw_array(data, n), draw_array(data, n)
+
+    def run(loss):
+        node = ad.leaf(preds, requires_grad=True)
+        return value_and_grads(loss(node), [node], np.array([weight]))
+
+    assert run(lambda p: ad.mse(p, y)) == run(lambda p: ad.scale(
+        ad.sum_all(ad.square(p - ad.constant(y))), 1.0 / n))
+
+
+# a DAG step: (op, first parent, second parent), parents taken modulo the
+# number of nodes built so far, so that nodes are shared freely
+DAG_OPS = {
+    "add": ad.add, "sub": ad.sub, "mul": ad.mul,
+    "square": lambda a, b: ad.square(a),
+    "scale": lambda a, b: ad.scale(a, 0.75),
+    "sum": lambda a, b: ad.sum_all(a),  # (1,), broadcast by later ops
+    "mse": lambda a, b: ad.mse(a, np.full_like(a.value, b.value[0])),
+}
+
+
+@st.composite
+def dags(draw):
+    """Leaves with and without a gradient, then 1-12 op steps over them;
+    steps over constants alone make constant subtrees."""
+    leaves = draw(st.lists(st.tuples(
+        st.booleans(), st.lists(VALUES, min_size=3, max_size=3)),
+        min_size=1, max_size=4))
+    steps = draw(st.lists(st.tuples(st.sampled_from(sorted(DAG_OPS)),
+                                    st.integers(0, 99), st.integers(0, 99)),
+                          min_size=1, max_size=12))
+    return leaves, steps
+
+
+def build_dag(recipe):
+    leaves, steps = recipe
+    nodes = [ad.leaf(np.array(v), requires_grad=r) for r, v in leaves]
+    for op, i, j in steps:
+        nodes.append(DAG_OPS[op](nodes[i % len(nodes)], nodes[j % len(nodes)]))
+    nodes.append(ad.sum_all(nodes[-1]))
+    return nodes
+
+
+@PROPERTY
+@given(dags())
+def test_backward_pass_runs_closures_in_the_frozen_walk_order(recipe):
+    """``backward_pass`` skips the nodes that need no gradient; the nodes
+    that carry one keep the order of the walk over every node, so a node
+    reached twice sums its gradients in the same order, with the same
+    bits."""
+    def recorded(nodes):
+        """The list each node's backward closure appends its index to."""
+        calls = []
+
+        def logged(i, run):
+            def closure(g):
+                calls.append(i)
+                run(g)
+            return closure
+
+        for i, node in enumerate(nodes):
+            if node._backward is not None:
+                node._backward = logged(i, node._backward)
+        return calls
+
+    nodes = build_dag(recipe)
+    calls = recorded(nodes)
+    ad.backward_pass(nodes[-1])
+
+    frozen = build_dag(recipe)
+    frozen_calls = recorded(frozen)
+    ad._accumulate(frozen[-1], np.ones_like(frozen[-1].value))
+    for node in reversed(topo_order_reference(frozen[-1])):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+    assert calls == frozen_calls
+    assert ([None if n.grad is None else n.grad.tobytes() for n in nodes]
+            == [None if n.grad is None else n.grad.tobytes() for n in frozen])
 
 
 @PROPERTY
