@@ -9,6 +9,9 @@ in place.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -278,6 +281,46 @@ def adjacent_diff(a: Node) -> Node:
     return _op("adjacent_diff", np.diff(a.value), (a, vjp))
 
 
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+_helper: ThreadPoolExecutor | None = None  # started by the first split
+_helper_lock = threading.Lock()
+
+
+def _drop_helper() -> None:
+    """Forget the parent's helper in a forked child, which has no thread
+    behind it, and the lock, which the fork may have caught held."""
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_helper)
+
+
+def _on_both_cores(work: Callable[[int, int], None], n: int) -> None:
+    """Run ``work(0, n // 2)`` on the caller and ``work(n // 2, n)`` on the
+    process's one helper thread, and return or raise once both halves are
+    done; a fault in either half propagates, the caller's first. With
+    fewer than 2 entries, or on one CPU, ``work(0, n)`` runs inline.
+    Helper tasks never submit work, so any number of threads can share
+    the helper.
+    """
+    global _helper
+    if n < 2 or _CPUS < 2:
+        work(0, n)
+        return
+    with _helper_lock:
+        if _helper is None:
+            _helper = ThreadPoolExecutor(1, thread_name_prefix="dimlab-conv")
+        helper_half = _helper.submit(work, n // 2, n)
+    try:
+        work(0, n // 2)
+    finally:
+        helper_half.exception()  # waits for the helper's half, also on a fault
+    helper_half.result()
+
+
 def conv1d_same(x: Node, kernels: Node, bias: Node) -> Node:
     """Width-3 cross-correlation over (batch, length, in_ch) with zero 'same'
     padding, producing (batch, length, out_ch).
@@ -289,11 +332,22 @@ def conv1d_same(x: Node, kernels: Node, bias: Node) -> Node:
     operands, so the bytes stay and the cost per row goes. At length 1
     numpy takes a one-row path whose bits depend on the operand's layout,
     so there the taps stay views. The kernel gradient of tap k is an einsum
-    over a contiguous copy of the window ``padded[:, k:k + length, :]``:
-    numpy merges batch and length into one loop and still adds each kernel
-    entry's terms in order. (With one input and one output channel it sums
+    over the window ``padded[:, k:k + length, :]`` as a contiguous array (a
+    copy for taps 0 and 2; tap 1's window is ``x`` itself): numpy merges
+    batch and length into one loop and still adds each kernel entry's
+    terms in order. (With one input and one output channel it sums
     that loop with its own accumulators, and that gradient moves in its
     last bits.) ``G.T @ P`` would be faster, but BLAS adds in another order.
+
+    Each part runs on both cores (``_on_both_cores``) with the same bytes.
+    The forward and ``x_vjp`` split by batch row: rows are independent in
+    the matmuls, since the stacked matmul makes the same BLAS call on each
+    row whatever rows sit beside it, and each half adds its rows' taps in
+    the same order. The kernel gradient splits by output channel: each
+    kernel entry is the sum over its own channel pair's products, one
+    multiply and one add per (batch, length) row in row order, whichever
+    other channels share the einsum. A half of one output channel is a
+    strided slice, which numpy sums in that order too.
     """
     if x.value.ndim != 3:
         raise DimensionError(f"conv1d_same input must be 3-D, got {x.value.shape}")
@@ -315,19 +369,36 @@ def conv1d_same(x: Node, kernels: Node, bias: Node) -> Node:
     if length > 1:
         taps = np.ascontiguousarray(taps)
     value = np.broadcast_to(bias.value, (batch, length, out_ch)).copy()
-    for k in range(3):
-        value += padded[:, k:k + length, :] @ taps[k].T
+
+    def forward_rows(lo, hi):
+        out, rows = value[lo:hi], padded[lo:hi]
+        for k in range(3):
+            out += rows[:, k:k + length, :] @ taps[k].T
+
+    _on_both_cores(forward_rows, batch)
 
     def x_vjp(g):
         g_padded = np.zeros_like(padded)
-        for k in range(3):
-            g_padded[:, k:k + length, :] += g @ taps[k]
+
+        def rows(lo, hi):
+            out, g_rows = g_padded[lo:hi], g[lo:hi]
+            for k in range(3):
+                out[:, k:k + length, :] += g_rows @ taps[k]
+
+        _on_both_cores(rows, batch)
         return g_padded[:, 1:-1, :]
 
     def kernels_vjp(g):
-        return np.stack([np.einsum("blo,blc->oc", g,
-                                   np.ascontiguousarray(padded[:, k:k + length, :]))
-                         for k in range(3)], axis=2)
+        windows = [np.ascontiguousarray(padded[:, :length, :]), x.value,
+                   np.ascontiguousarray(padded[:, 2:, :])]
+        grad = np.empty((out_ch, in_ch, 3))
+
+        def channels(lo, hi):
+            for k in range(3):
+                grad[lo:hi, :, k] = np.einsum("blo,blc->oc", g[:, :, lo:hi], windows[k])
+
+        _on_both_cores(channels, out_ch)
+        return grad
 
     return _op("conv1d_same", value, (x, x_vjp), (kernels, kernels_vjp),
                (bias, lambda g: g.sum(axis=(0, 1))))

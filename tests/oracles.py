@@ -52,6 +52,22 @@ def conv1d_same_reference(x, kernels, bias, g):
     return value, g_padded[:, 1:-1, :], kernels_grad, g.sum(axis=(0, 1))
 
 
+def row_products_sum_reference(g, p):
+    """The (out_ch, in_ch) sums over rows n of ``g[n, o] * p[n, c]`` for 2-D
+    ``g`` (rows, out_ch) and ``p`` (rows, in_ch): each entry starts at +0.0
+    and takes one rounded product and one rounded add per row, in row
+    order, in Python floats."""
+    rows_g, rows_p = g.tolist(), p.tolist()
+    out = np.zeros((g.shape[1], p.shape[1]))
+    for o in range(g.shape[1]):
+        for c in range(p.shape[1]):
+            acc = 0.0
+            for g_row, p_row in zip(rows_g, rows_p):
+                acc = acc + g_row[o] * p_row[c]
+            out[o, c] = acc
+    return out
+
+
 def loss_terms_reference(preds, y, X, spec, lam, baseline_mode):
     """``penalty.build_loss_terms`` as a graph of the engine's small ops:
     ``gather_rows`` and ``adjacent_diff`` for the sorted prediction

@@ -1,9 +1,14 @@
+import os
+import threading
+import time
+import warnings
+
 import numpy as np
 import pytest
 
 from dimlab import autodiff as ad
 from dimlab.errors import DimensionError, ParameterError
-from oracles import conv1d_same_reference
+from oracles import conv1d_same_reference, row_products_sum_reference
 
 
 # ---------------------------------------------------------------- oracles
@@ -331,9 +336,11 @@ def test_conv1d_backward_all_parents():
 # The grid's channel pairs at batch 256, length 4 include the benchmark's
 # three cnn1d layers: 1->128, 128->64 and 64->32. Length 1 keeps the kernel
 # taps as views and every longer length multiplies by their contiguous copy
-# (see conv1d_same), so the grid covers both sides of that branch.
-CONV_BATCHES, CONV_LENGTHS = (1, 7, 256), (1, 2, 3, 4, 9)
-CONV_CHANNELS = [(c, o) for c in (1, 2, 64, 128) for o in (1, 2, 32, 64, 128)]
+# (see conv1d_same), so the grid covers both sides of that branch. conv1d_same
+# splits batch rows and output channels into halves (_on_both_cores): batch
+# 2 gives one-row halves, odd batches and 3 output channels unequal ones.
+CONV_BATCHES, CONV_LENGTHS = (1, 2, 7, 256), (1, 2, 3, 4, 9)
+CONV_CHANNELS = [(c, o) for c in (1, 2, 64, 128) for o in (1, 2, 3, 32, 64, 128)]
 
 
 def _conv1d_against_reference(batch, length, in_ch, out_ch):
@@ -378,6 +385,116 @@ def test_conv1d_one_channel_kernel_grad_within_rounding(batch, length):
     for i, name in ((0, "value"), (1, "x"), (3, "bias")):
         assert _same_bytes(got[i], want[i]), name
     assert np.allclose(got[2], want[2], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("batch, length, in_ch, out_ch", [
+    (2, 4, 2, 2), (3, 4, 3, 5), (5, 2, 4, 3), (7, 9, 2, 3), (16, 4, 5, 4)])
+def test_kernel_grad_einsum_sums_each_entry_in_row_order(batch, length, in_ch,
+                                                         out_ch):
+    """The kernel gradient's einsum, on a whole output gradient and on each
+    output-channel half, adds each entry's products one row at a time in
+    (batch, length) order, as the Python loop does. conv1d_same's split by
+    output channel keeps its bytes only because of this."""
+    rng = np.random.default_rng([batch, length, in_ch, out_ch])
+    # magnitudes 1e-8..1e8, so that another order of the adds moves the sums
+    g = rng.normal(size=(batch, length, out_ch)) * 10.0 ** rng.integers(
+        -8, 9, size=(batch, length, out_ch))
+    g[rng.random(g.shape) < 0.2] = -0.0
+    window = rng.normal(size=(batch, length, in_ch))
+    window[rng.random(window.shape) < 0.2] = 0.0
+    rows_g, rows_p = g.reshape(-1, out_ch), window.reshape(-1, in_ch)
+    want = row_products_sum_reference(rows_g, rows_p)
+    assert not _same_bytes(row_products_sum_reference(rows_g[::-1], rows_p[::-1]),
+                           want), "reversing the rows must move some sum"
+    half = out_ch // 2
+    for lo, hi in ((0, out_ch), (0, half), (half, out_ch)):
+        got = np.einsum("blo,blc->oc", g[:, :, lo:hi], window)
+        assert _same_bytes(got, want[lo:hi]), (
+            f"np.einsum no longer sums kernel-gradient entries over rows in "
+            f"order (channels {lo}:{hi}), so conv1d_same's output-channel "
+            f"halves and its reference may part; see conv1d_same")
+
+
+def _conv1d_bytes():
+    """The value and the three gradients of one small conv, as bytes."""
+    got, _ = _conv1d_against_reference(8, 4, 3, 4)
+    return b"".join(a.tobytes() for a in got)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_conv1d_in_a_forked_child_matches_the_parent(monkeypatch):
+    """A child forked after the parent's conv started the helper thread has
+    no such thread; conv1d_same must start its own, not queue work to the
+    parent's and wait forever."""
+    monkeypatch.setattr(ad, "_CPUS", 2)
+    parent = _conv1d_bytes()
+    assert ad._helper is not None
+    read_end, write_end = os.pipe()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
+        pid = os.fork()
+    if pid == 0:  # the child: write its bytes and leave without cleanup
+        code = 1
+        try:
+            os.close(read_end)
+            with os.fdopen(write_end, "wb") as out:
+                out.write(_conv1d_bytes())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    deadline = time.monotonic() + 60
+    while not (ended := os.waitpid(pid, os.WNOHANG))[0] and \
+            time.monotonic() < deadline:
+        time.sleep(0.01)
+    if not ended[0]:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        os.close(read_end)
+        pytest.fail("the forked child's conv did not finish within 60 s")
+    with os.fdopen(read_end, "rb") as child_out:
+        child = child_out.read()
+    assert os.waitstatus_to_exitcode(ended[1]) == 0
+    assert child == parent
+
+
+def test_on_both_cores_splits_into_halves_on_two_threads(monkeypatch):
+    monkeypatch.setattr(ad, "_CPUS", 2)
+    seen = []
+    ad._on_both_cores(lambda lo, hi: seen.append(
+        (lo, hi, threading.get_ident())), 5)
+    (lo0, hi0, caller), (lo1, hi1, helper) = sorted(seen)
+    assert (lo0, hi0, lo1, hi1) == (0, 2, 2, 5)
+    assert caller == threading.get_ident() != helper
+
+
+@pytest.mark.parametrize("cpus, n", [(2, 1), (2, 0), (1, 5)])
+def test_on_both_cores_runs_inline_on_one_cpu_or_one_entry(monkeypatch, cpus, n):
+    monkeypatch.setattr(ad, "_CPUS", cpus)
+    seen = []
+    ad._on_both_cores(lambda lo, hi: seen.append(
+        (lo, hi, threading.get_ident())), n)
+    assert seen == [(0, n, threading.get_ident())]
+
+
+@pytest.mark.parametrize("faulty", ["caller", "helper"])
+def test_on_both_cores_fault_propagates_after_both_halves_end(monkeypatch,
+                                                              faulty):
+    """The other half is slow, so a caller that did not wait for it would
+    raise before it ends."""
+    monkeypatch.setattr(ad, "_CPUS", 2)
+    ended = []
+
+    def work(lo, hi):
+        half = "caller" if lo == 0 else "helper"
+        if half == faulty:
+            raise ValueError(half)
+        time.sleep(0.1)
+        ended.append(half)
+
+    with pytest.raises(ValueError, match=faulty):
+        ad._on_both_cores(work, 4)
+    assert ended == [{"caller": "helper", "helper": "caller"}[faulty]]
 
 
 # ---------------------------------------------------------------- pooling

@@ -658,6 +658,37 @@ def test_pooled_sweep_without_openblas_runs_unpinned_and_logs_once(
         tr._find_openblas.cache_clear()
 
 
+# ---------------------------------------------------------------- conv helper
+
+def test_pooled_cnn1d_reports_match_serial():
+    """Pooled cells share conv1d_same's one helper thread with each other."""
+    ds = dp.generate_synthetic(dp.SyntheticConfig(n=200, seed=3))
+    kw = dict(grid=(0.0, 0.5), seeds=(1, 2))
+    m_cfg = mz.ModelConfig("cnn1d", 4, hidden_sizes=(8, 4))
+    t_cfg = small_cfg(max_epochs=1)
+    serial = tr.lambda_grid_search(ds, m_cfg, t_cfg, **kw, max_workers=1)
+    pooled = tr.lambda_grid_search(ds, m_cfg, t_cfg, **kw, max_workers=2)
+    assert all(r.error is None for r in serial)
+    assert [tr.report_to_json(r) for r in serial] == \
+           [tr.report_to_json(r) for r in pooled]
+
+
+@pytest.mark.parametrize("arch, starts", [("ann", False), ("mlp3", False),
+                                          ("cnn1d", True)])
+def test_only_a_conv_cell_starts_the_conv_helper(monkeypatch, arch, starts):
+    monkeypatch.setattr(ad, "_CPUS", 2)
+    monkeypatch.setattr(ad, "_helper", None)
+    ds = dp.generate_synthetic(dp.SyntheticConfig(n=100, seed=3))
+    m_cfg = mz.ModelConfig(arch, 4, hidden_sizes=(4, 4))
+    reports = tr.lambda_grid_search(ds, m_cfg, small_cfg(max_epochs=1),
+                                    grid=(0.0, 0.5), seeds=(1,))
+    assert all(r.error is None for r in reports)
+    started = ad._helper
+    if started is not None:
+        started.shutdown()
+    assert (started is not None) == starts
+
+
 # ---------------------------------------------------------------- selection
 
 def test_select_lambda_dominance():
