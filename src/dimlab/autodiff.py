@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -284,14 +285,14 @@ def adjacent_diff(a: Node) -> Node:
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
 _helper: ThreadPoolExecutor | None = None  # started by the first split
-_helper_lock = threading.Lock()
+_helper_idle = threading.Lock()  # held by a split or by convs_inline
 
 
 def _drop_helper() -> None:
     """Forget the parent's helper in a forked child, which has no thread
     behind it, and the lock, which the fork may have caught held."""
-    global _helper, _helper_lock
-    _helper, _helper_lock = None, threading.Lock()
+    global _helper, _helper_idle
+    _helper, _helper_idle = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -302,23 +303,34 @@ def _on_both_cores(work: Callable[[int, int], None], n: int) -> None:
     """Run ``work(0, n // 2)`` on the caller and ``work(n // 2, n)`` on the
     process's one helper thread, and return or raise once both halves are
     done; a fault in either half propagates, the caller's first. With
-    fewer than 2 entries, or on one CPU, ``work(0, n)`` runs inline.
-    Helper tasks never submit work, so any number of threads can share
-    the helper.
+    fewer than 2 entries, on one CPU, or while another thread holds the
+    helper (its own split, or ``convs_inline``), ``work(0, n)`` runs
+    inline: no thread queues for the helper.
     """
     global _helper
-    if n < 2 or _CPUS < 2:
+    if n < 2 or _CPUS < 2 or not _helper_idle.acquire(blocking=False):
         work(0, n)
         return
-    with _helper_lock:
+    try:
         if _helper is None:
             _helper = ThreadPoolExecutor(1, thread_name_prefix="dimlab-conv")
         helper_half = _helper.submit(work, n // 2, n)
-    try:
-        work(0, n // 2)
+        try:
+            work(0, n // 2)
+        finally:
+            helper_half.exception()  # waits for the helper's half, also on a fault
     finally:
-        helper_half.exception()  # waits for the helper's half, also on a fault
+        _helper_idle.release()
     helper_half.result()
+
+
+@contextmanager
+def convs_inline():
+    """Hold the helper, once a split in flight is done, so that every
+    ``conv1d_same`` runs inline until the block ends: a pool whose worker
+    threads fill the cores has no core to spare for it."""
+    with _helper_idle:
+        yield
 
 
 def conv1d_same(x: Node, kernels: Node, bias: Node) -> Node:
@@ -347,7 +359,9 @@ def conv1d_same(x: Node, kernels: Node, bias: Node) -> Node:
     kernel entry is the sum over its own channel pair's products, one
     multiply and one add per (batch, length) row in row order, whichever
     other channels share the einsum. A half of one output channel is a
-    strided slice, which numpy sums in that order too.
+    strided slice, which numpy sums in that order too. The matmuls write
+    their products into one array the caller allocates (same BLAS calls),
+    so the helper thread's own malloc arena stays small.
     """
     if x.value.ndim != 3:
         raise DimensionError(f"conv1d_same input must be 3-D, got {x.value.shape}")
@@ -369,21 +383,23 @@ def conv1d_same(x: Node, kernels: Node, bias: Node) -> Node:
     if length > 1:
         taps = np.ascontiguousarray(taps)
     value = np.broadcast_to(bias.value, (batch, length, out_ch)).copy()
+    products = np.empty_like(value)
 
     def forward_rows(lo, hi):
-        out, rows = value[lo:hi], padded[lo:hi]
+        out, rows, product = value[lo:hi], padded[lo:hi], products[lo:hi]
         for k in range(3):
-            out += rows[:, k:k + length, :] @ taps[k].T
+            out += np.matmul(rows[:, k:k + length, :], taps[k].T, out=product)
 
     _on_both_cores(forward_rows, batch)
 
     def x_vjp(g):
         g_padded = np.zeros_like(padded)
+        products = np.empty_like(x.value)
 
         def rows(lo, hi):
-            out, g_rows = g_padded[lo:hi], g[lo:hi]
+            out, g_rows, product = g_padded[lo:hi], g[lo:hi], products[lo:hi]
             for k in range(3):
-                out[:, k:k + length, :] += g_rows @ taps[k]
+                out[:, k:k + length, :] += np.matmul(g_rows, taps[k], out=product)
 
         _on_both_cores(rows, batch)
         return g_padded[:, 1:-1, :]

@@ -24,7 +24,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import penalty as pen
-from .autodiff import backward_pass
+from .autodiff import backward_pass, convs_inline
 from .data import Dataset, apply_normalization, minmax_normalize, train_test_split
 from .errors import (ConfigError, DataError, DimlabError, NumericError,
                      ParameterError)
@@ -494,7 +494,7 @@ def lambda_grid_search(dataset: Dataset, model_config: ModelConfig,
     other exception is a bug and propagates. Every seed is split first;
     cells are independent and share only frozen datasets, so with
     max_workers > 1 all (seed, lambda) cells run on one thread pool, with
-    OpenBLAS at one thread while it runs. Reports come back seed-major,
+    OpenBLAS at one thread and conv1d_same unsplit while it runs. Reports come back seed-major,
     in grid order, either way.
     """
     grid, seeds = sweep_axes(grid, seeds)
@@ -524,7 +524,8 @@ def lambda_grid_search(dataset: Dataset, model_config: ModelConfig,
     cells = [(lam, seed) for seed in seeds for lam in grid]
     if max_workers == 1:
         return list(map(run_cell, cells))
-    with _one_blas_thread(), ThreadPoolExecutor(max_workers=max_workers) as pool:
+    with _one_blas_thread(), convs_inline(), \
+            ThreadPoolExecutor(max_workers=max_workers) as pool:
         return list(pool.map(run_cell, cells))
 
 

@@ -339,13 +339,15 @@ def test_conv1d_backward_all_parents():
 # (see conv1d_same), so the grid covers both sides of that branch. conv1d_same
 # splits batch rows and output channels into halves (_on_both_cores): batch
 # 2 gives one-row halves, odd batches and 3 output channels unequal ones.
+# Every case runs split, as on two CPUs, and inline, as on one, whatever
+# the host has.
 CONV_BATCHES, CONV_LENGTHS = (1, 2, 7, 256), (1, 2, 3, 4, 9)
 CONV_CHANNELS = [(c, o) for c in (1, 2, 64, 128) for o in (1, 2, 3, 32, 64, 128)]
 
 
 def _conv1d_against_reference(batch, length, in_ch, out_ch):
-    """The node's (value, x, kernels, bias gradients) and the reference's,
-    for relu-like inputs with exact zeros and an output gradient holding
+    """The node's (value, x, kernels, bias gradients), split and inline,
+    and the reference's, for relu-like inputs with exact zeros and an output gradient holding
     +0.0 and -0.0 entries."""
     rng = np.random.default_rng([batch, length, in_ch, out_ch])
     x = np.maximum(rng.normal(size=(batch, length, in_ch)), 0.0)
@@ -354,10 +356,15 @@ def _conv1d_against_reference(batch, length, in_ch, out_ch):
     g = rng.normal(size=(batch, length, out_ch))
     zero = rng.random(g.shape) < 0.2
     g[zero] = np.copysign(0.0, rng.normal(size=zero.sum()))
-    nodes = [ad.leaf(v, requires_grad=True) for v in (x, k, b)]
-    out = ad.conv1d_same(*nodes)
-    ad.backward_pass(ad.sum_all(out * ad.constant(g)))
-    return (out.value, *(n.grad for n in nodes)), conv1d_same_reference(x, k, b, g)
+    got = []
+    for cpus in (2, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ad, "_CPUS", cpus)
+            nodes = [ad.leaf(v, requires_grad=True) for v in (x, k, b)]
+            out = ad.conv1d_same(*nodes)
+            ad.backward_pass(ad.sum_all(out * ad.constant(g)))
+        got.append((out.value, *(n.grad for n in nodes)))
+    return got, conv1d_same_reference(x, k, b, g)
 
 
 def _same_bytes(got, want):
@@ -370,9 +377,10 @@ def test_conv1d_matches_reference_byte_for_byte(batch, length):
     for in_ch, out_ch in CONV_CHANNELS:
         if in_ch == out_ch == 1:
             continue  # test_conv1d_one_channel_kernel_grad_within_rounding
-        got, want = _conv1d_against_reference(batch, length, in_ch, out_ch)
-        for name, a, b in zip(("value", "x", "kernels", "bias"), got, want):
-            assert _same_bytes(a, b), (name, batch, length, in_ch, out_ch)
+        runs, want = _conv1d_against_reference(batch, length, in_ch, out_ch)
+        for cpus, got in zip((2, 1), runs):
+            for name, a, b in zip(("value", "x", "kernels", "bias"), got, want):
+                assert _same_bytes(a, b), (name, batch, length, in_ch, out_ch, cpus)
 
 
 @pytest.mark.parametrize("length", CONV_LENGTHS)
@@ -381,10 +389,11 @@ def test_conv1d_one_channel_kernel_grad_within_rounding(batch, length):
     """With one input and one output channel numpy sums the contiguous
     window copy with its own accumulators, not in (batch, length) order,
     so the kernel gradient may move in its last bits; the rest is exact."""
-    got, want = _conv1d_against_reference(batch, length, 1, 1)
-    for i, name in ((0, "value"), (1, "x"), (3, "bias")):
-        assert _same_bytes(got[i], want[i]), name
-    assert np.allclose(got[2], want[2], rtol=1e-12, atol=0)
+    runs, want = _conv1d_against_reference(batch, length, 1, 1)
+    for got in runs:
+        for i, name in ((0, "value"), (1, "x"), (3, "bias")):
+            assert _same_bytes(got[i], want[i]), name
+        assert np.allclose(got[2], want[2], rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("batch, length, in_ch, out_ch", [
@@ -417,8 +426,8 @@ def test_kernel_grad_einsum_sums_each_entry_in_row_order(batch, length, in_ch,
 
 def _conv1d_bytes():
     """The value and the three gradients of one small conv, as bytes."""
-    got, _ = _conv1d_against_reference(8, 4, 3, 4)
-    return b"".join(a.tobytes() for a in got)
+    (split, _), _ = _conv1d_against_reference(8, 4, 3, 4)
+    return b"".join(a.tobytes() for a in split)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -495,6 +504,34 @@ def test_on_both_cores_fault_propagates_after_both_halves_end(monkeypatch,
     with pytest.raises(ValueError, match=faulty):
         ad._on_both_cores(work, 4)
     assert ended == [{"caller": "helper", "helper": "caller"}[faulty]]
+    assert not ad._helper_idle.locked()
+
+
+def test_on_both_cores_runs_inline_while_another_split_holds_the_helper(
+        monkeypatch):
+    """A second thread's split does not queue behind the first for the
+    helper: it runs whole on its own thread while the first still runs,
+    and the next split takes the helper once it is free."""
+    monkeypatch.setattr(ad, "_CPUS", 2)
+    helper_busy, first_may_end = threading.Event(), threading.Event()
+
+    def first(lo, hi):
+        if lo:
+            helper_busy.set()
+            assert first_may_end.wait(10)
+
+    other = threading.Thread(target=ad._on_both_cores, args=(first, 4))
+    other.start()
+    assert helper_busy.wait(10)
+    seen = []
+    ad._on_both_cores(lambda lo, hi: seen.append(
+        (lo, hi, threading.get_ident())), 4)
+    first_may_end.set()
+    other.join(10)
+    assert seen == [(0, 4, threading.get_ident())]
+    seen.clear()
+    ad._on_both_cores(lambda lo, hi: seen.append((lo, hi)), 4)
+    assert sorted(seen) == [(0, 2), (2, 4)]
 
 
 # ---------------------------------------------------------------- pooling

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import dimlab
+from dimlab import autodiff as ad
 from dimlab import experiments as ex
 from dimlab import training as tr
 from dimlab.data import Dataset
@@ -38,6 +39,7 @@ SUMMARY_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_sweep_reports_match_recorded_digest(name, tmp_path, monkeypatch):
+    monkeypatch.setattr(ad, "_CPUS", 2)  # conv1d_same splits on any host
     monkeypatch.syspath_prepend(str(PERFBENCH))
     worker = importlib.import_module("worker")
     workload = worker.WORKLOADS[name]
@@ -62,7 +64,9 @@ SHORT_CNN1D_DIGESTS = {
 
 
 @pytest.mark.parametrize("n_features", sorted(SHORT_CNN1D_DIGESTS))
-def test_short_cnn1d_sweep_reports_match_recorded_digest(n_features):
+def test_short_cnn1d_sweep_reports_match_recorded_digest(n_features,
+                                                        monkeypatch):
+    monkeypatch.setattr(ad, "_CPUS", 2)  # conv1d_same splits on any host
     rng = np.random.default_rng(n_features)
     X = rng.uniform(0.0, 1.0, (96, n_features))
     y = 2.0 * X.sum(axis=1) + 0.1 * rng.normal(size=96)

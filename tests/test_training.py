@@ -660,14 +660,20 @@ def test_pooled_sweep_without_openblas_runs_unpinned_and_logs_once(
 
 # ---------------------------------------------------------------- conv helper
 
-def test_pooled_cnn1d_reports_match_serial():
-    """Pooled cells share conv1d_same's one helper thread with each other."""
+def test_pooled_cnn1d_runs_convs_inline_and_matches_serial(monkeypatch):
+    """The pool's threads fill the cores, so its cells never use the conv
+    helper; the serial sweep splits, and the reports keep their bytes."""
+    monkeypatch.setattr(ad, "_CPUS", 2)
+    monkeypatch.setattr(ad, "_helper", None)
     ds = dp.generate_synthetic(dp.SyntheticConfig(n=200, seed=3))
     kw = dict(grid=(0.0, 0.5), seeds=(1, 2))
     m_cfg = mz.ModelConfig("cnn1d", 4, hidden_sizes=(8, 4))
     t_cfg = small_cfg(max_epochs=1)
-    serial = tr.lambda_grid_search(ds, m_cfg, t_cfg, **kw, max_workers=1)
     pooled = tr.lambda_grid_search(ds, m_cfg, t_cfg, **kw, max_workers=2)
+    assert ad._helper is None and not ad._helper_idle.locked()
+    serial = tr.lambda_grid_search(ds, m_cfg, t_cfg, **kw, max_workers=1)
+    assert ad._helper is not None
+    ad._helper.shutdown()
     assert all(r.error is None for r in serial)
     assert [tr.report_to_json(r) for r in serial] == \
            [tr.report_to_json(r) for r in pooled]
