@@ -50,15 +50,6 @@ class Node:
         return (f"Node({self.op_tag}, shape={self.value.shape}, "
                 f"requires_grad={self.requires_grad})")
 
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
 
 def leaf(value, requires_grad=False) -> Node:
     """Create a graph input holding ``value``."""
@@ -68,10 +59,6 @@ def leaf(value, requires_grad=False) -> Node:
 def constant(value) -> Node:
     """A leaf that never receives gradients."""
     return leaf(value, requires_grad=False)
-
-
-def _lift(x) -> Node:
-    return x if isinstance(x, Node) else constant(x)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -186,17 +173,6 @@ def linear_head(h: Node, w: Node, b: Node) -> Node:
                (h, lambda g: g.reshape(pre.shape) @ w.value.T),
                (w, lambda g: h.value.T @ g.reshape(pre.shape)),
                (b, lambda g: _unbroadcast(g.reshape(pre.shape), b.value.shape)))
-
-
-def mse(preds: Node, y: np.ndarray) -> Node:
-    """Mean squared residual against constant targets ``y`` of ``preds``'s
-    shape, with the bits of ``scale(sum_all(square(preds - constant(y))), 1/size)``."""
-    if preds.value.size == 0:
-        raise DimensionError("a mean squared error needs at least one entry")
-    r = preds.value - y
-    c = 1.0 / r.size
-    return _op("mse", np.add.reduce(r * r, axis=None) * c,
-               (preds, lambda g: 2.0 * r * np.full_like(r, c * g)))
 
 
 def _masked(mask: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -10,9 +10,10 @@ over features, divided by the batch size.
 The forward pass is :func:`fit_batch` alone: it validates the batch, sorts
 it once, fits every feature and measures its shortfalls, and every path
 reads that one fit, a :class:`BatchFit`, which also gives the penalty per
-feature and in total. In training, :func:`build_loss_terms` puts the fit's
-penalty into the autodiff graph as one node over the predictions, which
-adds only the backward pass (:func:`_penalty_node`).
+feature and in total. In training, :func:`build_loss_terms` puts the whole
+objective, the MSE plus lambda times the fit's penalty, into the autodiff
+graph as one node over the predictions (:func:`_objective_node`); the
+penalty adds no node of its own.
 """
 
 from __future__ import annotations
@@ -261,45 +262,37 @@ def compliance_score(preds, X, spec: MonotonicitySpec) -> float | None:
     return fit_batch(preds, X, spec).compliance()
 
 
-@dataclass(frozen=True)
-class LossTerms:
-    """Graph nodes of the combined objective plus the batch's fit.
-
-    ``total`` is ``mse + scale(penalty, lam)``. ``penalty`` is one graph
-    node for the whole batch penalty, every feature included (see
-    :func:`build_loss_terms`), or None when the penalty term is not part
-    of the graph (lambda = 0, empty spec, or every feature degenerate).
-    ``fit`` is the batch's :class:`BatchFit` on every path; its
-    ``per_feature`` and ``total`` are the logged decomposition.
-    """
-
-    total: Node
-    mse: Node
-    penalty: Node | None
-    fit: BatchFit
-
-
-def _penalty_node(preds: Node, fit: BatchFit) -> Node:
-    """The batch penalty as one node over ``preds``: its value is
-    ``fit.total``, and the node adds the backward.
-
-    Its gradient equals, bit for bit, that of the graph
-    ``scale(sum_j sum_all(square(relu(dg_j - adjacent_diff(gather_rows(
-    preds, perm))))), 1/n)``, where ``dg_j`` is the constant
-    ``slope_j * dx_j`` (frozen) or ``sum_all(preds * coeffs_j) * dx_j``
-    (coupled), whose relu is the fit's violations. The backward adds to
-    ``preds.grad`` as that graph's backward pass did, one contribution at
-    a time: in coupled mode ``coeffs_j`` times the slope's gradient, per
-    feature in spec order, then the hinge gradient scattered back through
-    ``perm``.
+def _objective_node(preds: Node, y: np.ndarray, fit: BatchFit,
+                    lam: float) -> Node:
+    """The objective L = MSE + lambda * penalty as one node over ``preds``,
+    with the value and gradient bits of the op graph ``add(mse, scale(
+    penalty, lam))``. The MSE is ``scale(sum_all(square(preds - y)), 1/n)``.
+    The penalty term is there when lambda > 0 and some feature was fitted:
+    its value is ``fit.total``, and its graph is ``scale(sum_j sum_all(
+    square(relu(dg_j - adjacent_diff(gather_rows(preds, perm))))), 1/n)``,
+    where ``dg_j`` is the constant ``slope_j * dx_j`` (frozen) or
+    ``sum_all(preds * coeffs_j) * dx_j`` (coupled), whose relu is the fit's
+    violations. The backward adds to ``preds.grad`` as that graph's
+    backward pass did, one contribution at a time: the MSE's, then in
+    coupled mode ``coeffs_j`` times the slope's gradient, per feature in
+    spec order, then the hinge gradient scattered back through ``perm``.
     """
     c = 1.0 / fit.batch_size
-    out = ad._op("penalty", fit.total, (preds, None))  # backward set below
+    r = preds.value - y
+    value = np.add.reduce(r * r, axis=None) * c
+    lam = float(lam)
+    with_penalty = lam > 0 and any(f is not None for f in fit.features.values())
+    if with_penalty:
+        value = value + ad.as_tensor(fit.total) * lam
+    out = ad._op("objective", value, (preds, None))  # backward set below
 
     def backward(g):
         if not preds.requires_grad:
             return
-        g_p = c * g  # the gradient of sum_j p_j, and so of each p_j
+        ad._accumulate(preds, 2.0 * r * np.full_like(r, c * g))
+        if not with_penalty:
+            return
+        g_p = c * (lam * g)  # the gradient of sum_j p_j, and so of each p_j
         g_dpred = None
         for f in fit.features.values():
             if f is None:
@@ -323,17 +316,17 @@ def _penalty_node(preds: Node, fit: BatchFit) -> Node:
 
 
 def build_loss_terms(preds: Node, y, X, spec: MonotonicitySpec, lam: float,
-                     baseline_mode: str = "frozen") -> LossTerms:
-    """Assemble L = MSE + lambda * penalty inside the autodiff graph.
+                     baseline_mode: str = "frozen") -> tuple[Node, BatchFit]:
+    """The training objective L = MSE + lambda * penalty, as one graph node
+    (:func:`_objective_node`), and the batch's one :class:`BatchFit`.
 
-    The penalty is one node (:func:`_penalty_node`) on the batch's one
-    :class:`BatchFit`. In frozen mode the fitted slope is a constant of
-    the backward pass; in coupled mode gradients also flow through the
-    covariance/variance formulas. The sort permutation is constant in
-    backward either way. ``preds.grad`` receives the MSE's contribution
-    first, then the penalty node's, in the order that node documents.
-    At lambda = 0 the fit, and so its penalty, is at the fitted slope in
-    either mode. A 0-row batch raises DimensionError.
+    In frozen mode the fitted slope is a constant of the backward pass; in
+    coupled mode gradients also flow through the covariance/variance
+    formulas. The sort permutation is constant in backward either way.
+    At lambda = 0, with an empty spec or with every feature degenerate the
+    objective is the MSE alone; the fit still reports the penalty, at the
+    fitted slope in either mode at lambda = 0. A 0-row batch raises
+    DimensionError.
     """
     if not 0.0 <= lam < math.inf:
         raise ParameterError(f"penalty weight must be finite and >= 0, got {lam}")
@@ -348,11 +341,4 @@ def build_loss_terms(preds: Node, y, X, spec: MonotonicitySpec, lam: float,
             f"{preds.value.shape}")
 
     fit.total  # refuses a 0-row batch
-    mse = ad.mse(preds, y)
-    if lam == 0 or all(f is None for f in fit.features.values()):
-        # penalty not built into the graph; the fit still reports it
-        return LossTerms(total=mse, mse=mse, penalty=None, fit=fit)
-
-    penalty = _penalty_node(preds, fit)
-    return LossTerms(total=mse + ad.scale(penalty, lam), mse=mse,
-                     penalty=penalty, fit=fit)
+    return _objective_node(preds, y, fit, lam), fit

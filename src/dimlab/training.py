@@ -284,18 +284,27 @@ def _config_snapshot(model_config: ModelConfig, config: TrainConfig) -> dict:
     return snap
 
 
+def _validation_rows(n: int, val_fraction: float) -> int:
+    """How many of ``n`` training rows the carve holds out: none at
+    ``val_fraction`` 0 or below 2 rows, else at least one; a ConfigError
+    when none would be left to train on."""
+    if val_fraction == 0.0 or n < 2:
+        return 0
+    n_val = max(1, int(round(val_fraction * n)))
+    if n_val >= n:
+        raise ConfigError(f"val_fraction {val_fraction} leaves no training rows")
+    return n_val
+
+
 def _carve_validation(train_ds: Dataset,
                       config: TrainConfig) -> tuple[Dataset, Dataset]:
     """Seeded (fit, validation) rows of the training split; with no
     held-out rows, early stopping watches the training split itself."""
     n = train_ds.n_rows
-    if config.val_fraction == 0.0 or n < 2:
+    n_val = _validation_rows(n, config.val_fraction)
+    if n_val == 0:
         return train_ds, train_ds
     perm = np.random.default_rng([CARVE_STREAM, config.seed]).permutation(n)
-    n_val = max(1, int(round(config.val_fraction * n)))
-    if n_val >= n:
-        raise ConfigError(
-            f"val_fraction {config.val_fraction} leaves no training rows")
 
     def take(idx):
         return replace(train_ds, X=train_ds.X[idx], y=train_ds.y[idx])
@@ -345,17 +354,17 @@ def train(model: Model, train_ds: Dataset, config: TrainConfig,
             xb, yb = X_tr[rows], y_tr[rows]
             preds, nodes = forward_with_params(working, xb, training=True,
                                                rng=dropout_rng)
-            terms = pen.build_loss_terms(preds, yb, xb, spec, config.lam,
-                                         config.baseline_mode)
-            loss = terms.total.value.item()
+            total, fit = pen.build_loss_terms(preds, yb, xb, spec, config.lam,
+                                              config.baseline_mode)
+            loss = total.value.item()
             if not math.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch row {start}")
-            backward_pass(terms.total)
+            backward_pass(total)
             adam_step(flat, {name: node.grad for name, node in nodes.items()},
                       state, config.learning_rate)
             loss_sum += loss * rows.size
-            penalty_sum += terms.fit.total * rows.size
+            penalty_sum += fit.total * rows.size
 
         val_mse = _val_mse(working, val_ds)
         history.append(EpochRecord(train_loss=loss_sum / n,
@@ -491,11 +500,13 @@ def lambda_grid_search(dataset: Dataset, model_config: ModelConfig,
     Within a seed every lambda shares the same split, normalization, and
     initial parameters. A cell whose training raises a DimlabError is
     recorded on its report (error field) and does not stop the sweep; any
-    other exception is a bug and propagates. Every seed is split first;
-    cells are independent and share only frozen datasets, so with
-    max_workers > 1 all (seed, lambda) cells run on one thread pool, with
-    OpenBLAS at one thread and conv1d_same unsplit while it runs. Reports come back seed-major,
-    in grid order, either way.
+    other exception is a bug and propagates. Every seed is split first,
+    and a ``val_fraction`` that leaves a seed's split no training rows is
+    a ConfigError before any cell trains. Cells are independent and share
+    only frozen datasets, so with max_workers > 1 all (seed, lambda) cells
+    run on one thread pool, with OpenBLAS at one thread and conv1d_same
+    unsplit while it runs. Reports come back seed-major, in grid order,
+    either way.
     """
     grid, seeds = sweep_axes(grid, seeds)
     if max_workers < 1:
@@ -508,6 +519,9 @@ def lambda_grid_search(dataset: Dataset, model_config: ModelConfig,
 
     splits = {seed: split_for_seed(dataset, train_frac, seed, norm_fit_on_train)
               for seed in seeds}
+    if not validate_on_test:  # each cell carves its validation rows
+        for train_n, _ in splits.values():
+            _validation_rows(train_n.n_rows, train_config.val_fraction)
 
     def run_cell(cell):
         lam, seed = cell

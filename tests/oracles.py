@@ -69,10 +69,13 @@ def row_products_sum_reference(g, p):
 
 
 def loss_terms_reference(preds, y, X, spec, lam, baseline_mode):
-    """``penalty.build_loss_terms`` as a graph of the engine's small ops:
-    ``gather_rows`` and ``adjacent_diff`` for the sorted prediction
-    increments, then per feature ``mul``/``sum_all``/``mul``/``sub``/
-    ``relu``/``square``/``sum_all``, the adds, and the ``1/n`` scale."""
+    """``penalty.build_loss_terms`` as a graph of the engine's small ops,
+    returning (total, fit): the MSE as ``sub``/``square``/``sum_all`` and
+    the ``1/n`` scale, and when the penalty is present, ``gather_rows`` and
+    ``adjacent_diff`` for the sorted prediction increments, then per
+    feature ``mul``/``sum_all``/``mul``/``sub``/``relu``/``square``/
+    ``sum_all``, the adds, the ``1/n`` scale, the lambda scale and the
+    add to the MSE."""
     from dimlab import autodiff as ad
     from dimlab import penalty as pen
 
@@ -82,11 +85,11 @@ def loss_terms_reference(preds, y, X, spec, lam, baseline_mode):
     n = fit.batch_size
     fit.total  # refuses a 0-row batch
 
-    residual = preds - ad.constant(y)
+    residual = ad.sub(preds, ad.constant(y))
     mse = ad.scale(ad.sum_all(ad.square(residual)), 1.0 / n)
 
     if lam == 0 or all(f is None for f in fit.features.values()):
-        return pen.LossTerms(total=mse, mse=mse, penalty=None, fit=fit)
+        return mse, fit
 
     per_feature = {}
     p_sum_node = None
@@ -101,19 +104,19 @@ def loss_terms_reference(preds, y, X, spec, lam, baseline_mode):
         else:
             b = f.baseline
             coeffs = (X[:, j] - b.x_mean) / (n * b.x_var)
-            slope_node = ad.sum_all(preds * ad.constant(coeffs))
-            dg = slope_node * ad.constant(f.dx)
-        p_j = ad.sum_all(ad.square(ad.relu(dg - dfhat)))
+            slope_node = ad.sum_all(ad.mul(preds, ad.constant(coeffs)))
+            dg = ad.mul(slope_node, ad.constant(f.dx))
+        p_j = ad.sum_all(ad.square(ad.relu(ad.sub(dg, dfhat))))
         per_feature[j] = p_j.value.item()
-        p_sum_node = p_j if p_sum_node is None else p_sum_node + p_j
+        p_sum_node = p_j if p_sum_node is None else ad.add(p_sum_node, p_j)
 
     penalty = ad.scale(p_sum_node, 1.0 / n)
-    total = mse + ad.scale(penalty, lam)
+    total = ad.add(mse, ad.scale(penalty, lam))
     # the graph's own penalty values, in the fields a BatchFit reports
     graph_fit = SimpleNamespace(per_feature=per_feature,
                                 total=penalty.value.item(), batch_size=n,
                                 skipped=fit.skipped)
-    return pen.LossTerms(total=total, mse=mse, penalty=penalty, fit=graph_fit)
+    return total, graph_fit
 
 
 def topo_order_reference(root):

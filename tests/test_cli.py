@@ -185,6 +185,17 @@ def test_sweep_that_trains_no_epoch_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_whose_val_fraction_leaves_no_training_rows_is_a_config_error(
+        tmp_path, capsys):
+    cfg = write_config(tmp_path, dataset={"synthetic": {"n": 10}},
+                       train={"val_fraction": 0.95, "max_epochs": 1},
+                       grid=[0, 1], seeds=[1])
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "error [config]" in err and "val_fraction" in err
+    assert not list((tmp_path / "out").glob("**/run_*"))
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("train", "batch_size", 16.0), ("train", "max_epochs", 1.5),
     ("train", "early_stop_patience", 2.5), ("train", "batch_size", True),

@@ -197,10 +197,9 @@ def test_training_step_builds_one_dense_node_per_hidden_layer(arch):
     batch = data.normal(size=(16, 4))
     preds, _ = mz.forward_with_params(model, batch, training=True,
                                       rng=np.random.default_rng(0))
-    # at lambda 0, as the penalty's hinge is a relu node of its own
-    terms = pen.build_loss_terms(preds, data.normal(size=16), batch,
-                                 pen.MonotonicitySpec((2,)), 0.0)
-    tags = Counter(node.op_tag for node in _graph(terms.total))
+    total, _ = pen.build_loss_terms(preds, data.normal(size=16), batch,
+                                    pen.MonotonicitySpec((2,)), 0.0)
+    tags = Counter(node.op_tag for node in _graph(total))
     assert tags["dense"] == len(model.config.hidden_sizes)
     assert tags["relu"] == tags["dropout"] == 0
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dimlab import autodiff as ad
+from dimlab import models as mz
 from dimlab import penalty as pen
 from dimlab.errors import DimensionError, ParameterError
 from oracles import loss_terms_reference
@@ -188,8 +189,12 @@ def test_an_empty_batch_has_a_fit_but_no_penalty():
     X, spec = np.zeros((0, 1)), spec_for(0)
     fit = pen.fit_batch(np.zeros(0), X, spec)
     assert fit.skipped == (0,) and fit.compliance() is None
+    empty = ad.leaf(np.zeros(0), requires_grad=True)
     for read in (lambda: fit.per_feature, lambda: fit.total,
-                 lambda: pen.monotonicity_penalty(np.zeros(0), X, spec)):
+                 lambda: pen.monotonicity_penalty(np.zeros(0), X, spec),
+                 lambda: pen.build_loss_terms(empty, np.zeros(0), X, spec, 0.0),
+                 lambda: pen.build_loss_terms(empty, np.zeros(0), X, spec, 0.5,
+                                              "coupled")):
         with pytest.raises(DimensionError, match="at least one row, got 0"):
             read()
 
@@ -343,7 +348,7 @@ def test_combined_loss_lambda_zero_is_mse():
     y = rng.normal(size=8)
     p_val = rng.normal(size=8)
     preds = ad.leaf(p_val, requires_grad=True)
-    out = pen.build_loss_terms(preds, y, X, spec_for(0, 1), 0.0).total
+    out, _ = pen.build_loss_terms(preds, y, X, spec_for(0, 1), 0.0)
     assert out.value.item() == np.sum((p_val - y) ** 2) * (1.0 / 8)
 
 
@@ -352,8 +357,8 @@ def test_combined_loss_zero_penalty_any_lambda():
     p_val = 2.0 * x + 1.0
     y = np.array([1.0, 2.0, 5.0, 7.0])
     for lam in (0.0, 0.4, 1.0):
-        out = pen.build_loss_terms(ad.leaf(p_val), y, x[:, None], spec_for(0),
-                                   lam).total
+        out, _ = pen.build_loss_terms(ad.leaf(p_val), y, x[:, None],
+                                      spec_for(0), lam)
         assert abs(out.value.item() - np.mean((p_val - y) ** 2)) < 1e-15
 
 
@@ -361,7 +366,7 @@ def test_combined_loss_hand_batch():
     X = np.array([[0.0], [1.0], [2.0]])
     y = np.array([0.0, 1.0, 2.0])
     p_val = np.array([0.0, 3.0, 3.0])
-    out = pen.build_loss_terms(ad.leaf(p_val), y, X, spec_for(0), 0.4).total
+    out, _ = pen.build_loss_terms(ad.leaf(p_val), y, X, spec_for(0), 0.4)
     expected = np.mean((p_val - y) ** 2) + 0.4 * 0.75
     assert abs(out.value.item() - expected) < 1e-12
 
@@ -390,13 +395,14 @@ def test_loss_terms_penalty_matches_pure_computation():
         X = rng.normal(size=(20, 3))
         y = rng.normal(size=20)
         p_val = rng.normal(size=20)
-        terms = pen.build_loss_terms(ad.leaf(p_val, requires_grad=True), y, X,
-                                     spec_for(0, 2), 0.7, baseline_mode=mode)
+        total, fit = pen.build_loss_terms(ad.leaf(p_val, requires_grad=True),
+                                          y, X, spec_for(0, 2), 0.7,
+                                          baseline_mode=mode)
         pure = pen.monotonicity_penalty(p_val, X, spec_for(0, 2))
-        assert abs(terms.penalty.value.item() - pure.total) <= tol
-        assert terms.fit.per_feature.keys() == pure.per_feature.keys()
-        total = terms.mse.value.item() + 0.7 * terms.penalty.value.item()
-        assert abs(terms.total.value.item() - total) < 1e-12
+        assert abs(fit.total - pure.total) <= tol
+        assert fit.per_feature.keys() == pure.per_feature.keys()
+        expected = np.mean((p_val - y) ** 2) + 0.7 * fit.total
+        assert abs(total.value.item() - expected) < 1e-12
 
 
 def test_frozen_gradients_match_fd_with_constants_held():
@@ -409,7 +415,7 @@ def test_frozen_gradients_match_fd_with_constants_held():
     idx = spec_for(0, 1)
 
     preds = ad.leaf(p_val, requires_grad=True)
-    ad.backward_pass(pen.build_loss_terms(preds, y, X, idx, lam, "frozen").total)
+    ad.backward_pass(pen.build_loss_terms(preds, y, X, idx, lam, "frozen")[0])
 
     frozen = {}
     perm = np.argsort(p_val, kind="stable")
@@ -446,7 +452,7 @@ def test_coupled_gradients_match_fd_of_full_refit():
 
     err = ad.gradient_check(
         lambda p: pen.build_loss_terms(p, y, X, spec_for(0, 1), 0.8,
-                                       "coupled").total,
+                                       "coupled")[0],
         p_val, step=1e-5)
     assert err < 1e-4
 
@@ -461,7 +467,7 @@ def test_frozen_and_coupled_gradients_differ():
     for mode in ("frozen", "coupled"):
         preds = ad.leaf(p_val, requires_grad=True)
         ad.backward_pass(
-            pen.build_loss_terms(preds, y, X, spec_for(0, 1), 1.0, mode).total)
+            pen.build_loss_terms(preds, y, X, spec_for(0, 1), 1.0, mode)[0])
         grads[mode] = preds.grad.copy()
     assert not np.allclose(grads["frozen"], grads["coupled"])
 
@@ -485,18 +491,19 @@ def mean_based_coupled_grad(p, y, X, indices, lam):
     n = p.shape[0]
     preds = ad.leaf(p, requires_grad=True)
     perm = np.argsort(p, kind="stable")
-    mse = ad.scale(ad.sum_all(ad.square(preds - ad.constant(y))), 1.0 / n)
+    mse = ad.scale(ad.sum_all(ad.square(ad.sub(preds, ad.constant(y)))),
+                   1.0 / n)
     dfhat = ad.adjacent_diff(ad.gather_rows(preds, perm))
     p_sum = None
     for j in indices:
         x_col = X[:, j]
         mean_x, var, _, _ = mean_based_moments(x_col, p)
         coeffs = (x_col - mean_x) / (n * var)
-        slope = ad.sum_all(preds * ad.constant(coeffs))
-        dg = slope * ad.constant(np.diff(x_col[perm]))
-        p_j = ad.sum_all(ad.square(ad.relu(dg - dfhat)))
-        p_sum = p_j if p_sum is None else p_sum + p_j
-    ad.backward_pass(mse + ad.scale(ad.scale(p_sum, 1.0 / n), lam))
+        slope = ad.sum_all(ad.mul(preds, ad.constant(coeffs)))
+        dg = ad.mul(slope, ad.constant(np.diff(x_col[perm])))
+        p_j = ad.sum_all(ad.square(ad.relu(ad.sub(dg, dfhat))))
+        p_sum = p_j if p_sum is None else ad.add(p_sum, p_j)
+    ad.backward_pass(ad.add(mse, ad.scale(ad.scale(p_sum, 1.0 / n), lam)))
     return preds.grad
 
 
@@ -542,10 +549,10 @@ def test_coupled_gradient_equals_the_mean_form(name):
     y = preds[::-1].copy()
     indices = tuple(range(X.shape[1]))
     node = ad.leaf(preds, requires_grad=True)
-    terms = pen.build_loss_terms(node, y, X, pen.MonotonicitySpec(indices),
-                                 0.7, "coupled")
-    assert terms.penalty is not None, name
-    ad.backward_pass(terms.total)
+    total, fit = pen.build_loss_terms(node, y, X, pen.MonotonicitySpec(indices),
+                                      0.7, "coupled")
+    assert fit.skipped != indices, name  # the penalty is in the objective
+    ad.backward_pass(total)
     expected = mean_based_coupled_grad(preds, y, X, indices, 0.7)
     assert node.grad.tobytes() == expected.tobytes(), name
 
@@ -581,7 +588,7 @@ def preds_node(values, kind):
         return ad.leaf(values, requires_grad=True), ()
     w = ad.leaf([[1.0]], requires_grad=True)
     b = ad.leaf([0.0], requires_grad=True)
-    head = ad.matmul(ad.constant(values[:, None]), w) + b
+    head = ad.add(ad.matmul(ad.constant(values[:, None]), w), b)
     return ad.reshape(head, values.shape), (w, b)
 
 
@@ -599,17 +606,14 @@ def test_penalty_node_matches_the_op_graph_byte_for_byte(name, mode, kind):
     runs = []
     for build in (pen.build_loss_terms, loss_terms_reference):
         preds, params = preds_node(p, kind)
-        terms = build(preds, y, X, spec, 0.7, mode)
-        ad.backward_pass(terms.total)
-        runs.append((terms, preds.grad, [q.grad for q in params]))
-    (new, grad, param_grads), (ref, ref_grad, ref_param_grads) = runs
-    assert new.total.value.shape == ref.total.value.shape
-    assert new.total.value.tobytes() == ref.total.value.tobytes()
-    assert (new.penalty is None) == (ref.penalty is None)
-    if ref.penalty is not None:
-        assert new.penalty.value.shape == ref.penalty.value.shape
-        assert new.penalty.value.tobytes() == ref.penalty.value.tobytes()
-    assert penalty_bits(new.fit) == penalty_bits(ref.fit)
+        total, fit = build(preds, y, X, spec, 0.7, mode)
+        ad.backward_pass(total)
+        runs.append((total, fit, preds.grad, [q.grad for q in params]))
+    (total, fit, grad, param_grads), (ref, ref_fit, ref_grad,
+                                      ref_param_grads) = runs
+    assert total.value.shape == ref.value.shape
+    assert total.value.tobytes() == ref.value.tobytes()
+    assert penalty_bits(fit) == penalty_bits(ref_fit)
     assert grad.tobytes() == ref_grad.tobytes()
     for g, ref_g in zip(param_grads, ref_param_grads):
         assert g.tobytes() == ref_g.tobytes()
@@ -627,22 +631,28 @@ def test_loss_terms_take_one_hinge_per_fitted_feature(mode, lam, monkeypatch):
     monkeypatch.setattr(pen, "adjacent_violations", counting)
     X, p, y, indices = PENALTY_BATCHES["one_constant_column"]
     preds = ad.leaf(p, requires_grad=True)
-    terms = pen.build_loss_terms(preds, y, X, pen.MonotonicitySpec(indices),
-                                 lam, mode)
-    ad.backward_pass(terms.total)
-    assert terms.fit.skipped == (1,)
+    total, fit = pen.build_loss_terms(preds, y, X, pen.MonotonicitySpec(indices),
+                                      lam, mode)
+    ad.backward_pass(total)
+    assert fit.skipped == (1,)
     assert len(calls) == 2
 
 
 def test_penalty_node_coupled_gradient_check():
+    """The penalty's own gradient: the objective at lambda 0.9 less the
+    objective at 0, which is the MSE alone."""
     rng = np.random.default_rng(32)
     n = 12
     X = rng.normal(size=(n, 3))
     y = rng.normal(size=n)
     p_val = rng.normal(size=n) * 2.0
+
+    def objective(q, lam):
+        return pen.build_loss_terms(q, y, X, spec_for(0, 1, 2), lam,
+                                    "coupled")[0]
+
     err = ad.gradient_check(
-        lambda q: pen.build_loss_terms(q, y, X, spec_for(0, 1, 2), 0.9,
-                                       "coupled").penalty,
+        lambda q: ad.sub(objective(q, 0.9), objective(q, 0.0)),
         p_val, step=1e-5)
     assert err < 1e-4
 
@@ -657,22 +667,23 @@ def reachable(root):
     return list(seen.values())
 
 
-def test_coupled_penalty_is_one_graph_node():
-    X, p, y, _ = PENALTY_BATCHES["random"]
-    preds = ad.leaf(p, requires_grad=True)
-    terms = pen.build_loss_terms(preds, y, X, spec_for(0, 1, 2), 1.0,
-                                 "coupled")
-    assert terms.penalty.parents == (preds,)
-    # beyond the MSE's nodes: the penalty, its lambda scale and the sum
-    assert len(reachable(terms.total)) == len(reachable(terms.mse)) + 3
-
-
-def test_loss_mse_and_penalty_nodes_are_shape_one():
-    """Every scalar node is shape (1,), as ``ad.as_tensor`` makes it."""
-    X = np.array([[0.0], [1.0], [2.0], [3.0]])
-    preds = ad.leaf([3.0, 1.0, 2.0, 0.0], requires_grad=True)
-    terms = pen.build_loss_terms(preds, np.zeros(4), X,
-                                 pen.MonotonicitySpec((0,)), 0.5, "coupled")
-    assert terms.penalty is not None
-    for node in (terms.total, terms.mse, terms.penalty):
-        assert node.value.shape == (1,)
+@pytest.mark.parametrize("mode", pen.BASELINE_MODES)
+@pytest.mark.parametrize("arch", mz.ARCHITECTURES)
+def test_the_penalty_adds_no_graph_node(arch, mode):
+    """A training step builds as many nodes at lambda > 0 as at 0: the
+    objective is one node over the predictions, of shape (1,) as
+    ``ad.as_tensor`` makes every scalar."""
+    model = mz.build_model(mz.ModelConfig(architecture=arch, input_dim=4))
+    data = np.random.default_rng(33)
+    X, y = data.normal(size=(16, 4)), data.normal(size=16)
+    sizes = []
+    for lam in (0.0, 0.7):
+        preds, _ = mz.forward_with_params(model, X, training=True,
+                                          rng=np.random.default_rng(0))
+        total, fit = pen.build_loss_terms(preds, y, X, spec_for(0, 1, 2),
+                                          lam, mode)
+        assert fit.skipped == ()
+        assert total.parents == (preds,)
+        assert total.value.shape == (1,)
+        sizes.append(len(reachable(total)))
+    assert sizes[0] == sizes[1]

@@ -3,7 +3,7 @@
 A degenerate fit and an undefined compliance are None exactly when the
 input leaves nothing to fit; the loss terms and ``conv1d_same`` keep the
 bytes of their references in ``tests/oracles.py``, and ``dense`` those of
-the op chain it fuses, as do the linear head and the MSE node;
+the op chain it fuses, as do the linear head and the MSE of the objective;
 ``backward_pass`` runs the node closures in the order of its frozen walk;
 monotonic names map to their features' positions or
 are refused; and the config validator accepts a value only when it is
@@ -87,25 +87,27 @@ def bits(value):
     return np.float64(value).tobytes()
 
 
-def loss_terms_bits(build, preds, y, X, spec, lam, mode):
+def loss_terms_bits(build, preds, y, X, spec, lam, mode, weight):
+    """The objective's value, the predictions' gradient under the loss
+    ``weight * objective``, and the fit's fields, as bytes."""
     node = ad.leaf(preds, requires_grad=True)
-    terms = build(node, y, X, spec, lam, mode)
-    ad.backward_pass(terms.total)
-    b = terms.fit
-    return (terms.total.value.tobytes(), node.grad.tobytes(),
-            terms.penalty is None, b.batch_size, b.skipped, bits(b.total),
+    total, b = build(node, y, X, spec, lam, mode)
+    ad.backward_pass(ad.sum_all(ad.mul(total, ad.constant([weight]))))
+    return (total.value.tobytes(), node.grad.tobytes(), b.batch_size,
+            b.skipped, bits(b.total),
             {j: bits(v) for j, v in b.per_feature.items()})
 
 
 @PROPERTY
-@given(loss_batches(), st.floats(1e-3, 10.0))
-def test_loss_terms_match_the_op_graph_byte_for_byte(batch, lam):
+@given(loss_batches(), st.floats(1e-3, 10.0), st.floats(-1e3, 1e3))
+def test_loss_terms_match_the_op_graph_byte_for_byte(batch, lam, weight):
     # every batch in both modes, at lambda 0 and > 0: a batch that violates
-    # its trend is the one that tells the modes' gradients apart
+    # its trend is the one that tells the modes' gradients apart; the
+    # backward starts from an arbitrary weight on the objective
     preds, y, X, spec = batch
     for mode in pen.BASELINE_MODES:
-        for weight in (0.0, lam):
-            args = (preds, y, X, spec, weight, mode)
+        for lam_or_0 in (0.0, lam):
+            args = (preds, y, X, spec, lam_or_0, mode, weight)
             if len(preds) == 0:
                 for build in (pen.build_loss_terms, loss_terms_reference):
                     with pytest.raises(DimensionError,
@@ -134,7 +136,7 @@ def test_conv1d_same_matches_its_reference_byte_for_byte(batch, length, in_ch,
     b, g = draw(out_ch), draw(batch, length, out_ch)
     nodes = [ad.leaf(v, requires_grad=True) for v in (x, k, b)]
     out = ad.conv1d_same(*nodes)
-    ad.backward_pass(ad.sum_all(out * ad.constant(g)))
+    ad.backward_pass(ad.sum_all(ad.mul(out, ad.constant(g))))
     got = (out.value, *(n.grad for n in nodes))
     for a, want in zip(got, conv1d_same_reference(x, k, b, g)):
         assert a.shape == want.shape and a.tobytes() == want.tobytes()
@@ -159,12 +161,12 @@ def test_dense_matches_its_unfused_chain_byte_for_byte(n, d, units, rate,
         nodes = [ad.leaf(v, requires_grad=True) for v in (h, w, b)]
         rng = np.random.default_rng(seed)
         out = layer(*nodes, rate, rng)
-        ad.backward_pass(ad.sum_all(out * ad.constant(g)))
+        ad.backward_pass(ad.sum_all(ad.mul(out, ad.constant(g))))
         arrays = [out.value, *(node.grad for node in nodes)]
         return [(a.shape, a.tobytes()) for a in arrays], rng.bit_generator.state
 
     assert run(ad.dense) == run(lambda h, w, b, rate, rng: ad.dropout(
-        ad.relu(ad.matmul(h, w) + b), rate, True, rng))
+        ad.relu(ad.add(ad.matmul(h, w), b)), rate, True, rng))
 
 
 def draw_array(data, *shape):
@@ -176,7 +178,7 @@ def draw_array(data, *shape):
 def value_and_grads(out, nodes, g):
     """``out``'s value and the gradients of ``nodes`` under the loss
     sum(out * g), as (shape, bytes) pairs."""
-    ad.backward_pass(ad.sum_all(out * ad.constant(g)))
+    ad.backward_pass(ad.sum_all(ad.mul(out, ad.constant(g))))
     return [(a.shape, a.tobytes()) for a in (out.value, *(n.grad for n in nodes))]
 
 
@@ -191,20 +193,26 @@ def test_linear_head_matches_its_unfused_chain_byte_for_byte(n, d, data):
         return value_and_grads(head(*nodes), nodes, g)
 
     assert run(ad.linear_head) == run(
-        lambda h, w, b: ad.reshape(ad.matmul(h, w) + b, (n,)))
+        lambda h, w, b: ad.reshape(ad.add(ad.matmul(h, w), b), (n,)))
 
 
 @PROPERTY
 @given(st.integers(1, 6), st.floats(-1e3, 1e3), st.data())
 def test_mse_matches_its_unfused_chain_byte_for_byte(n, weight, data):
+    # the objective at lambda 0 is the MSE alone, whatever the spec
     preds, y = draw_array(data, n), draw_array(data, n)
+    X = draw_array(data, n, 2)
 
     def run(loss):
         node = ad.leaf(preds, requires_grad=True)
         return value_and_grads(loss(node), [node], np.array([weight]))
 
-    assert run(lambda p: ad.mse(p, y)) == run(lambda p: ad.scale(
-        ad.sum_all(ad.square(p - ad.constant(y))), 1.0 / n))
+    for indices in ((), (0,), (0, 1)):
+        spec = pen.MonotonicitySpec(indices)
+        for mode in pen.BASELINE_MODES:
+            assert run(lambda p: pen.build_loss_terms(
+                p, y, X, spec, 0.0, mode)[0]) == run(lambda p: ad.scale(
+                    ad.sum_all(ad.square(ad.sub(p, ad.constant(y)))), 1.0 / n))
 
 
 # a DAG step: (op, first parent, second parent), parents taken modulo the
@@ -214,7 +222,6 @@ DAG_OPS = {
     "square": lambda a, b: ad.square(a),
     "scale": lambda a, b: ad.scale(a, 0.75),
     "sum": lambda a, b: ad.sum_all(a),  # (1,), broadcast by later ops
-    "mse": lambda a, b: ad.mse(a, np.full_like(a.value, b.value[0])),
 }
 
 

@@ -313,7 +313,7 @@ def test_lambda_zero_matches_penalty_free_loop():
             work = mz.Model(config=ref.config, parameters=params)
             preds, nodes = mz.forward_with_params(work, X_tr[rows],
                                                   training=True, rng=drop)
-            diff = preds - ad.constant(y_tr[rows])
+            diff = ad.sub(preds, ad.constant(y_tr[rows]))
             loss = ad.scale(ad.sum_all(ad.square(diff)), 1.0 / rows.size)
             ad.backward_pass(loss)
             grads = {k: n.grad for k, n in nodes.items()}
@@ -519,6 +519,26 @@ def test_grid_search_rejects_sweeps_that_train_no_epoch(monkeypatch):
     assert calls == []
 
 
+def test_grid_search_refuses_a_val_fraction_that_leaves_no_training_rows(
+        monkeypatch):
+    calls = []
+    real = tr.fit_cell
+    monkeypatch.setattr(tr, "fit_cell",
+                        lambda *args: calls.append(args) or real(*args))
+    # 10 rows give an 8-row training split, of which 0.95 carves all 8
+    args = (linear_dataset(n=10), mz.ModelConfig("ann", 1),
+            small_cfg(max_epochs=1, val_fraction=0.95))
+    with pytest.raises(ConfigError, match="val_fraction 0.95 leaves no "
+                                          "training rows"):
+        tr.lambda_grid_search(*args, grid=(0.0, 1.0), seeds=(1, 2))
+    assert calls == []
+    # validating on the test split carves nothing, so the fraction is unused
+    reports = tr.lambda_grid_search(*args, grid=(0.0, 1.0), seeds=(1,),
+                                    validate_on_test=True)
+    assert len(calls) == 2
+    assert all(r.error is None for r in reports)
+
+
 def test_one_filter_cnn1d_trains_and_passes_gradient_check():
     """hidden_sizes (1, 2) gives conv0 one input and one output channel,
     the one shape whose kernel gradient numpy sums with its own
@@ -549,8 +569,9 @@ def test_one_filter_cnn1d_trains_and_passes_gradient_check():
             for i in range(2):
                 h = ad.relu(ad.conv1d_same(h, nodes[f"conv{i}_w"],
                                            nodes[f"conv{i}_b"]))
-            out = ad.matmul(ad.global_avg_pool(h), nodes["head_w"]) + nodes["head_b"]
-            return ad.sum_all(ad.square(out - y))
+            out = ad.add(ad.matmul(ad.global_avg_pool(h), nodes["head_w"]),
+                         nodes["head_b"])
+            return ad.sum_all(ad.square(ad.sub(out, y)))
         return loss
 
     for name, value in params.items():
