@@ -9,15 +9,18 @@ in place.
 
 from __future__ import annotations
 
+import functools
+import logging
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, ParameterError
+from .errors import DimensionError, ParameterError
+
+log = logging.getLogger(__name__)
 
 
 def as_tensor(x) -> np.ndarray:
@@ -261,7 +264,7 @@ def adjacent_diff(a: Node) -> Node:
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
 _helper: ThreadPoolExecutor | None = None  # started by the first split
-_helper_idle = threading.Lock()  # held by a split or by convs_inline
+_helper_idle = threading.Lock()  # held by a split or by pool_map
 
 
 def _drop_helper() -> None:
@@ -280,7 +283,7 @@ def _on_both_cores(work: Callable[[int, int], None], n: int) -> None:
     process's one helper thread, and return or raise once both halves are
     done; a fault in either half propagates, the caller's first. With
     fewer than 2 entries, on one CPU, or while another thread holds the
-    helper (its own split, or ``convs_inline``), ``work(0, n)`` runs
+    helper (its own split, or ``pool_map``), ``work(0, n)`` runs
     inline: no thread queues for the helper.
     """
     global _helper
@@ -300,13 +303,53 @@ def _on_both_cores(work: Callable[[int, int], None], n: int) -> None:
     helper_half.result()
 
 
-@contextmanager
-def convs_inline():
-    """Hold the helper, once a split in flight is done, so that every
-    ``conv1d_same`` runs inline until the block ends: a pool whose worker
-    threads fill the cores has no core to spare for it."""
+# (get, set) names of OpenBLAS's thread-count functions: numpy's bundled
+# scipy-openblas build, then a plain OpenBLAS
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _find_openblas():
+    """(get, set) thread-count functions of numpy's OpenBLAS, or None, found
+    once by dlsym on numpy's LAPACK extension and the libraries it links."""
+    import ctypes
+
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for get_name, set_name in _OPENBLAS_SYMBOLS:
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    log.info("no OpenBLAS thread-count functions found; pool_map runs its "
+             "threads with BLAS threads unpinned")
+    return None
+
+
+def pool_map(fn: Callable, items, workers: int) -> list:
+    """``list(map(fn, items))``, on ``workers`` threads when ``workers`` > 1,
+    in item order either way. Those threads fill the cores, so while they
+    run no op starts threads of its own: the pool holds the helper (every
+    ``conv1d_same`` runs inline, and an overlapping pool waits its turn)
+    and holds OpenBLAS at one thread, restoring the count it found, also
+    when a call raises. Without OpenBLAS's thread-count functions, BLAS
+    runs unpinned."""
+    if workers == 1:
+        return list(map(fn, items))
     with _helper_idle:
-        yield
+        api = _find_openblas()
+        if api:
+            saved = api[0]()
+            api[1](1)
+        try:
+            with ThreadPoolExecutor(workers) as pool:
+                return list(pool.map(fn, items))
+        finally:
+            if api:
+                api[1](saved)
 
 
 def conv1d_same(x: Node, kernels: Node, bias: Node) -> Node:
@@ -467,35 +510,3 @@ def backward_pass(root: Node) -> None:
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
-
-
-def gradient_check(loss_fn: Callable[[Node], Node], point, step: float) -> float:
-    """Compare the engine's gradient against central finite differences.
-
-    ``loss_fn`` must be a pure function mapping a leaf node (same shape as
-    ``point``) to a scalar node. Returns
-    max_i |g_a,i - g_fd,i| / max(1e-8, |g_a,i| + |g_fd,i|); a point the
-    loss does not reach has analytic gradient 0.
-    """
-    if step <= 0:
-        raise ParameterError(f"step must be positive, got {step}")
-    base = as_tensor(point)
-    p = leaf(base, requires_grad=True)
-    backward_pass(loss_fn(p))
-    g_analytic = np.zeros(base.size) if p.grad is None else p.grad.ravel()
-
-    flat = base.ravel().copy()
-    g_fd = np.empty_like(flat)
-    for i in range(flat.size):
-        vals = []
-        for sign in (1.0, -1.0):
-            bumped = flat.copy()
-            bumped[i] += sign * step
-            out = loss_fn(leaf(bumped.reshape(base.shape))).value.item()
-            if not np.isfinite(out):
-                raise NumericError(f"non-finite loss at perturbed coordinate {i}")
-            vals.append(out)
-        g_fd[i] = (vals[0] - vals[1]) / (2.0 * step)
-
-    denom = np.maximum(1e-8, np.abs(g_analytic) + np.abs(g_fd))
-    return float(np.max(np.abs(g_analytic - g_fd) / denom))

@@ -97,12 +97,6 @@ def default_bump_sds() -> tuple[float, ...]:
     return tuple(float(s) for s in out)
 
 
-def noise_free_response(X) -> np.ndarray:
-    """Sum of the four baseline transforms, no bumps, no noise."""
-    X = np.asarray(X, dtype=np.float64)
-    return sum(f(X[:, j]) for j, f in enumerate(_TRANSFORMS))
-
-
 def _bin_indices(col: np.ndarray, bins: int) -> np.ndarray:
     lo, hi = col.min(), col.max()
     if hi == lo:

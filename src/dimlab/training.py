@@ -10,21 +10,17 @@ for identical seeds.
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import math
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import penalty as pen
-from .autodiff import backward_pass, convs_inline
+from .autodiff import backward_pass, pool_map
 from .data import Dataset, apply_normalization, minmax_normalize, train_test_split
 from .errors import (ConfigError, DataError, DimlabError, NumericError,
                      ParameterError)
@@ -419,56 +415,6 @@ def fit_cell(lam: float, seed: int, model_config: ModelConfig,
     return trained, replace(report, test_metrics=evaluate(trained, test_n))
 
 
-# (get, set) names of OpenBLAS's thread-count functions: numpy's bundled
-# scipy-openblas build, then a plain OpenBLAS
-_OPENBLAS_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-@functools.cache
-def _find_openblas():
-    """(get, set) thread-count functions of numpy's OpenBLAS, or None, found
-    once by dlsym on numpy's LAPACK extension and the libraries it links."""
-    import ctypes
-
-    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    for get_name, set_name in _OPENBLAS_SYMBOLS:
-        if hasattr(lib, get_name) and hasattr(lib, set_name):
-            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
-    log.info("no OpenBLAS thread-count functions found; pooled sweeps run "
-             "with BLAS threads unpinned")
-    return None
-
-
-_BLAS_LOCK = threading.Lock()  # one per process, like the thread count
-
-
-@contextmanager
-def _one_blas_thread():
-    """Hold OpenBLAS at one thread while a pooled sweep runs, then restore
-    the count found, also when a cell raised. Each pool worker is one
-    thread; OpenBLAS threads of its own per worker would oversubscribe the
-    cores. The count is process-wide, so overlapping pooled sweeps take
-    turns. Without the library, sweeps run unpinned."""
-    with _BLAS_LOCK:
-        api = _find_openblas()
-        if api is None:
-            yield
-            return
-        get, set_ = api
-        saved = get()
-        set_(1)
-        try:
-            yield
-        finally:
-            set_(saved)
-
-
 def sweep_axes(grid, seeds) -> tuple[tuple[float, ...], tuple[int, ...]]:
     """A sweep's lambda grid and seeds, each read once (a generator is
     fine): distinct finite lambdas >= 0 that include the 0.0 baseline, and
@@ -503,14 +449,15 @@ def lambda_grid_search(dataset: Dataset, model_config: ModelConfig,
     other exception is a bug and propagates. Every seed is split first,
     and a ``val_fraction`` that leaves a seed's split no training rows is
     a ConfigError before any cell trains. Cells are independent and share
-    only frozen datasets, so with max_workers > 1 all (seed, lambda) cells
-    run on one thread pool, with OpenBLAS at one thread and conv1d_same
-    unsplit while it runs. Reports come back seed-major, in grid order,
-    either way.
+    only frozen datasets, so all (seed, lambda) cells go to one
+    ``autodiff.pool_map`` call over ``max_workers`` threads, an int >= 1
+    (a ParameterError otherwise). Reports come back seed-major, in grid
+    order.
     """
     grid, seeds = sweep_axes(grid, seeds)
-    if max_workers < 1:
-        raise ParameterError(f"max_workers must be >= 1, got {max_workers}")
+    if type(max_workers) is not int or max_workers < 1:  # a bool is refused
+        raise ParameterError(
+            f"max_workers must be an integer >= 1, got {max_workers!r}")
     if train_config.max_epochs < 1:
         raise ConfigError(
             f"a sweep needs max_epochs >= 1, got {train_config.max_epochs}: "
@@ -536,11 +483,7 @@ def lambda_grid_search(dataset: Dataset, model_config: ModelConfig,
                              error=str(exc))
 
     cells = [(lam, seed) for seed in seeds for lam in grid]
-    if max_workers == 1:
-        return list(map(run_cell, cells))
-    with _one_blas_thread(), convs_inline(), \
-            ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(run_cell, cells))
+    return pool_map(run_cell, cells, max_workers)
 
 
 def lambda_medians(reports, split: str, metric: str) -> dict[float, float]:

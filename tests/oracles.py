@@ -1,10 +1,17 @@
 """Reference formulas that dimlab's packed and re-laid-out kernels must
 match bit for bit. They are kept here, outside the package, in their plain
-form, so an optimisation of the package cannot change them."""
+form, so an optimisation of the package cannot change them. The test-only
+helpers that ``src/`` has no caller for, the finite-difference gradient
+check and the synthetic data's noise-free response, live here too."""
 
 from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
+
+from dimlab.autodiff import Node, as_tensor, backward_pass, leaf
+from dimlab.data import _TRANSFORMS
+from dimlab.errors import NumericError, ParameterError
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -140,3 +147,41 @@ def topo_order_reference(root):
             if id(parent) not in seen:
                 stack.append((parent, False))
     return order
+
+
+def gradient_check(loss_fn: Callable[[Node], Node], point, step: float) -> float:
+    """Compare the engine's gradient against central finite differences.
+
+    ``loss_fn`` must be a pure function mapping a leaf node (same shape as
+    ``point``) to a scalar node. Returns
+    max_i |g_a,i - g_fd,i| / max(1e-8, |g_a,i| + |g_fd,i|); a point the
+    loss does not reach has analytic gradient 0.
+    """
+    if step <= 0:
+        raise ParameterError(f"step must be positive, got {step}")
+    base = as_tensor(point)
+    p = leaf(base, requires_grad=True)
+    backward_pass(loss_fn(p))
+    g_analytic = np.zeros(base.size) if p.grad is None else p.grad.ravel()
+
+    flat = base.ravel().copy()
+    g_fd = np.empty_like(flat)
+    for i in range(flat.size):
+        vals = []
+        for sign in (1.0, -1.0):
+            bumped = flat.copy()
+            bumped[i] += sign * step
+            out = loss_fn(leaf(bumped.reshape(base.shape))).value.item()
+            if not np.isfinite(out):
+                raise NumericError(f"non-finite loss at perturbed coordinate {i}")
+            vals.append(out)
+        g_fd[i] = (vals[0] - vals[1]) / (2.0 * step)
+
+    denom = np.maximum(1e-8, np.abs(g_analytic) + np.abs(g_fd))
+    return float(np.max(np.abs(g_analytic - g_fd) / denom))
+
+
+def noise_free_response(X) -> np.ndarray:
+    """Sum of the four baseline transforms, no bumps, no noise."""
+    X = np.asarray(X, dtype=np.float64)
+    return sum(f(X[:, j]) for j, f in enumerate(_TRANSFORMS))

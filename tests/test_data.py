@@ -4,6 +4,7 @@ import pytest
 from dimlab import data as dp
 from dimlab.errors import ConfigError, DataError
 from dimlab.penalty import MonotonicitySpec
+from oracles import noise_free_response
 
 
 def toy_dataset(n=12, d=3, seed=0):
@@ -18,7 +19,7 @@ def toy_dataset(n=12, d=3, seed=0):
 def test_single_row_transform_value():
     X = np.array([[100.0, 25.0, 0.0, 50.0]])
     # 0.5*100 + 1.2*sqrt(25) + 2*log(1) - 0.8*50 = 50 + 6 + 0 - 40
-    assert abs(dp.noise_free_response(X)[0] - 16.0) < 1e-12
+    assert abs(noise_free_response(X)[0] - 16.0) < 1e-12
 
 
 def test_noise_free_generation_deterministic_and_exact():
@@ -26,7 +27,7 @@ def test_noise_free_generation_deterministic_and_exact():
     a = dp.generate_synthetic(cfg)
     b = dp.generate_synthetic(cfg)
     assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
-    assert np.max(np.abs(a.y - dp.noise_free_response(a.X))) < 1e-12
+    assert np.max(np.abs(a.y - noise_free_response(a.X))) < 1e-12
 
 
 def test_strictly_increasing_in_monotone_features_on_grid():
@@ -35,12 +36,12 @@ def test_strictly_increasing_in_monotone_features_on_grid():
     for j, (lo, hi) in enumerate(dp.SYNTH_DOMAINS[:3]):
         X = np.tile(base, (50, 1))
         X[:, j] = lo + (hi - lo) * grid
-        vals = dp.noise_free_response(X)
+        vals = noise_free_response(X)
         assert np.all(np.diff(vals) > 0), f"x{j + 1} not strictly increasing"
     # x4 decreases
     X = np.tile(base, (50, 1))
     X[:, 3] = 100.0 * grid
-    assert np.all(np.diff(dp.noise_free_response(X)) < 0)
+    assert np.all(np.diff(noise_free_response(X)) < 0)
 
 
 def test_default_seed_correlations():
@@ -58,7 +59,7 @@ def test_default_seed_correlations():
 def test_bump_constant_within_bin():
     cfg = dp.SyntheticConfig(n=2000, bins=5, noise_sd=0.0, seed=1)
     ds = dp.generate_synthetic(cfg)
-    resid = ds.y - dp.noise_free_response(ds.X)
+    resid = ds.y - noise_free_response(ds.X)
     # residual = sum of per-feature bin bumps; same 4 bins -> same residual
     bins = np.column_stack([
         np.minimum((5 * (c - c.min()) / (c.max() - c.min())).astype(int), 4)

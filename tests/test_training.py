@@ -13,7 +13,7 @@ from dimlab import penalty as pen
 from dimlab import training as tr
 from dimlab.errors import ConfigError, DataError, NumericError, ParameterError
 from dimlab.penalty import MonotonicitySpec
-from oracles import ReferenceAdam
+from oracles import ReferenceAdam, gradient_check
 
 
 def linear_dataset(n=200, seed=0, noise=0.0):
@@ -438,8 +438,12 @@ def test_grid_search_requires_baseline_lambda():
 
 @pytest.mark.parametrize("kw, error, match", [
     ({"seeds": ()}, ConfigError, "seeds must be non-empty"),
-    ({"max_workers": 0}, ParameterError, "max_workers")],
-    ids=["no_seeds", "no_workers"])
+    ({"max_workers": 0}, ParameterError, "max_workers"),
+    ({"max_workers": 2.5}, ParameterError, "max_workers"),
+    ({"max_workers": True}, ParameterError, "max_workers"),
+    ({"max_workers": "2"}, ParameterError, "max_workers")],
+    ids=["no_seeds", "no_workers", "float_workers", "bool_workers",
+         "str_workers"])
 def test_grid_search_rejects_no_seeds_and_no_workers(kw, error, match):
     with pytest.raises(error, match=match):
         tr.lambda_grid_search(linear_dataset(n=40), mz.ModelConfig("ann", 1),
@@ -575,7 +579,7 @@ def test_one_filter_cnn1d_trains_and_passes_gradient_check():
         return loss
 
     for name, value in params.items():
-        assert ad.gradient_check(loss_of(name), value, step=1e-6) < 1e-6, name
+        assert gradient_check(loss_of(name), value, step=1e-6) < 1e-6, name
 
 
 # ---------------------------------------------------------------- BLAS threads
@@ -588,11 +592,11 @@ def pooled_sweep(seeds=(0,)):
 
 
 def blas_threads():
-    return tr._find_openblas()[0]()
+    return ad._find_openblas()[0]()
 
 
 def blas_threads_or_skip():
-    if tr._find_openblas() is None:
+    if ad._find_openblas() is None:
         pytest.skip("numpy's BLAS exports no OpenBLAS thread-count functions")
     return blas_threads()
 
@@ -614,16 +618,18 @@ def test_pooled_mlp3_reports_match_serial_across_blas_threads():
 def test_pooled_sweep_runs_one_blas_thread_and_restores_count(monkeypatch):
     before = blas_threads_or_skip()
     real_fit = tr.fit_cell
-    seen = []
+    seen, held = [], []
 
     def recording(*args):
         seen.append(blas_threads())
+        held.append(ad._helper_idle.locked())
         return real_fit(*args)
 
     monkeypatch.setattr(tr, "fit_cell", recording)
     reports = pooled_sweep()
     assert all(r.error is None for r in reports)
     assert seen == [1, 1]
+    assert held == [True, True]
     assert blas_threads() == before
 
 
@@ -637,6 +643,7 @@ def test_pooled_sweep_restores_blas_threads_when_a_cell_raises(monkeypatch):
     with pytest.raises(TypeError, match="not a cell failure"):
         pooled_sweep()
     assert blas_threads() == before
+    assert not ad._helper_idle.locked()
 
 
 def test_overlapping_pooled_sweeps_take_turns(monkeypatch):
@@ -666,17 +673,17 @@ def test_overlapping_pooled_sweeps_take_turns(monkeypatch):
 
 def test_pooled_sweep_without_openblas_runs_unpinned_and_logs_once(
         monkeypatch, caplog):
-    monkeypatch.setattr(tr, "_OPENBLAS_SYMBOLS", ())
-    tr._find_openblas.cache_clear()
+    monkeypatch.setattr(ad, "_OPENBLAS_SYMBOLS", ())
+    ad._find_openblas.cache_clear()
     try:
-        with caplog.at_level(logging.INFO, logger="dimlab.training"):
+        with caplog.at_level(logging.INFO, logger="dimlab.autodiff"):
             for _ in range(2):
                 assert all(r.error is None for r in pooled_sweep())
         assert len([r for r in caplog.records
                     if "OpenBLAS" in r.getMessage()]) == 1
-        assert tr._find_openblas() is None
+        assert ad._find_openblas() is None
     finally:
-        tr._find_openblas.cache_clear()
+        ad._find_openblas.cache_clear()
 
 
 # ---------------------------------------------------------------- conv helper
