@@ -344,7 +344,7 @@ def train(model: Model, train_ds: Dataset, config: TrainConfig,
     for epoch in range(config.max_epochs):
         order = shuffle_rng.permutation(n)
         loss_sum = 0.0
-        penalty_sum = 0.0
+        fits = []
         for start in range(0, n, config.batch_size):
             rows = order[start:start + config.batch_size]
             xb, yb = X_tr[rows], y_tr[rows]
@@ -360,7 +360,11 @@ def train(model: Model, train_ds: Dataset, config: TrainConfig,
             adam_step(flat, {name: node.grad for name, node in nodes.items()},
                       state, config.learning_rate)
             loss_sum += loss * rows.size
-            penalty_sum += fit.total * rows.size
+            fits.append(fit)
+        # at lambda 0 the fits are pending, and computed here in one pass
+        penalty_sum = 0.0
+        for fit, total in zip(fits, pen.batch_totals(fits)):
+            penalty_sum += total * fit.batch_size
 
         val_mse = _val_mse(working, val_ds)
         history.append(EpochRecord(train_loss=loss_sum / n,

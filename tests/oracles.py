@@ -4,6 +4,8 @@ form, so an optimisation of the package cannot change them. The test-only
 helpers that ``src/`` has no caller for, the finite-difference gradient
 check and the synthetic data's noise-free response, live here too."""
 
+from dataclasses import dataclass
+from functools import cached_property
 from types import SimpleNamespace
 from typing import Callable
 
@@ -11,7 +13,9 @@ import numpy as np
 
 from dimlab.autodiff import Node, as_tensor, backward_pass, leaf
 from dimlab.data import _TRANSFORMS
-from dimlab.errors import NumericError, ParameterError
+from dimlab.errors import DimensionError, NumericError, ParameterError
+from dimlab.penalty import (BASELINE_MODES, COMPLIANCE_ATOL, FeatureFit,
+                            LinearBaseline)
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -75,6 +79,111 @@ def row_products_sum_reference(g, p):
     return out
 
 
+def fit_linear_baseline_reference(x_col, preds):
+    """Least-squares line from one feature column to the predictions.
+
+    Uses population (1/N) covariance and variance. Returns None when
+    N < 2 or the column is constant or has zero variance, since no line
+    can then be fitted.
+    """
+    x_col = np.asarray(x_col, dtype=np.float64)
+    preds = np.asarray(preds, dtype=np.float64)
+    if x_col.ndim != 1 or preds.ndim != 1 or x_col.shape != preds.shape:
+        raise DimensionError(
+            f"fit_linear_baseline expects equal-length vectors, got "
+            f"{x_col.shape} and {preds.shape}")
+    n = x_col.shape[0]
+    # .max(), .min() and .sum() call these reduces; sum / n is np.mean's bits
+    if n < 2 or np.maximum.reduce(x_col) == np.minimum.reduce(x_col):
+        return None
+    mean_x = np.add.reduce(x_col) / n
+    mean_p = np.add.reduce(preds) / n
+    centred = x_col - mean_x
+    var = np.add.reduce(centred * centred) / n
+    if var == 0.0:
+        return None
+    cov = np.add.reduce(centred * (preds - mean_p)) / n
+    slope = cov / var
+    return LinearBaseline(slope=float(slope),
+                          intercept=float(mean_p - slope * mean_x),
+                          x_mean=float(mean_x), x_var=float(var))
+
+
+@dataclass(frozen=True)
+class BatchFitReference:
+    """The per-feature batch fit: ``features`` maps each monotonic
+    feature, in spec order, to its ``penalty.FeatureFit``, or to None when
+    the feature is degenerate in the batch (skipped)."""
+
+    batch_size: int
+    perm: np.ndarray  # stable ascending sort of the predictions
+    features: dict
+
+    @property
+    def skipped(self) -> tuple[int, ...]:
+        return tuple(j for j, f in self.features.items() if f is None)
+
+    @cached_property
+    def per_feature(self) -> dict[int, float]:
+        if self.batch_size < 1:
+            raise DimensionError("a batch penalty needs at least one row, got 0")
+        return {j: 0.0 if f is None else float(np.add.reduce(f.violations * f.violations))
+                for j, f in self.features.items()}
+
+    @cached_property
+    def total(self) -> float:
+        p_sum = 0.0
+        for p_j in self.per_feature.values():
+            p_sum += p_j
+        return p_sum * (1.0 / self.batch_size)
+
+    def compliance(self) -> float | None:
+        pairs = 0
+        compliant = 0
+        for f in self.features.values():
+            if f is not None:
+                v = f.violations
+                pairs += v.size
+                compliant += int(np.count_nonzero(v <= COMPLIANCE_ATOL))
+        return compliant / pairs if pairs else None
+
+
+def fit_batch_reference(preds, X, spec, baseline_mode="frozen"):
+    """``penalty.fit_batch`` as one fit per feature: sort the batch once,
+    then for each monotonic feature in spec order fit its line with
+    :func:`fit_linear_baseline_reference` and take its shortfalls at the
+    fitted slope (frozen) or at ``sum(preds * coeffs)`` (coupled)."""
+    if baseline_mode not in BASELINE_MODES:
+        raise ParameterError(
+            f"baseline_mode must be one of {BASELINE_MODES}, got {baseline_mode!r}")
+    preds = np.asarray(preds, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64)
+    if preds.ndim != 1 or X.ndim != 2 or X.shape[0] != preds.shape[0]:
+        raise DimensionError(
+            f"expected preds (N,) and X (N, d), got {preds.shape} and {X.shape}")
+    spec.validate_for(X.shape[1])
+    n = preds.shape[0]
+    perm = np.argsort(preds, kind="stable")
+    sorted_preds = preds[perm]
+    dpred = sorted_preds[1:] - sorted_preds[:-1]  # np.diff's bytes
+    features = {}
+    for j in spec.indices:
+        x_col = X[:, j]
+        b = fit_linear_baseline_reference(x_col, preds)
+        if b is None:
+            features[j] = None
+            continue
+        slope, coeffs = b.slope, None
+        if baseline_mode == "coupled":
+            coeffs = (x_col - b.x_mean) / (n * b.x_var)
+            slope = np.add.reduce(preds * coeffs)
+        sorted_x = x_col[perm]
+        dx = sorted_x[1:] - sorted_x[:-1]
+        features[j] = FeatureFit(b, dx, np.maximum(slope * dx - dpred, 0.0),
+                                 coeffs)
+    return BatchFitReference(batch_size=n, perm=perm, features=features)
+
+
 def loss_terms_reference(preds, y, X, spec, lam, baseline_mode):
     """``penalty.build_loss_terms`` as a graph of the engine's small ops,
     returning (total, fit): the MSE as ``sub``/``square``/``sum_all`` and
@@ -84,11 +193,10 @@ def loss_terms_reference(preds, y, X, spec, lam, baseline_mode):
     ``sum_all``, the adds, the ``1/n`` scale, the lambda scale and the
     add to the MSE."""
     from dimlab import autodiff as ad
-    from dimlab import penalty as pen
 
     y = np.asarray(y, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
-    fit = pen.fit_batch(preds.value, X, spec)
+    fit = fit_batch_reference(preds.value, X, spec)
     n = fit.batch_size
     fit.total  # refuses a 0-row batch
 

@@ -80,7 +80,11 @@ def test_trace_counts_one_adam_step_and_one_fit_per_feature_per_step(tmp_path):
     """perfbench counts training steps by ``training.adam_step`` spans
     directly under ``training.train``, and baseline fits per step by
     ``penalty.fit_linear_baseline`` spans inside the loss; inlining either
-    call would zero those counts without failing a sweep."""
+    call would zero those counts without failing a sweep. A lambda > 0
+    step fits all of its features in one call inside the loss. A lambda 0
+    cell fits none there: its reported penalty is fitted under
+    ``training.train`` at the end of each epoch, one call per batch length
+    (the full batches together, then the short last one)."""
     features = ("x1", "x2", "x3")
     cfg = ex.ExperimentConfig(
         dataset={"synthetic": {"n": 60, "seed": 1}},
@@ -107,13 +111,18 @@ def test_trace_counts_one_adam_step_and_one_fit_per_feature_per_step(tmp_path):
         return False
 
     # 2 cells x 2 epochs x 2 batches of the 43 fit rows (60 rows, 48 in
-    # the train split, 5 of them carved out for validation)
+    # the train split, 5 of them carved out for validation): 32 and 11
     steps = 2 * 2 * 2
     assert len(under_train("autodiff.backward_pass")) == steps
     assert len(under_train("training.adam_step")) == steps
     fits = [s for s in spans.values() if s[1] == "penalty.fit_linear_baseline"
             and inside(s, "penalty.build_loss_terms")]
-    assert len(fits) == len(features) * steps
+    epoch_fits = under_train("penalty.fit_linear_baseline")
+    assert len(fits) == steps // 2  # the lambda 1 cell's steps
+    assert len(epoch_fits) == 2 * 2  # the lambda 0 cell's epochs x lengths
+    # each kind comes from its own cell
+    assert len({s[5] for s in fits}) == len({s[5] for s in epoch_fits}) == 1
+    assert {s[5] for s in fits} != {s[5] for s in epoch_fits}
 
 
 def test_run_experiment_calls_module_level_grid_search(tmp_path, monkeypatch):
@@ -135,10 +144,12 @@ def test_run_experiment_calls_module_level_grid_search(tmp_path, monkeypatch):
     pytest.param("penalty_small_batch", [], id="plain"),
     pytest.param("penalty_small_batch", ["--trace"], id="traced"),
     pytest.param("sweep_mlp3", [], id="sweep_mlp3-plain"),
-    pytest.param("sweep_mlp3", ["--trace"], id="sweep_mlp3-traced")])
+    pytest.param("sweep_mlp3", ["--trace"], id="sweep_mlp3-traced"),
+    pytest.param("cnn1d_conv", [], id="cnn1d_conv-plain"),
+    pytest.param("cnn1d_conv", ["--trace"], id="cnn1d_conv-traced")])
 def test_worker_sweep_passes_its_checks(workload, trace, tmp_path, capsys):
-    """The benchmark worker, run in-process on its serial smallest workload
-    and on its pooled one, finds every name it calls, passes every check it
+    """The benchmark worker, run in-process on each workload, finds every
+    name it calls, passes every check it
     makes and writes the reports whose digest the benchmark expects; traced,
     it also checks that its phases sum to the cell time and that every
     wrapper is restored."""

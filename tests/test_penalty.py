@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -152,8 +154,9 @@ def test_feature_penalty_values():
         # slope 1 and no prediction increments: violations == dx
         line = pen.LinearBaseline(slope=1.0, intercept=0.0, x_mean=0.0,
                                   x_var=1.0)
-        fit = pen.BatchFit(batch_size=1, perm=np.arange(1), features={
-            0: pen.FeatureFit(line, dx=violations, violations=violations)})
+        fit = pen.BatchFit(batch_size=1, perm=np.arange(1), indices=(0,),
+                           fitted=(0,), lines=line, dx=violations[None],
+                           violations=violations[None])
         return fit.per_feature[0]
 
     assert feature_penalty(np.zeros(5)) == 0.0
@@ -226,6 +229,13 @@ def test_spec_rejects_duplicates_and_negatives():
         pen.MonotonicitySpec([0, 0])
     with pytest.raises(ParameterError):
         pen.MonotonicitySpec([-1])
+    # no index is truncated, read from a bool or a string, or left to a
+    # bare TypeError: each is refused by name
+    for indices, value in (([1.7], 1.7), ([2.0], 2.0), ([True, 2], True),
+                           ([np.True_], np.True_), ("12", "12"), (5, 5)):
+        with pytest.raises(ParameterError, match=f"got {re.escape(repr(value))}$"):
+            pen.MonotonicitySpec(indices)
+    assert pen.MonotonicitySpec([np.int64(2), 0]).indices == (0, 2)
 
 
 def test_penalty_nonnegative_random():
@@ -377,6 +387,9 @@ def test_combined_loss_rejects_negative_lambda_and_bad_mode():
     y = np.zeros(2)
     with pytest.raises(ParameterError):
         pen.build_loss_terms(preds, y, X, spec_for(0), -0.1)
+    for flag in (True, np.True_):  # as TrainConfig refuses it
+        with pytest.raises(ParameterError, match=f"got {re.escape(repr(flag))}$"):
+            pen.build_loss_terms(preds, y, X, spec_for(0), flag)
     with pytest.raises(ParameterError):
         pen.build_loss_terms(preds, y, X, spec_for(0), 0.5,
                              baseline_mode="loose")
@@ -622,10 +635,13 @@ def test_penalty_node_matches_the_op_graph_byte_for_byte(name, mode, kind):
 @pytest.mark.parametrize("lam", [0.0, 0.7])
 @pytest.mark.parametrize("mode", pen.BASELINE_MODES)
 def test_loss_terms_take_one_hinge_per_fitted_feature(mode, lam, monkeypatch):
+    """A batch takes one hinge call, over the stack of exactly its fitted
+    features' rows: features 0 and 2 here, and not the constant 1. At
+    lambda 0 the fit is pending until it is read."""
     calls = []
 
     def counting(dpred, dx, slope, hinge=pen.adjacent_violations):
-        calls.append(slope)
+        calls.append(dx)
         return hinge(dpred, dx, slope)
 
     monkeypatch.setattr(pen, "adjacent_violations", counting)
@@ -634,8 +650,11 @@ def test_loss_terms_take_one_hinge_per_fitted_feature(mode, lam, monkeypatch):
     total, fit = pen.build_loss_terms(preds, y, X, pen.MonotonicitySpec(indices),
                                       lam, mode)
     ad.backward_pass(total)
+    assert len(calls) == (1 if lam else 0)
     assert fit.skipped == (1,)
-    assert len(calls) == 2
+    assert len(calls) == 1
+    sorted_x = X[np.argsort(p, kind="stable")][:, [0, 2]].T
+    assert calls[0].tobytes() == (sorted_x[:, 1:] - sorted_x[:, :-1]).tobytes()
 
 
 def test_penalty_node_coupled_gradient_check():

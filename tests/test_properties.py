@@ -1,8 +1,9 @@
 """Property tests, derandomized so that every run draws the same examples.
 
 A degenerate fit and an undefined compliance are None exactly when the
-input leaves nothing to fit; the loss terms and ``conv1d_same`` keep the
-bytes of their references in ``tests/oracles.py``, and ``dense`` those of
+input leaves nothing to fit; the stacked batch fit, its epoch pass, the
+loss terms and ``conv1d_same`` keep the bytes of their references in
+``tests/oracles.py``, and ``dense`` those of
 the op chain it fuses, as do the linear head and the MSE of the objective;
 ``backward_pass`` runs the node closures in the order of its frozen walk;
 monotonic names map to their features' positions or
@@ -21,8 +22,8 @@ from dimlab import autodiff as ad
 from dimlab import penalty as pen
 from dimlab.errors import ConfigError, DimensionError
 from dimlab.models import set_numbers
-from oracles import (conv1d_same_reference, loss_terms_reference,
-                     topo_order_reference)
+from oracles import (conv1d_same_reference, fit_batch_reference,
+                     loss_terms_reference, topo_order_reference)
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -72,6 +73,98 @@ def test_compliance_is_none_exactly_when_every_feature_is_skipped(batch, mode):
         assert 0.0 <= c <= 1.0
     if mode == "frozen":
         assert pen.compliance_score(preds, X, spec) == c
+
+
+def fit_bits(fit):
+    """A batch fit's fields as bytes: per feature its line, ``dx``,
+    violations and coefficients, then the fit's own fields."""
+    features = {}
+    for j, f in fit.features.items():
+        if f is not None:
+            b = f.baseline
+            f = (bits(b.slope), bits(b.intercept), bits(b.x_mean),
+                 bits(b.x_var), f.dx.tobytes(), f.violations.tobytes(),
+                 None if f.coeffs is None else f.coeffs.tobytes())
+        features[j] = f
+    out = (fit.batch_size, fit.perm.tobytes(), features, fit.skipped,
+           fit.compliance())
+    if fit.batch_size:
+        out += ({j: bits(v) for j, v in fit.per_feature.items()},
+                bits(fit.total))
+    return out
+
+
+def column_values(draw, n, constant):
+    return [draw(VALUES)] * n if constant else draw(
+        st.lists(VALUES, min_size=n, max_size=n))
+
+
+@st.composite
+def stacked_batches(draw):
+    """(preds, X, spec): 0-3 or up to 40 rows, 1-5 columns, tie-heavy,
+    wide or constant, X in C, Fortran or strided order, and 0-4 monotonic
+    features."""
+    n = draw(st.one_of(st.integers(0, 3), st.integers(4, 40)))
+    d = draw(st.integers(1, 5))
+    X = np.array([column_values(draw, n, draw(st.booleans()))
+                  for _ in range(d)], dtype=np.float64).reshape(d, n).T
+    layout = draw(st.sampled_from(("C", "F", "strided")))
+    if layout == "strided":
+        wide = np.zeros((n, 2 * d))
+        wide[:, ::2] = X
+        X = wide[:, ::2]
+    else:
+        X = np.asarray(X, order=layout)
+    preds = np.array(column_values(draw, n, False))
+    k = draw(st.integers(0, min(4, d)))
+    spec = pen.MonotonicitySpec(draw(st.permutations(range(d)))[:k])
+    return preds, X, spec
+
+
+@PROPERTY
+@given(stacked_batches(), st.sampled_from(pen.BASELINE_MODES))
+def test_stacked_fit_matches_the_per_feature_reference_byte_for_byte(batch,
+                                                                     mode):
+    preds, X, spec = batch
+    assert (fit_bits(pen.fit_batch(preds, X, spec, mode))
+            == fit_bits(fit_batch_reference(preds, X, spec, mode)))
+
+
+@st.composite
+def epochs(draw):
+    """(preds, X, spec, batch size): 1-5 full batches and a short one, 1-4
+    columns of which 1-4 are monotonic, and in one batch a monotonic
+    column that is constant."""
+    size = draw(st.integers(2, 9))
+    full = draw(st.integers(1, 5))
+    n = full * size + draw(st.integers(1, size - 1))
+    d = draw(st.integers(1, 4))
+    X = np.array([column_values(draw, n, False) for _ in range(d)]).T.copy()
+    preds = np.array(column_values(draw, n, False))
+    spec = pen.MonotonicitySpec(draw(st.permutations(range(d)))[
+        :draw(st.integers(1, d))])
+    start = size * draw(st.integers(0, full))
+    j = draw(st.sampled_from(spec.indices))
+    X[start:start + size, j] = X[start, j]
+    return preds, X, spec, size
+
+
+@PROPERTY
+@given(epochs())
+def test_epoch_pass_matches_the_per_batch_reference_totals(epoch):
+    # the lambda-0 fits of an epoch, in both modes (lambda 0 fits frozen),
+    # computed together; a fit already read keeps its own total
+    preds, X, spec, size = epoch
+    starts = range(0, len(preds), size)
+    expected = [bits(fit_batch_reference(preds[s:s + size], X[s:s + size],
+                                         spec).total) for s in starts]
+    for mode in pen.BASELINE_MODES:
+        fits = [pen.build_loss_terms(ad.leaf(preds[s:s + size]),
+                                     np.zeros(len(preds[s:s + size])),
+                                     X[s:s + size], spec, 0.0, mode)[1]
+                for s in starts]
+        fits[0].total  # computed alone, before the others
+        assert [bits(t) for t in pen.batch_totals(fits)] == expected
 
 
 @st.composite

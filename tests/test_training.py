@@ -13,7 +13,7 @@ from dimlab import penalty as pen
 from dimlab import training as tr
 from dimlab.errors import ConfigError, DataError, NumericError, ParameterError
 from dimlab.penalty import MonotonicitySpec
-from oracles import ReferenceAdam, gradient_check
+from oracles import ReferenceAdam, fit_batch_reference, gradient_check
 
 
 def linear_dataset(n=200, seed=0, noise=0.0):
@@ -283,33 +283,31 @@ def test_logged_penalty_matches_pure_recomputation():
     assert report.history[0].penalty >= 0.0
 
 
-def test_lambda_zero_matches_penalty_free_loop():
-    # independent MSE-only training loop, no penalty module involved
-    from dimlab import autodiff as ad
-
-    ds = linear_dataset(n=90, noise=0.2)
-    cfg = small_cfg(lam=0.0, batch_size=32, max_epochs=5, val_fraction=0.1, seed=7)
-    model = mz.build_model(mz.ModelConfig("mlp3", 1, seed=7))
-    trained, report = tr.train(model, ds, cfg)
-
-    carve = np.random.default_rng([tr.CARVE_STREAM, 7])
+def penalty_free_loop(ds, cfg, architecture):
+    """``train`` at lambda 0 as an independent loop over ``cfg.max_epochs``
+    epochs: the seeded carve, shuffles and dropout, the MSE as an op graph,
+    ReferenceAdam, and the penalty that each step's batch reports by
+    ``fit_batch_reference``. Returns per epoch (train loss, validation MSE,
+    penalty), and the parameters of the best epoch."""
+    carve = np.random.default_rng([tr.CARVE_STREAM, cfg.seed])
     perm = carve.permutation(ds.n_rows)
-    n_val = max(1, int(round(0.1 * ds.n_rows)))
+    n_val = max(1, int(round(cfg.val_fraction * ds.n_rows)))
     X_val, y_val = ds.X[perm[:n_val]], ds.y[perm[:n_val]]
     X_tr, y_tr = ds.X[perm[n_val:]], ds.y[perm[n_val:]]
 
-    shuffle = np.random.default_rng([tr.SHUFFLE_STREAM, 7])
-    drop = np.random.default_rng([tr.DROPOUT_STREAM, 7])
-    ref = mz.build_model(mz.ModelConfig("mlp3", 1, seed=7))
+    shuffle = np.random.default_rng([tr.SHUFFLE_STREAM, cfg.seed])
+    drop = np.random.default_rng([tr.DROPOUT_STREAM, cfg.seed])
+    ref = mz.build_model(mz.ModelConfig(architecture, ds.X.shape[1],
+                                        seed=cfg.seed))
     params = ref.parameters
     adam = ReferenceAdam(params)
-    losses, val_mses = [], []
+    history = []
     best = (np.inf, None)
-    for _ in range(5):
+    for _ in range(cfg.max_epochs):
         order = shuffle.permutation(X_tr.shape[0])
-        total = 0.0
-        for start in range(0, X_tr.shape[0], 32):
-            rows = order[start:start + 32]
+        total = penalty = 0.0
+        for start in range(0, X_tr.shape[0], cfg.batch_size):
+            rows = order[start:start + cfg.batch_size]
             work = mz.Model(config=ref.config, parameters=params)
             preds, nodes = mz.forward_with_params(work, X_tr[rows],
                                                   training=True, rng=drop)
@@ -319,18 +317,52 @@ def test_lambda_zero_matches_penalty_free_loop():
             grads = {k: n.grad for k, n in nodes.items()}
             params = adam.step(params, grads, cfg.learning_rate)
             total += loss.value.item() * rows.size
-        losses.append(total / X_tr.shape[0])
+            penalty += fit_batch_reference(preds.value, X_tr[rows],
+                                           ds.monotonic).total * rows.size
         err = mz.forward(mz.Model(config=ref.config, parameters=params),
                          X_val).value - y_val
         val_mse = float(np.mean(err * err))
-        val_mses.append(val_mse)
+        history.append((total / X_tr.shape[0], val_mse,
+                        penalty / X_tr.shape[0]))
         if val_mse < best[0]:
             best = (val_mse, {k: v.copy() for k, v in params.items()})
+    return history, best[1]
 
-    assert [rec.train_loss for rec in report.history] == losses
-    assert [rec.val_mse for rec in report.history] == val_mses
-    for k, v in best[1].items():
+
+def test_lambda_zero_matches_penalty_free_loop():
+    # an independent MSE-only training loop, without build_loss_terms
+    ds = linear_dataset(n=90, noise=0.2)
+    cfg = small_cfg(lam=0.0, batch_size=32, max_epochs=5, val_fraction=0.1, seed=7)
+    model = mz.build_model(mz.ModelConfig("mlp3", 1, seed=7))
+    trained, report = tr.train(model, ds, cfg)
+    history, best = penalty_free_loop(ds, cfg, "mlp3")
+
+    assert [rec.train_loss for rec in report.history] == [h[0] for h in history]
+    assert [rec.val_mse for rec in report.history] == [h[1] for h in history]
+    for k, v in best.items():
         assert trained.parameters[k].tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("mode", pen.BASELINE_MODES)
+def test_lambda_zero_history_matches_the_per_step_reference_penalty(mode):
+    """At lambda 0 train fits the penalty it reports once per epoch, and
+    in frozen mode whatever the config's mode; each epoch here ends in a
+    short batch (90 fit rows in batches of 32), and the x values are
+    rounded to tenths, so batches hold ties. The history keeps the bytes
+    of a loop that fits each step's batch as it trains."""
+    ds = dp.minmax_normalize(dp.generate_synthetic(dp.SyntheticConfig(n=100,
+                                                                      seed=2)))
+    ds = dp.Dataset(X=np.round(ds.X, 1), y=ds.y, feature_names=ds.feature_names,
+                    monotonic=ds.monotonic)
+    cfg = small_cfg(lam=0.0, batch_size=32, max_epochs=3, seed=4,
+                    baseline_mode=mode)
+    _, report = tr.train(mz.build_model(mz.ModelConfig("mlp3", 4, seed=4)),
+                         ds, cfg)
+    history, _ = penalty_free_loop(ds, cfg, "mlp3")
+    assert [tuple(v.hex() for v in (rec.train_loss, rec.val_mse, rec.penalty))
+            for rec in report.history] == [
+        tuple(v.hex() for v in h) for h in history]
+    assert all(rec.penalty > 0.0 for rec in report.history)
 
 
 def test_train_returns_parameters_of_their_own(monkeypatch):
