@@ -7,19 +7,17 @@ adjacent sorted predictions than the model produced, the shortfall is
 penalized quadratically. The batch penalty is the violation energy summed
 over features, divided by the batch size.
 
-The forward pass is :func:`fit_batch` alone: it validates the batch, sorts
-it once and fits all of its monotonic features together, as one array
-program over the (features x rows) stack of their columns
-(:func:`fit_linear_baseline`). Every path reads that one fit, a
-:class:`BatchFit`, which also gives the penalty per feature and in total;
-its per-feature :class:`FeatureFit` objects are built only when read. In
-training, :func:`build_loss_terms` puts the whole objective, the MSE plus
-lambda times the fit's penalty, into the autodiff graph as one node over
-the predictions (:func:`_objective_node`), whose backward runs over the
-same stack; the penalty adds no node of its own. At lambda = 0 the penalty
-is only reported, so the fit comes back unevaluated (:class:`PendingFit`)
-and :func:`batch_totals` computes an epoch's worth of them as one
-(batches x features x rows) stack.
+One kernel, :func:`_fit_stacks`, computes the penalty from predictions
+(..., 1, N) and monotonic feature columns (..., k, N): a sort per batch, a
+line per column (:func:`fit_linear_baseline`), one gather and one hinge
+(:func:`adjacent_violations`). A batch's :class:`BatchFit`, from
+:func:`fit_batch`, runs it on the batch's (k, N) stack when first read. In
+training, :func:`build_loss_terms` puts the objective, the MSE plus lambda
+times the fit's penalty, into the autodiff graph as one node over the
+predictions (:func:`_objective_node`), whose backward runs over the fit's
+stacks. At lambda = 0 the penalty is only reported: no step reads its fit,
+and :func:`batch_totals` runs the kernel once per batch length over the
+epoch's (batches x features x rows) stack.
 
 Every stack is C-contiguous and every row-wise reduce runs over its last
 axis, so each row takes numpy's pairwise summation exactly as a 1-D reduce
@@ -33,6 +31,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -123,7 +122,7 @@ class Lines(NamedTuple):
     slope: np.ndarray      # 0 where no line was fitted
     x_mean: np.ndarray
     x_var: np.ndarray
-    p_mean: np.ndarray     # (..., 1, 1), or (1,) for predictions (N,)
+    p_mean: np.ndarray     # (..., 1, 1)
     fitted: np.ndarray     # bool: False for a constant or zero-variance column
 
     def baseline(self, r: int) -> LinearBaseline:
@@ -134,61 +133,72 @@ class Lines(NamedTuple):
                               float(x_mean), float(self.x_var[r, 0]))
 
 
-def fit_linear_baseline(x_cols, preds):
-    """Least-squares lines from feature columns to the predictions.
-
-    ``x_cols`` is a stack (..., k, N) of columns with N >= 2 and ``preds``
-    (N,) or (..., 1, N); the result is their :class:`Lines`. One column
-    (N,) and predictions (N,) give its :class:`LinearBaseline` instead, from
-    the same formulas on numpy scalars, or None when N < 2 or the column is
-    constant or has zero variance, since no line can then be fitted. Uses
-    population (1/N) covariance and variance.
+def fit_linear_baseline(x_cols, preds) -> Lines:
+    """Least-squares lines from feature columns (..., k, N), N >= 2, to
+    the predictions (..., 1, N), with population (1/N) covariance and
+    variance. A constant or zero-variance column gets no line: it is not
+    ``fitted`` and its slope is 0.
     """
-    x_cols = np.asarray(x_cols, dtype=np.float64)
-    preds = np.asarray(preds, dtype=np.float64)
-    one = x_cols.ndim == 1
-    if one:
-        if preds.ndim != 1 or x_cols.shape != preds.shape:
-            raise DimensionError(
-                f"fit_linear_baseline expects equal-length vectors, got "
-                f"{x_cols.shape} and {preds.shape}")
-        if x_cols.shape[0] < 2:
-            return None
-    else:  # so that every row-wise reduce runs along a contiguous axis
-        x_cols = np.ascontiguousarray(x_cols)
-        preds = np.ascontiguousarray(preds)
+    # C order, so that every row-wise reduce runs along a contiguous axis
+    x_cols = np.ascontiguousarray(x_cols, dtype=np.float64)
+    preds = np.ascontiguousarray(preds, dtype=np.float64)
     n = x_cols.shape[-1]
-    rows = not one  # a stack's moments keep a last axis, to broadcast
     # .max(), .min() and .sum() call these reduces; sum / n is np.mean's bits
-    mean_x = np.add.reduce(x_cols, axis=-1, keepdims=rows) / n
-    mean_p = np.add.reduce(preds, axis=-1, keepdims=rows) / n
+    mean_x = np.add.reduce(x_cols, axis=-1, keepdims=True) / n
+    mean_p = np.add.reduce(preds, axis=-1, keepdims=True) / n
     centred = x_cols - mean_x
-    var = np.add.reduce(centred * centred, axis=-1, keepdims=rows) / n
-    fitted = ((np.maximum.reduce(x_cols, axis=-1, keepdims=rows)
-               != np.minimum.reduce(x_cols, axis=-1, keepdims=rows))
+    var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / n
+    fitted = ((np.maximum.reduce(x_cols, axis=-1, keepdims=True)
+               != np.minimum.reduce(x_cols, axis=-1, keepdims=True))
               & (var != 0.0))
-    cov = np.add.reduce(centred * (preds - mean_p), axis=-1, keepdims=rows) / n
-    if rows:
-        slope = np.divide(cov, var, out=np.zeros(cov.shape), where=fitted)
-        return Lines(slope, mean_x, var, mean_p, fitted)
-    if not fitted:
-        return None
-    slope = cov / var
-    return LinearBaseline(slope=float(slope),
-                          intercept=float(mean_p - slope * mean_x),
-                          x_mean=float(mean_x), x_var=float(var))
+    cov = np.add.reduce(centred * (preds - mean_p), axis=-1, keepdims=True) / n
+    slope = np.divide(cov, var, out=np.zeros(cov.shape), where=fitted)
+    return Lines(slope, mean_x, var, mean_p, fitted)
 
 
 def adjacent_violations(dpred: np.ndarray, dx: np.ndarray,
                         slope) -> np.ndarray:
-    """Shortfall of each adjacent sorted-prediction increment.
-
-    ``dpred`` holds the increments of the sorted predictions and ``dx``
-    those of the feature carried along the same order, one row per feature
-    with its ``slope`` in a column (k, 1). For pair i: v[i] = max(0, slope *
-    dx[i] - dpred[i]); the intercept cancels in increments.
+    """Shortfall of each adjacent sorted-prediction increment: with the
+    increments ``dpred`` (..., 1, N-1) of the sorted predictions, ``dx``
+    (..., k, N-1) of each feature carried along the same order, and each
+    feature's ``slope`` in a column (..., k, 1), pair i has v[i] = max(0,
+    slope * dx[i] - dpred[i]); the intercept cancels in increments.
     """
     return np.maximum(slope * dx - dpred, 0.0)
+
+
+def _fit_stacks(preds, cols, coupled: bool):
+    """The penalty kernel over batches of N >= 2 rows: predictions
+    (..., 1, N) and monotonic feature columns (..., k, N), C-contiguous,
+    as one batch's (k, N) or B batches' (B, k, N). Per batch it sorts the
+    predictions (stable), fits each column's line, carries the columns
+    along that order and hinges the increments at each line's slope
+    (frozen) or at ``sum(preds * coeffs)`` (coupled). Returns perm, the
+    lines, dx, violations, and coeffs or None; a column without a line
+    has slope 0 and coefficients 0."""
+    n = cols.shape[-1]
+    perm = np.argsort(preds, axis=-1, kind="stable")
+    lines = fit_linear_baseline(cols, preds)
+    # one flat take at each row's offset keeps C order; cols[:, perm] would not
+    rows = np.concatenate((preds, cols), axis=-2)
+    offsets = np.arange(0, rows.size, n).reshape(rows.shape[:-1] + (1,))
+    rows = rows.take(perm + offsets)
+    diffs = rows[..., 1:] - rows[..., :-1]  # np.diff's bytes
+    dpred, dx = diffs[..., :1, :], diffs[..., 1:, :]
+    slope, coeffs = lines.slope, None
+    if coupled:
+        coeffs = np.divide(cols - lines.x_mean, n * lines.x_var,
+                           out=np.zeros(cols.shape), where=lines.fitted)
+        slope = np.add.reduce(preds * coeffs, axis=-1, keepdims=True)
+    return perm, lines, dx, adjacent_violations(dpred, dx, slope), coeffs
+
+
+def _total(energies, batch_size: int) -> float:
+    """Energies in spec order, summed left to right, over the batch size."""
+    p_sum = 0.0
+    for p_j in energies:
+        p_sum += p_j
+    return p_sum * (1.0 / batch_size)
 
 
 class FeatureFit(NamedTuple):
@@ -205,29 +215,63 @@ def _refuse_empty(batch_size: int) -> None:
         raise DimensionError("a batch penalty needs at least one row, got 0")
 
 
+def _one_batch(preds, X, spec: MonotonicitySpec, coupled: bool) -> dict:
+    """The stacks of a checked batch: the kernel on its (k, N) stack, cut
+    down to the rows of the fitted features when some feature is skipped."""
+    n, indices = preds.shape[0], spec.indices
+    if n < 2 or not indices:  # nothing to fit
+        empty = np.empty((0, max(n - 1, 0)))
+        return dict(perm=np.argsort(preds, kind="stable"), fitted=(),
+                    lines=None, dx=empty, violations=empty, coeffs=None)
+    perm, lines, dx, violations, coeffs = _fit_stacks(
+        preds[None], X.T[spec.columns], coupled)
+    keep = lines.fitted[:, 0]
+    fitted = tuple(compress(indices, keep.tolist()))
+    if len(fitted) < len(indices):  # the stacks hold only the fitted rows
+        dx, violations = dx[keep], violations[keep]
+        coeffs = None if coeffs is None else coeffs[keep]
+    return dict(perm=perm[0], fitted=fitted, lines=lines, dx=dx,
+                violations=violations, coeffs=coeffs)
+
+
+class _Stack:
+    """A :class:`BatchFit` stack: reading any computes them all, once."""
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, fit, owner=None):
+        if fit is None:
+            return self
+        fit.__dict__.update(_one_batch(*fit.pending), pending=None)
+        return fit.__dict__[self.name]
+
+
 class BatchFit:
     """The shared per-batch work of every penalty and compliance path,
     and the batch penalty it measures.
 
     The monotonic features ``indices`` are in spec order, and so are the
-    rows of ``lines`` (the one feature's :class:`LinearBaseline` when there
-    is one); those in ``fitted`` are the rows of the stacks ``dx``,
-    ``violations`` and ``coeffs``, and the others are degenerate in the
-    batch (``skipped``). ``features``, ``per_feature`` and ``total`` are
-    computed when first read; on a 0-row batch reading the penalty raises
-    DimensionError, while ``skipped`` and ``compliance()`` still answer.
+    rows of ``lines``; those in ``fitted`` are the rows of the other
+    stacks, and the rest are degenerate in the batch (``skipped``). A
+    ``pending`` fit holds its checked (preds, X, spec, coupled) until a
+    stack is read; ``stacks`` gives them instead. ``features``,
+    ``per_feature`` and ``total`` are computed when first read; on a 0-row
+    batch reading the penalty raises DimensionError, while ``skipped`` and
+    ``compliance()`` still answer.
     """
 
-    def __init__(self, batch_size, perm, indices, fitted, lines, dx,
-                 violations, coeffs=None):
+    perm = _Stack()        # stable ascending sort of the predictions
+    fitted = _Stack()
+    lines = _Stack()       # Lines of the stack (k, N); None if N < 2 or k = 0
+    dx = _Stack()          # (fitted, N-1): diff(x[perm])
+    violations = _Stack()  # (fitted, N-1), at the mode's slope
+    coeffs = _Stack()      # coupled: (fitted, N), slope = preds @ row
+
+    def __init__(self, batch_size, indices, pending=None, **stacks):
         self.batch_size = batch_size
-        self.perm = perm              # stable ascending sort of the predictions
         self.indices = indices
-        self.fitted = fitted
-        self.lines = lines
-        self.dx = dx                  # (fitted, N-1): diff(x[perm])
-        self.violations = violations  # (fitted, N-1), at the mode's slope
-        self.coeffs = coeffs          # coupled: (fitted, N), slope = preds @ row
+        self.pending = pending
+        self.__dict__.update(stacks)
 
     @property
     def skipped(self) -> tuple[int, ...]:
@@ -241,14 +285,9 @@ class BatchFit:
         features = {}
         for r, j in enumerate(self.indices):
             s = rows.get(j)
-            if s is None:
-                features[j] = None
-                continue
-            line = self.lines
-            if isinstance(line, Lines):
-                line = line.baseline(r)
-            features[j] = FeatureFit(line, self.dx[s], self.violations[s],
-                                     None if self.coeffs is None else self.coeffs[s])
+            features[j] = None if s is None else FeatureFit(
+                self.lines.baseline(r), self.dx[s], self.violations[s],
+                None if self.coeffs is None else self.coeffs[s])
         return features
 
     @cached_property
@@ -266,10 +305,7 @@ class BatchFit:
     def total(self) -> float:
         """The batch penalty: ``per_feature`` summed in spec order, divided
         by the batch size."""
-        p_sum = 0.0
-        for p_j in self.per_feature.values():
-            p_sum += p_j
-        return p_sum * (1.0 / self.batch_size)
+        return _total(self.per_feature.values(), self.batch_size)
 
     def compliance(self) -> float | None:
         """Share of adjacent pairs, pooled over non-degenerate features,
@@ -277,27 +313,6 @@ class BatchFit:
         feature has a usable pair."""
         v = self.violations
         return np.count_nonzero(v <= COMPLIANCE_ATOL) / v.size if v.size else None
-
-
-class PendingFit:
-    """A batch's frozen-mode fit, not computed yet: :func:`build_loss_terms`
-    returns one at lambda = 0, where the penalty is only reported. Reading
-    any other :class:`BatchFit` attribute computes the fit, once;
-    :func:`batch_totals` computes many together."""
-
-    __slots__ = ("preds", "X", "spec", "batch_size", "_fit")
-
-    def __init__(self, preds, X, spec: MonotonicitySpec):
-        self.preds, self.X, self.spec = preds, X, spec
-        self.batch_size = preds.shape[0]
-        self._fit = None
-
-    def __getattr__(self, name):
-        if name.startswith("_"):  # no slot lookup may land here
-            raise AttributeError(name)
-        if self._fit is None:
-            self._fit = _fit(self.preds, self.X, self.spec, "frozen")
-        return getattr(self._fit, name)
 
 
 def _check_mode(baseline_mode) -> None:
@@ -317,48 +332,11 @@ def _check_batch(preds, X, spec: MonotonicitySpec):
     return preds, X
 
 
-def _fit(preds, X, spec: MonotonicitySpec, baseline_mode) -> BatchFit:
-    """The fit of a checked batch: one sort, one stacked fit of the spec's
-    features, one hinge over the rows of those fitted."""
-    n = preds.shape[0]
-    indices = spec.indices
-    perm = np.argsort(preds, kind="stable")
-    # one feature's stack is its column, whose moments are numpy scalars
-    # and whose ops broadcast nothing
-    cols = X[:, indices[0]] if len(indices) == 1 else X.T[spec.columns]
-    line = fit_linear_baseline(cols, preds) if n >= 2 and indices else None
-    if isinstance(line, Lines):
-        keep = [ok for (ok,) in line.fitted.tolist()]
-        fitted = tuple(j for j, ok in zip(indices, keep) if ok)
-    else:
-        fitted = () if line is None else indices
-    if not fitted:
-        empty = np.empty((0, max(n - 1, 0)))
-        return BatchFit(n, perm, indices, (), line, empty, empty)
-    slope, x_mean, x_var = line.slope, line.x_mean, line.x_var
-    if len(fitted) < len(indices):  # the stacks hold only the fitted rows
-        rows = line.fitted[:, 0]
-        cols, slope, x_mean, x_var = (a[rows] for a in (cols, slope, x_mean, x_var))
-    sorted_preds = preds[perm]
-    dpred = sorted_preds[1:] - sorted_preds[:-1]  # np.diff's bytes
-    # a stack's take keeps C order, which cols[:, perm] does not
-    sorted_x = cols[perm] if cols.ndim == 1 else cols.take(perm, axis=1)
-    dx = sorted_x[..., 1:] - sorted_x[..., :-1]
-    coeffs = None
-    if baseline_mode == "coupled":
-        coeffs = (cols - x_mean) / (n * x_var)
-        slope = np.add.reduce(preds * coeffs, axis=-1, keepdims=cols.ndim > 1)
-    violations = adjacent_violations(dpred, dx, slope)
-    if cols.ndim == 1:  # stacks of one row
-        dx, violations = dx[None], violations[None]
-        coeffs = None if coeffs is None else coeffs[None]
-    return BatchFit(n, perm, indices, fitted, line, dx, violations, coeffs)
-
-
 def fit_batch(preds, X, spec: MonotonicitySpec,
               baseline_mode: str = "frozen") -> BatchFit:
-    """Validate a batch, sort it once by prediction, fit every monotonic
-    feature against that one order and measure its shortfalls.
+    """Validate a batch; its fit sorts it once by prediction, fits every
+    monotonic feature against that one order and measures its shortfalls
+    when first read.
 
     Frozen mode measures them at the fitted slope. Coupled mode measures
     them at the slope as training differentiates it, ``sum(preds *
@@ -369,42 +347,33 @@ def fit_batch(preds, X, spec: MonotonicitySpec,
     """
     _check_mode(baseline_mode)
     preds, X = _check_batch(preds, X, spec)
-    return _fit(preds, X, spec, baseline_mode)
+    return BatchFit(preds.shape[0], spec.indices,
+                    (preds, X, spec, baseline_mode == "coupled"))
 
 
 def batch_totals(fits) -> list[float]:
     """Each fit's batch penalty (``total``), in order, with the bytes it
-    gives alone. A computed fit gives its own; the pending fits of equal
-    shape and features are computed together, as one (batches x features
-    x rows) stack, and stay pending."""
+    gives alone. A computed fit, or one with nothing to fit, gives its own;
+    the pending fits of equal shape, features and mode take one kernel call
+    over their (batches x features x rows) stack, and stay pending."""
     totals = [None] * len(fits)
     groups: dict[tuple, list[int]] = {}
     for i, fit in enumerate(fits):
-        if isinstance(fit, PendingFit) and fit._fit is None:
-            groups.setdefault((fit.X.shape, fit.spec), []).append(i)
+        if fit.pending is None or fit.batch_size < 2 or not fit.indices:
+            totals[i] = fit.total  # computed, or nothing to fit
         else:
-            totals[i] = fit.total
-    for ((n, _), spec), members in groups.items():
-        if n < 2 or not spec.indices:  # nothing to fit
-            group = [0.0] * len(members)
-        else:
-            preds = np.stack([fits[i].preds for i in members])[:, None]  # (B, 1, N)
-            X = np.stack([fits[i].X for i in members])
-            cols = np.ascontiguousarray(X.transpose(0, 2, 1)[:, spec.columns])
-            lines = fit_linear_baseline(cols, preds)
-            perm = np.argsort(preds, axis=-1, kind="stable")
-            sorted_preds = np.take_along_axis(preds, perm, axis=-1)
-            dpred = sorted_preds[..., 1:] - sorted_preds[..., :-1]
-            sorted_x = np.take_along_axis(cols, perm, axis=-1)
-            dx = sorted_x[..., 1:] - sorted_x[..., :-1]
-            v = adjacent_violations(dpred, dx, lines.slope)
-            energy = np.where(lines.fitted[..., 0],
-                              np.add.reduce(v * v, axis=-1), 0.0)
-            # summed left to right in spec order, as BatchFit.total does
-            group = (np.add.accumulate(energy, axis=-1)[:, -1]
-                     * (1.0 / n)).tolist()
-        for i, total in zip(members, group):
-            totals[i] = total
+            _, X, spec, coupled = fit.pending
+            groups.setdefault((X.shape, spec, coupled), []).append(i)
+    for ((n, _), spec, coupled), members in groups.items():
+        batches = [fits[i].pending for i in members]
+        preds = np.stack([p for p, _, _, _ in batches])[:, None]  # (B, 1, N)
+        X = np.stack([X for _, X, _, _ in batches])
+        cols = np.ascontiguousarray(X.transpose(0, 2, 1)[:, spec.columns])
+        _, lines, _, v, _ = _fit_stacks(preds, cols, coupled)
+        energy = np.where(lines.fitted[..., 0], np.add.reduce(v * v, axis=-1),
+                          0.0)
+        for i, e in zip(members, energy.tolist()):
+            totals[i] = _total(e, n)
     return totals
 
 
@@ -500,11 +469,11 @@ def build_loss_terms(preds: Node, y, X, spec: MonotonicitySpec, lam: float,
     formulas. The sort permutation is constant in backward either way.
     With an empty spec or with every feature degenerate the objective is
     the MSE alone. At lambda = 0 it is the MSE alone too, and the fit is
-    returned unevaluated, a :class:`PendingFit` of the frozen-mode fit in
-    either mode: it reports the penalty at the fitted slope when read, and
-    :func:`batch_totals` reports an epoch's at once. The batch is checked
-    either way: a 0-row batch raises DimensionError, and so does a lambda
-    that is a bool or not finite and >= 0 (a ParameterError).
+    returned pending, the frozen-mode fit in either mode: it reports the
+    penalty at the fitted slope when read, and :func:`batch_totals`
+    reports an epoch's at once. The batch is checked either way: a 0-row
+    batch raises DimensionError, and so does a lambda that is a bool or
+    not finite and >= 0 (a ParameterError).
     """
     if isinstance(lam, (bool, np.bool_)) or not 0.0 <= lam < math.inf:
         raise ParameterError(
@@ -516,8 +485,6 @@ def build_loss_terms(preds: Node, y, X, spec: MonotonicitySpec, lam: float,
         raise DimensionError(
             f"targets shape {y.shape} does not match predictions {p.shape}")
     _refuse_empty(p.shape[0])
-    if lam > 0:
-        fit = _fit(p, X, spec, baseline_mode)
-    else:
-        fit = PendingFit(p, X, spec)
+    coupled = lam > 0 and baseline_mode == "coupled"
+    fit = BatchFit(p.shape[0], spec.indices, (p, X, spec, coupled))
     return _objective_node(preds, y, fit, lam), fit

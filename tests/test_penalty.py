@@ -7,7 +7,8 @@ from dimlab import autodiff as ad
 from dimlab import models as mz
 from dimlab import penalty as pen
 from dimlab.errors import DimensionError, ParameterError
-from oracles import gradient_check, loss_terms_reference
+from oracles import (fit_linear_baseline_reference, gradient_check,
+                     loss_terms_reference)
 
 
 def naive_penalty(preds, X, indices):
@@ -43,29 +44,37 @@ def spec_for(*indices):
     return pen.MonotonicitySpec(indices)
 
 
+def fitted_line(x, preds):
+    """The line a batch fit gives the one column ``x``, or None when the
+    feature is skipped."""
+    x = np.asarray(x, dtype=np.float64)
+    f = pen.fit_batch(preds, x[:, None], spec_for(0)).features[0]
+    return None if f is None else f.baseline
+
+
 # ---------------------------------------------------------------- baseline
 
 def test_fit_exact_linear():
-    b = pen.fit_linear_baseline([0.0, 1.0, 2.0, 3.0], [0.0, 2.0, 4.0, 6.0])
+    b = fitted_line([0.0, 1.0, 2.0, 3.0], [0.0, 2.0, 4.0, 6.0])
     assert b.slope == 2.0
     assert b.intercept == 0.0
 
 
 def test_fit_constant_predictions():
-    b = pen.fit_linear_baseline([5.0, -1.0, 2.0], [7.0, 7.0, 7.0])
+    b = fitted_line([5.0, -1.0, 2.0], [7.0, 7.0, 7.0])
     assert b.slope == 0.0
     assert b.intercept == 7.0
 
 
 def test_fit_hand_case():
-    b = pen.fit_linear_baseline([0.0, 1.0, 2.0], [0.0, 3.0, 3.0])
+    b = fitted_line([0.0, 1.0, 2.0], [0.0, 3.0, 3.0])
     assert abs(b.slope - 1.5) < 1e-12
     assert abs(b.intercept - 0.5) < 1e-12
 
 
 def test_fit_degenerate_cases():
-    assert pen.fit_linear_baseline([1.0], [1.0]) is None
-    assert pen.fit_linear_baseline([4.0, 4.0, 4.0], [1.0, 2.0, 3.0]) is None
+    assert fitted_line([1.0], [1.0]) is None
+    assert fitted_line([4.0, 4.0, 4.0], [1.0, 2.0, 3.0]) is None
 
 
 def test_fit_passes_through_centroid():
@@ -74,7 +83,7 @@ def test_fit_passes_through_centroid():
         n = rng.integers(2, 30)
         x = rng.normal(size=n) * rng.uniform(0.1, 100)
         p = rng.normal(size=n)
-        b = pen.fit_linear_baseline(x, p)
+        b = fitted_line(x, p)
         assert abs(b.intercept - (p.mean() - b.slope * x.mean())) < 1e-9
 
 
@@ -433,7 +442,7 @@ def test_frozen_gradients_match_fd_with_constants_held():
     frozen = {}
     perm = np.argsort(p_val, kind="stable")
     for j in idx.indices:
-        frozen[j] = pen.fit_linear_baseline(X[:, j], p_val).slope
+        frozen[j] = fit_linear_baseline_reference(X[:, j], p_val).slope
 
     def loss_with_frozen_constants(p):
         total = np.mean((p - y) ** 2)
@@ -549,7 +558,7 @@ def test_fit_linear_baseline_moments_equal_the_mean_form(name):
     X, preds = MOMENT_BATCHES[name]
     for j in range(X.shape[1]):
         mean_x, var, slope, intercept = mean_based_moments(X[:, j], preds)
-        b = pen.fit_linear_baseline(X[:, j], preds)
+        b = fitted_line(X[:, j], preds)
         assert bits(b.slope) == bits(slope), (name, j)
         assert bits(b.intercept) == bits(intercept), (name, j)
         assert bits(b.x_mean) == bits(mean_x), (name, j)
@@ -635,9 +644,10 @@ def test_penalty_node_matches_the_op_graph_byte_for_byte(name, mode, kind):
 @pytest.mark.parametrize("lam", [0.0, 0.7])
 @pytest.mark.parametrize("mode", pen.BASELINE_MODES)
 def test_loss_terms_take_one_hinge_per_fitted_feature(mode, lam, monkeypatch):
-    """A batch takes one hinge call, over the stack of exactly its fitted
-    features' rows: features 0 and 2 here, and not the constant 1. At
-    lambda 0 the fit is pending until it is read."""
+    """A batch takes one hinge call, over the stack of all its monotonic
+    features, and its stacks keep exactly the fitted features' rows:
+    features 0 and 2 here, and not the constant 1. At lambda 0 the fit is
+    pending until it is read."""
     calls = []
 
     def counting(dpred, dx, slope, hinge=pen.adjacent_violations):
@@ -654,7 +664,7 @@ def test_loss_terms_take_one_hinge_per_fitted_feature(mode, lam, monkeypatch):
     assert fit.skipped == (1,)
     assert len(calls) == 1
     sorted_x = X[np.argsort(p, kind="stable")][:, [0, 2]].T
-    assert calls[0].tobytes() == (sorted_x[:, 1:] - sorted_x[:, :-1]).tobytes()
+    assert fit.dx.tobytes() == (sorted_x[:, 1:] - sorted_x[:, :-1]).tobytes()
 
 
 def test_penalty_node_coupled_gradient_check():

@@ -1,8 +1,9 @@
 """Property tests, derandomized so that every run draws the same examples.
 
 A degenerate fit and an undefined compliance are None exactly when the
-input leaves nothing to fit; the stacked batch fit, its epoch pass, the
-loss terms and ``conv1d_same`` keep the bytes of their references in
+input leaves nothing to fit; the stacked batch fit, each batch of one
+penalty kernel call over many, the epoch pass, the loss terms and
+``conv1d_same`` keep the bytes of their references in
 ``tests/oracles.py``, and ``dense`` those of
 the op chain it fuses, as do the linear head and the MSE of the objective;
 ``backward_pass`` runs the node closures in the order of its frozen walk;
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from dimlab import autodiff as ad
 from dimlab import penalty as pen
@@ -25,7 +26,11 @@ from dimlab.models import set_numbers
 from oracles import (conv1d_same_reference, fit_batch_reference,
                      loss_terms_reference, topo_order_reference)
 
-PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
+# a failing example is reported as found: shrinking a byte-for-byte
+# mismatch takes minutes and shows no more than the first example does
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None,
+                    phases=(Phase.explicit, Phase.reuse, Phase.generate,
+                            Phase.target))
 
 # tie-heavy values on a 1/8 grid, plus wide ones rounded to 3 decimals;
 # either way a non-constant column's variance cannot underflow to 0
@@ -56,7 +61,9 @@ def batches(draw):
                         st.lists(VALUES, min_size=n, max_size=n))))
 def test_fit_is_none_exactly_for_short_or_constant_columns(xp):
     x, p = xp
-    b = pen.fit_linear_baseline(x, p)
+    f = pen.fit_batch(p, np.array(x, dtype=np.float64)[:, None],
+                      pen.MonotonicitySpec([0])).features[0]
+    b = None if f is None else f.baseline
     assert (b is None) == (len(x) < 2 or len(set(x)) == 1)
     if b is not None:
         assert b.x_var > 0 and math.isfinite(b.slope)
@@ -75,17 +82,21 @@ def test_compliance_is_none_exactly_when_every_feature_is_skipped(batch, mode):
         assert pen.compliance_score(preds, X, spec) == c
 
 
+def feature_bits(f):
+    """A feature's fit as bytes: its line, ``dx``, violations and
+    coefficients; None for a skipped feature."""
+    if f is None:
+        return None
+    b = f.baseline
+    return (bits(b.slope), bits(b.intercept), bits(b.x_mean), bits(b.x_var),
+            f.dx.tobytes(), f.violations.tobytes(),
+            None if f.coeffs is None else f.coeffs.tobytes())
+
+
 def fit_bits(fit):
-    """A batch fit's fields as bytes: per feature its line, ``dx``,
-    violations and coefficients, then the fit's own fields."""
-    features = {}
-    for j, f in fit.features.items():
-        if f is not None:
-            b = f.baseline
-            f = (bits(b.slope), bits(b.intercept), bits(b.x_mean),
-                 bits(b.x_var), f.dx.tobytes(), f.violations.tobytes(),
-                 None if f.coeffs is None else f.coeffs.tobytes())
-        features[j] = f
+    """A batch fit's fields as bytes: per feature its :func:`feature_bits`,
+    then the fit's own fields."""
+    features = {j: feature_bits(f) for j, f in fit.features.items()}
     out = (fit.batch_size, fit.perm.tobytes(), features, fit.skipped,
            fit.compliance())
     if fit.batch_size:
@@ -128,6 +139,42 @@ def test_stacked_fit_matches_the_per_feature_reference_byte_for_byte(batch,
     preds, X, spec = batch
     assert (fit_bits(pen.fit_batch(preds, X, spec, mode))
             == fit_bits(fit_batch_reference(preds, X, spec, mode)))
+
+
+@st.composite
+def batch_stacks(draw):
+    """(preds (B, N), X (B, N, d), spec): 2-5 batches of 2-12 rows, 1-4
+    columns, each of them constant in some batches, and 1-4 monotonic
+    features."""
+    b, n = draw(st.integers(2, 5)), draw(st.integers(2, 12))
+    d = draw(st.integers(1, 4))
+    X = np.array([[column_values(draw, n, draw(st.booleans()))
+                   for _ in range(d)] for _ in range(b)]).transpose(0, 2, 1)
+    preds = np.array([column_values(draw, n, False) for _ in range(b)])
+    spec = pen.MonotonicitySpec(draw(st.permutations(range(d)))[
+        :draw(st.integers(1, d))])
+    return preds, X.copy(), spec
+
+
+@PROPERTY
+@given(batch_stacks(), st.sampled_from(pen.BASELINE_MODES))
+def test_kernel_gives_each_batch_its_reference_fit_byte_for_byte(stack, mode):
+    # one kernel call over every batch: each batch's sort, and each of its
+    # features' line, dx, violations and coefficients where it has a line
+    preds, X, spec = stack
+    cols = np.ascontiguousarray(X.transpose(0, 2, 1)[:, spec.columns])
+    perm, lines, dx, v, coeffs = pen._fit_stacks(preds[:, None], cols,
+                                                 mode == "coupled")
+    for b in range(len(preds)):
+        ref = fit_batch_reference(preds[b], X[b], spec, mode)
+        assert perm[b, 0].tobytes() == ref.perm.tobytes()
+        line = pen.Lines._make(field[b] for field in lines).baseline
+        got = {j: pen.FeatureFit(line(r), dx[b, r], v[b, r],
+                                 None if coeffs is None else coeffs[b, r])
+               if lines.fitted[b, r, 0] else None
+               for r, j in enumerate(spec.indices)}
+        assert ({j: feature_bits(f) for j, f in got.items()}
+                == {j: feature_bits(f) for j, f in ref.features.items()})
 
 
 @st.composite
