@@ -1,10 +1,13 @@
 """Dense float64 tensors and a minimal define-by-run reverse-mode engine.
 
 Values are plain numpy float64 arrays; the graph is a DAG of :class:`Node`
-objects built fresh on every forward pass. Every op is built by ``_op``
-from its value and one vector-Jacobian product per parent; a node's
-``grad`` is None until the backward pass reaches it, and is never written
-in place.
+objects. Every op is built by ``_op`` from its value and one
+vector-Jacobian product per parent; a node's ``grad`` is None until the
+backward pass reaches it, and is never written in place. A node may also
+stand for a whole fixed chain: a dense network's training step is two
+nodes, the straight-line network (``models.forward_with_params``) and the
+objective over its predictions, while cnn1d builds one node per op over
+parameter leaves on every forward pass.
 """
 
 from __future__ import annotations
@@ -194,40 +197,6 @@ def relu(a: Node) -> Node:
     mask = a.value > 0
     return _op("relu", _masked(mask, a.value),
                (a, lambda g: _masked(mask, g)))
-
-
-def dense(h: Node, w: Node, b: Node, rate: float,
-          rng: np.random.Generator | None = None) -> Node:
-    """One hidden layer, relu(h @ w + b) under inverted dropout of ``rate``
-    (0 for none, as in eval mode), as a single node.
-
-    Its value, its three gradients and its draw from ``rng`` equal those of
-    ``dropout(relu(matmul(h, w) + b), rate, True, rng)`` bit for bit: it
-    makes the same numpy calls in the same order, the bias add and the
-    dropout product in place on arrays it owns.
-    """
-    _check_matmul(h, w)
-    units = w.value.shape[1]
-    if b.value.shape != (units,):
-        raise DimensionError(
-            f"bias must have shape ({units},), got {b.value.shape}")
-    drop = _dropout_mask((h.value.shape[0], units), rate, True, rng)
-    pre = h.value @ w.value
-    pre += b.value
-    mask = pre > 0
-    value = _masked(mask, pre)
-    if drop is not None:
-        value *= drop
-
-    # the vjps map the gradient of ``pre``, which backward computes once
-    out = _op("dense", value,
-              (h, lambda g: g @ w.value.T),
-              (w, lambda g: h.value.T @ g),
-              (b, lambda g: _unbroadcast(g, b.value.shape)))
-    to_parents = out._backward
-    out._backward = lambda g: to_parents(
-        _masked(mask, g if drop is None else g * drop))
-    return out
 
 
 def gather_rows(a: Node, perm: Sequence[int]) -> Node:
@@ -506,7 +475,7 @@ def backward_pass(root: Node) -> None:
         raise DimensionError(
             f"backward_pass needs a scalar root, got shape {root.value.shape}")
     order = _topo_order(root)
-    _accumulate(root, np.ones_like(root.value))
+    _accumulate(root, np.ones(root.value.shape))
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)

@@ -2,13 +2,19 @@
 
 All models are scalar-output regressors: ReLU hidden activations, linear
 head, Glorot-uniform weights, zero biases. Parameters live in a flat
-name -> float64 array map; every forward pass builds a fresh graph over
-them (define-by-run).
+name -> float64 array map. A forward pass of ann, mlp3 or mlp5 is
+straight-line numpy that returns one ``network`` node over no parameter
+leaves; cnn1d builds a fresh graph of per-op nodes over parameter leaves
+(define-by-run). Either way the backward pass writes the parameters'
+gradients into one flat vector in the parameters' order, the layout that
+Adam updates.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import numbers
 from dataclasses import dataclass, field, asdict
 
@@ -128,28 +134,118 @@ def build_model(config: ModelConfig) -> Model:
     return Model(config=config, parameters=params)
 
 
+def flatten(parameters: dict[str, np.ndarray]):
+    """One contiguous float64 copy of ``parameters``, in their order, and
+    named views into it with the parameters' shapes."""
+    vector = np.concatenate(list(parameters.values()), axis=None,
+                            dtype=np.float64)
+    return vector, unflatten(vector, [(k, np.shape(p))
+                                      for k, p in parameters.items()])
+
+
+def unflatten(vector: np.ndarray, layout) -> dict[str, np.ndarray]:
+    """Named views into ``vector`` for a [(name, shape), ...] layout."""
+    views, start = {}, 0
+    for name, shape in layout:
+        stop = start + math.prod(shape)
+        views[name] = vector[start:stop].reshape(shape)
+        start = stop
+    return views
+
+
+def _relu_in_place(words: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``autodiff._masked`` of the words of a relu mask (all ones where it
+    is True, zero where False) on ``x``, an array this step owns, in place:
+    the same bits as ``np.where(mask, x, 0.0)``."""
+    bits = x.view(np.int64)
+    np.bitwise_and(bits, words, out=bits)
+    return x
+
+
+def _network(params: dict[str, np.ndarray], layers: int, x: np.ndarray,
+             rate: float, rng, grad: np.ndarray) -> Node:
+    """A dense net's predictions as one node over no parameter leaves.
+
+    The forward makes the numpy calls of ``dense`` per hidden layer (in
+    ``tests/oracles.py``), then of ``autodiff.linear_head``, in that order:
+    the dropout draw, the matmul, the bias add in place, the relu mask and,
+    in training, the dropout product in place. The relu mask is kept as
+    ``autodiff._masked``'s words, built once and ANDed in place, forward
+    and back. The backward runs the layers in reverse with those nodes'
+    vjps, each layer's input gradient before its weight and bias gradients,
+    and writes each parameter's gradient into its view of ``grad``. The
+    input batch gets no gradient.
+    """
+    saved = []  # per hidden layer: its input, weights, relu words, dropout
+    h = x
+    for i in range(layers):
+        w = params[f"layer{i}_w"]
+        drop = ad._dropout_mask((h.shape[0], w.shape[1]), rate, True, rng)
+        pre = h @ w
+        pre += params[f"layer{i}_b"]
+        words = (pre > 0).astype(np.int64)
+        np.negative(words, out=words)
+        out = _relu_in_place(words, pre)
+        if drop is not None:
+            out *= drop
+        saved.append((h, w, words, drop))
+        h = out
+    head_w = params["head_w"]
+    pre = h @ head_w
+    pre += params["head_b"]
+    node = Node(pre.reshape(h.shape[0]), op_tag="network", requires_grad=True)
+
+    def backward(g):
+        # the parameters' views into grad, from the last one back
+        views, stop = [], grad.size
+        for p in reversed(params.values()):
+            views.append(grad[stop - p.size:stop].reshape(p.shape))
+            stop -= p.size
+        views = iter(views)
+        g = g.reshape(pre.shape)
+        g_h = g @ head_w.T
+        np.add.reduce(g, axis=0, out=next(views))
+        np.matmul(h.T, g, out=next(views))
+        for h_in, w, words, drop in reversed(saved):
+            g_pre = _relu_in_place(words, g_h if drop is None else g_h * drop)
+            if h_in is not x:
+                g_h = g_pre @ w.T
+            np.add.reduce(g_pre, axis=0, out=next(views))
+            np.matmul(h_in.T, g_pre, out=next(views))
+
+    node._backward = backward
+    return node
+
+
 def forward_with_params(model: Model, batch, training: bool = False,
                         rng: np.random.Generator | None = None):
-    """Run the network on a batch, returning the prediction node and the
-    parameter leaf nodes of the freshly built graph (for gradient reads)."""
+    """Run the network on a batch. Returns the prediction node and one
+    flat gradient vector, zero until the backward pass through that node
+    writes each parameter's gradient into it, in the order of
+    ``model.parameters`` (``unflatten`` gives its named views).
+
+    ann, mlp3 and mlp5 run as straight-line numpy (``_network``); cnn1d
+    builds its per-op graph over parameter leaves, each of which hands its
+    summed gradient to the vector."""
     x = ad.as_tensor(batch)
     if x.ndim != 2 or x.shape[1] != model.config.input_dim:
         raise DimensionError(
             f"batch must be (N, {model.config.input_dim}), got {x.shape}")
-    nodes = {name: ad.leaf(value, requires_grad=True)
-             for name, value in model.parameters.items()}
-    cfg = model.config
-    if cfg.architecture == "cnn1d":
-        h = ad.reshape(ad.constant(x), (len(x), cfg.input_dim, 1))
-        for i in range(len(cfg.hidden_sizes)):
-            h = ad.relu(ad.conv1d_same(h, nodes[f"conv{i}_w"], nodes[f"conv{i}_b"]))
-        h = ad.global_avg_pool(h)
-    else:
+    cfg, params = model.config, model.parameters
+    grad = np.zeros(sum(p.size for p in params.values()))
+    if cfg.architecture != "cnn1d":
         rate = cfg.dropout_rate if training else 0.0
-        h = ad.constant(x)
-        for i in range(len(cfg.hidden_sizes)):
-            h = ad.dense(h, nodes[f"layer{i}_w"], nodes[f"layer{i}_b"], rate, rng)
-    return ad.linear_head(h, nodes["head_w"], nodes["head_b"]), nodes
+        return _network(params, len(cfg.hidden_sizes), x, rate, rng, grad), grad
+    views = unflatten(grad, [(k, p.shape) for k, p in params.items()])
+    nodes = {}
+    for name, value in params.items():
+        nodes[name] = ad.leaf(value, requires_grad=True)
+        nodes[name]._backward = functools.partial(np.copyto, views[name])
+    h = ad.reshape(ad.constant(x), (len(x), cfg.input_dim, 1))
+    for i in range(len(cfg.hidden_sizes)):
+        h = ad.relu(ad.conv1d_same(h, nodes[f"conv{i}_w"], nodes[f"conv{i}_b"]))
+    h = ad.global_avg_pool(h)
+    return ad.linear_head(h, nodes["head_w"], nodes["head_b"]), grad
 
 
 def forward(model: Model, batch) -> Node:

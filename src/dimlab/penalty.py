@@ -7,17 +7,21 @@ adjacent sorted predictions than the model produced, the shortfall is
 penalized quadratically. The batch penalty is the violation energy summed
 over features, divided by the batch size.
 
-One kernel, :func:`_fit_stacks`, computes the penalty from predictions
-(..., 1, N) and monotonic feature columns (..., k, N): a sort per batch, a
-line per column (:func:`fit_linear_baseline`), one gather and one hinge
-(:func:`adjacent_violations`). A batch's :class:`BatchFit`, from
-:func:`fit_batch`, runs it on the batch's (k, N) stack when first read. In
-training, :func:`build_loss_terms` puts the objective, the MSE plus lambda
-times the fit's penalty, into the autodiff graph as one node over the
-predictions (:func:`_objective_node`), whose backward runs over the fit's
-stacks. At lambda = 0 the penalty is only reported: no step reads its fit,
-and :func:`batch_totals` runs the kernel once per batch length over the
-epoch's (batches x features x rows) stack.
+A fit has two halves. The column pass, :func:`column_stats`, reads only
+the monotonic feature columns (..., k, N): their means, centred values and
+variances, which of them get a line, and the coupled coefficients. The
+kernel, :func:`_fit_stacks`, fits the predictions (..., 1, N) against it:
+a sort per batch, a line per column (:func:`fit_linear_baseline`), one
+gather and one hinge (:func:`adjacent_violations`). A batch's
+:class:`BatchFit`, from :func:`fit_batch`, runs the column pass on the
+batch's (k, N) stack at once and the kernel when first read. In
+training, :func:`epoch_columns` runs the column pass once per epoch over
+every batch, and :func:`build_loss_terms` puts the objective, the MSE plus
+lambda times the fit's penalty, into the autodiff graph as one node over
+the predictions (:func:`_objective_node`), whose backward runs over the
+fit's stacks. At lambda = 0 the penalty is only reported: no step reads
+its fit, and :func:`batch_totals` runs the kernel once per batch length
+over the epoch's (batches x features x rows) stack.
 
 Every stack is C-contiguous and every row-wise reduce runs over its last
 axis, so each row takes numpy's pairwise summation exactly as a 1-D reduce
@@ -133,27 +137,61 @@ class Lines(NamedTuple):
                               float(x_mean), float(self.x_var[r, 0]))
 
 
-def fit_linear_baseline(x_cols, preds) -> Lines:
-    """Least-squares lines from feature columns (..., k, N), N >= 2, to
-    the predictions (..., 1, N), with population (1/N) covariance and
-    variance. A constant or zero-variance column gets no line: it is not
-    ``fitted`` and its slope is 0.
-    """
+class Columns(NamedTuple):
+    """The half of a fit that reads only the feature columns, over a
+    C-contiguous stack (..., k, N): the fields ``x_mean``, ``x_var`` and
+    ``fitted`` have the shape (..., k, 1), ``centred`` and ``coeffs`` the
+    stack's."""
+
+    cols: np.ndarray
+    x_mean: np.ndarray
+    centred: np.ndarray    # cols - x_mean
+    x_var: np.ndarray      # population variance
+    fitted: np.ndarray     # bool: False for a constant or zero-variance column
+    coeffs: np.ndarray | None  # coupled: centred / (N * x_var), 0 if unfitted
+
+    def batch(self, rows) -> "Columns":
+        """The columns of the batches ``rows`` (an index or a list) of a
+        stack (B, k, N)."""
+        return Columns._make(None if f is None else f[rows] for f in self)
+
+
+def column_stats(cols, coupled: bool) -> Columns:
+    """The column pass over feature columns (..., k, N), N >= 1: each
+    column's mean, centred values and population (1/N) variance, whether a
+    line is fitted to it (not to a constant or zero-variance column), and
+    in coupled mode its coefficients."""
     # C order, so that every row-wise reduce runs along a contiguous axis
-    x_cols = np.ascontiguousarray(x_cols, dtype=np.float64)
-    preds = np.ascontiguousarray(preds, dtype=np.float64)
-    n = x_cols.shape[-1]
+    cols = np.ascontiguousarray(cols, dtype=np.float64)
+    n = cols.shape[-1]
     # .max(), .min() and .sum() call these reduces; sum / n is np.mean's bits
-    mean_x = np.add.reduce(x_cols, axis=-1, keepdims=True) / n
-    mean_p = np.add.reduce(preds, axis=-1, keepdims=True) / n
-    centred = x_cols - mean_x
+    mean_x = np.add.reduce(cols, axis=-1, keepdims=True) / n
+    centred = cols - mean_x
     var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / n
-    fitted = ((np.maximum.reduce(x_cols, axis=-1, keepdims=True)
-               != np.minimum.reduce(x_cols, axis=-1, keepdims=True))
+    fitted = ((np.maximum.reduce(cols, axis=-1, keepdims=True)
+               != np.minimum.reduce(cols, axis=-1, keepdims=True))
               & (var != 0.0))
-    cov = np.add.reduce(centred * (preds - mean_p), axis=-1, keepdims=True) / n
-    slope = np.divide(cov, var, out=np.zeros(cov.shape), where=fitted)
-    return Lines(slope, mean_x, var, mean_p, fitted)
+    coeffs = None
+    if coupled:
+        coeffs = np.divide(centred, n * var, out=np.zeros(cols.shape),
+                           where=fitted)
+    return Columns(cols, mean_x, centred, var, fitted, coeffs)
+
+
+def fit_linear_baseline(columns: Columns, preds) -> Lines:
+    """Least-squares lines from the feature columns of ``columns`` (the
+    column pass over (..., k, N), N >= 2) to the predictions (..., 1, N),
+    with population (1/N) covariance. A column that is not ``fitted`` gets
+    slope 0.
+    """
+    preds = np.ascontiguousarray(preds, dtype=np.float64)
+    n = preds.shape[-1]
+    mean_p = np.add.reduce(preds, axis=-1, keepdims=True) / n
+    cov = np.add.reduce(columns.centred * (preds - mean_p), axis=-1,
+                        keepdims=True) / n
+    slope = np.divide(cov, columns.x_var, out=np.zeros(cov.shape),
+                      where=columns.fitted)
+    return Lines(slope, columns.x_mean, columns.x_var, mean_p, columns.fitted)
 
 
 def adjacent_violations(dpred: np.ndarray, dx: np.ndarray,
@@ -167,28 +205,28 @@ def adjacent_violations(dpred: np.ndarray, dx: np.ndarray,
     return np.maximum(slope * dx - dpred, 0.0)
 
 
-def _fit_stacks(preds, cols, coupled: bool):
+def _fit_stacks(preds, columns: Columns):
     """The penalty kernel over batches of N >= 2 rows: predictions
-    (..., 1, N) and monotonic feature columns (..., k, N), C-contiguous,
-    as one batch's (k, N) or B batches' (B, k, N). Per batch it sorts the
-    predictions (stable), fits each column's line, carries the columns
-    along that order and hinges the increments at each line's slope
-    (frozen) or at ``sum(preds * coeffs)`` (coupled). Returns perm, the
-    lines, dx, violations, and coeffs or None; a column without a line
-    has slope 0 and coefficients 0."""
-    n = cols.shape[-1]
+    (..., 1, N) against the column pass over their monotonic feature
+    columns (..., k, N), as one batch's (1, N) and (k, N), or B batches'
+    (B, 1, N) and (B, k, N).
+    Per batch it sorts the predictions (stable), fits each column's line,
+    carries the columns along that order and hinges the increments at each
+    line's slope (frozen) or at ``sum(preds * coeffs)`` (coupled, when
+    ``columns`` has coefficients). Returns perm, the lines, dx, violations,
+    and coeffs or None; a column without a line has slope 0 and
+    coefficients 0."""
+    n = preds.shape[-1]
     perm = np.argsort(preds, axis=-1, kind="stable")
-    lines = fit_linear_baseline(cols, preds)
+    lines = fit_linear_baseline(columns, preds)
     # one flat take at each row's offset keeps C order; cols[:, perm] would not
-    rows = np.concatenate((preds, cols), axis=-2)
+    rows = np.concatenate((preds, columns.cols), axis=-2)
     offsets = np.arange(0, rows.size, n).reshape(rows.shape[:-1] + (1,))
     rows = rows.take(perm + offsets)
     diffs = rows[..., 1:] - rows[..., :-1]  # np.diff's bytes
     dpred, dx = diffs[..., :1, :], diffs[..., 1:, :]
-    slope, coeffs = lines.slope, None
-    if coupled:
-        coeffs = np.divide(cols - lines.x_mean, n * lines.x_var,
-                           out=np.zeros(cols.shape), where=lines.fitted)
+    slope, coeffs = lines.slope, columns.coeffs
+    if coeffs is not None:
         slope = np.add.reduce(preds * coeffs, axis=-1, keepdims=True)
     return perm, lines, dx, adjacent_violations(dpred, dx, slope), coeffs
 
@@ -215,16 +253,17 @@ def _refuse_empty(batch_size: int) -> None:
         raise DimensionError("a batch penalty needs at least one row, got 0")
 
 
-def _one_batch(preds, X, spec: MonotonicitySpec, coupled: bool) -> dict:
-    """The stacks of a checked batch: the kernel on its (k, N) stack, cut
-    down to the rows of the fitted features when some feature is skipped."""
-    n, indices = preds.shape[0], spec.indices
-    if n < 2 or not indices:  # nothing to fit
-        empty = np.empty((0, max(n - 1, 0)))
+def _one_batch(indices, preds, stack, row) -> dict:
+    """The stacks of a checked batch: the kernel on its predictions and
+    row ``row`` of the column pass ``stack`` (None when there is nothing to
+    fit), cut down to the rows of the fitted features when some feature is
+    skipped."""
+    if stack is None:
+        empty = np.empty((0, max(preds.shape[0] - 1, 0)))
         return dict(perm=np.argsort(preds, kind="stable"), fitted=(),
                     lines=None, dx=empty, violations=empty, coeffs=None)
-    perm, lines, dx, violations, coeffs = _fit_stacks(
-        preds[None], X.T[spec.columns], coupled)
+    perm, lines, dx, violations, coeffs = _fit_stacks(preds[None],
+                                                      stack.batch(row))
     keep = lines.fitted[:, 0]
     fitted = tuple(compress(indices, keep.tolist()))
     if len(fitted) < len(indices):  # the stacks hold only the fitted rows
@@ -242,7 +281,8 @@ class _Stack:
     def __get__(self, fit, owner=None):
         if fit is None:
             return self
-        fit.__dict__.update(_one_batch(*fit.pending), pending=None)
+        fit.__dict__.update(_one_batch(fit.indices, *fit.pending),
+                            pending=None)
         return fit.__dict__[self.name]
 
 
@@ -253,8 +293,9 @@ class BatchFit:
     The monotonic features ``indices`` are in spec order, and so are the
     rows of ``lines``; those in ``fitted`` are the rows of the other
     stacks, and the rest are degenerate in the batch (``skipped``). A
-    ``pending`` fit holds its checked (preds, X, spec, coupled) until a
-    stack is read; ``stacks`` gives them instead. ``features``,
+    ``pending`` fit holds its checked predictions and its row of a column
+    pass, (preds, stack, row), until a stack is read (``stack`` is None
+    when there is nothing to fit); ``stacks`` gives them instead. ``features``,
     ``per_feature`` and ``total`` are computed when first read; on a 0-row
     batch reading the penalty raises DimensionError, while ``skipped`` and
     ``compliance()`` still answer.
@@ -347,33 +388,84 @@ def fit_batch(preds, X, spec: MonotonicitySpec,
     """
     _check_mode(baseline_mode)
     preds, X = _check_batch(preds, X, spec)
-    return BatchFit(preds.shape[0], spec.indices,
-                    (preds, X, spec, baseline_mode == "coupled"))
+    return _pending_fit(preds, X, spec, baseline_mode == "coupled")
+
+
+def _pending_fit(preds, X, spec: MonotonicitySpec, coupled: bool,
+                 columns=None) -> BatchFit:
+    """The pending fit of a checked batch over its row of a column pass:
+    ``columns``, a (stack, row) pair from :func:`epoch_columns`, or when
+    None, a pass over this batch alone, run now."""
+    n, stack, row = preds.shape[0], None, None
+    if n >= 2 and spec.indices:
+        if columns is None:
+            stack, row = column_stats(X.T[spec.columns][None], coupled), 0
+        else:
+            stack, row = columns
+            if ((stack.coeffs is not None) != coupled
+                    or stack.cols.shape[-2:] != (len(spec.indices), n)):
+                raise ParameterError(
+                    "the column pass does not fit this batch, its features "
+                    "and its mode")
+    return BatchFit(n, spec.indices, (preds, stack, row))
+
+
+def _is_coupled(lam: float, baseline_mode: str) -> bool:
+    """Whether a training fit hinges at the coupled slope: at lambda 0 the
+    penalty is only reported, at the fitted slope, in either mode."""
+    return lam > 0 and baseline_mode == "coupled"
+
+
+def epoch_columns(X, spec: MonotonicitySpec, batch_size: int, lam: float,
+                  baseline_mode: str) -> list:
+    """The column pass of every batch of an epoch whose rows ``X`` are in
+    batch order (``batch_size`` rows each, the last one possibly fewer),
+    for the fits of that lambda and mode: one (stack, row) pair per batch
+    for :func:`build_loss_terms`, or None for a batch with nothing to fit.
+    The full batches share one (batches x features x rows) stack, and a
+    short last batch has its own."""
+    spec.validate_for(X.shape[1])
+    n = X.shape[0]
+    full, rest = divmod(n, batch_size)
+    if not spec.indices:
+        return [None] * (full + (rest > 0))
+    coupled = _is_coupled(lam, baseline_mode)
+    cols = X.T[spec.columns]  # (k, n), C-contiguous
+    k, cut = cols.shape[0], full * batch_size
+    batches = []
+    if full:
+        stack = column_stats(cols[:, :cut].reshape(k, full, batch_size)
+                             .transpose(1, 0, 2), coupled)
+        batches = [(stack, b) for b in range(full)]
+    if rest:
+        batches.append((column_stats(cols[None, :, cut:], coupled), 0)
+                       if rest >= 2 else None)
+    return batches
 
 
 def batch_totals(fits) -> list[float]:
     """Each fit's batch penalty (``total``), in order, with the bytes it
     gives alone. A computed fit, or one with nothing to fit, gives its own;
-    the pending fits of equal shape, features and mode take one kernel call
-    over their (batches x features x rows) stack, and stay pending."""
+    the pending fits over one column-pass stack, such as an epoch's batches
+    of one length, take one kernel call over it, and stay pending."""
     totals = [None] * len(fits)
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[int, list[int]] = {}
     for i, fit in enumerate(fits):
-        if fit.pending is None or fit.batch_size < 2 or not fit.indices:
+        if fit.pending is None or fit.pending[1] is None:
             totals[i] = fit.total  # computed, or nothing to fit
         else:
-            _, X, spec, coupled = fit.pending
-            groups.setdefault((X.shape, spec, coupled), []).append(i)
-    for ((n, _), spec, coupled), members in groups.items():
-        batches = [fits[i].pending for i in members]
-        preds = np.stack([p for p, _, _, _ in batches])[:, None]  # (B, 1, N)
-        X = np.stack([X for _, X, _, _ in batches])
-        cols = np.ascontiguousarray(X.transpose(0, 2, 1)[:, spec.columns])
-        _, lines, _, v, _ = _fit_stacks(preds, cols, coupled)
+            groups.setdefault(id(fit.pending[1]), []).append(i)
+    for members in groups.values():
+        pending = [fits[i].pending for i in members]
+        stack, rows = pending[0][1], [row for _, _, row in pending]
+        if rows != list(range(len(stack.cols))):  # not the whole stack
+            stack = stack.batch(rows)
+        preds = np.stack([p for p, _, _ in pending])[:, None]  # (B, 1, N)
+        _, lines, _, v, _ = _fit_stacks(preds, stack)
         energy = np.where(lines.fitted[..., 0], np.add.reduce(v * v, axis=-1),
                           0.0)
         for i, e in zip(members, energy.tolist()):
-            totals[i] = _total(e, n)
+            totals[i] = _total(e, preds.shape[-1])
     return totals
 
 
@@ -428,7 +520,7 @@ def _objective_node(preds: Node, y: np.ndarray, fit: BatchFit,
     with_penalty = lam > 0 and len(fit.fitted) > 0
     if with_penalty:
         value = value + fit.total * lam
-    out = ad._op("objective", value, (preds, None))  # backward set below
+    out = Node(value, (preds,), "objective", preds.requires_grad)
 
     def backward(g):
         if not preds.requires_grad:
@@ -460,7 +552,8 @@ def _objective_node(preds: Node, y: np.ndarray, fit: BatchFit,
 
 
 def build_loss_terms(preds: Node, y, X, spec: MonotonicitySpec, lam: float,
-                     baseline_mode: str = "frozen") -> tuple[Node, BatchFit]:
+                     baseline_mode: str = "frozen",
+                     columns=None) -> tuple[Node, BatchFit]:
     """The training objective L = MSE + lambda * penalty, as one graph node
     (:func:`_objective_node`), and the batch's one fit.
 
@@ -471,7 +564,9 @@ def build_loss_terms(preds: Node, y, X, spec: MonotonicitySpec, lam: float,
     the MSE alone. At lambda = 0 it is the MSE alone too, and the fit is
     returned pending, the frozen-mode fit in either mode: it reports the
     penalty at the fitted slope when read, and :func:`batch_totals`
-    reports an epoch's at once. The batch is checked either way: a 0-row
+    reports an epoch's at once. ``columns`` is the batch's entry of
+    :func:`epoch_columns` for this lambda and mode; when None the column
+    pass runs on this batch alone. The batch is checked either way: a 0-row
     batch raises DimensionError, and so does a lambda that is a bool or
     not finite and >= 0 (a ParameterError).
     """
@@ -485,6 +580,5 @@ def build_loss_terms(preds: Node, y, X, spec: MonotonicitySpec, lam: float,
         raise DimensionError(
             f"targets shape {y.shape} does not match predictions {p.shape}")
     _refuse_empty(p.shape[0])
-    coupled = lam > 0 and baseline_mode == "coupled"
-    fit = BatchFit(p.shape[0], spec.indices, (p, X, spec, coupled))
+    fit = _pending_fit(p, X, spec, _is_coupled(lam, baseline_mode), columns)
     return _objective_node(preds, y, fit, lam), fit

@@ -28,9 +28,11 @@ from .models import (
     Model,
     ModelConfig,
     build_model,
+    flatten,
     forward,
     forward_with_params,
     set_numbers,
+    unflatten,
 )
 
 log = logging.getLogger(__name__)
@@ -173,25 +175,6 @@ def report_from_json(text: str) -> RunReport:
 
 # ---------------------------------------------------------------- optimizer
 
-def flatten(parameters: dict[str, np.ndarray]):
-    """One contiguous float64 copy of ``parameters``, in their order, and
-    named views into it with the parameters' shapes."""
-    vector = np.concatenate(list(parameters.values()), axis=None,
-                            dtype=np.float64)
-    return vector, unflatten(vector, [(k, np.shape(p))
-                                      for k, p in parameters.items()])
-
-
-def unflatten(vector: np.ndarray, layout) -> dict[str, np.ndarray]:
-    """Named views into ``vector`` for a [(name, shape), ...] layout."""
-    views, start = {}, 0
-    for name, shape in layout:
-        stop = start + int(np.prod(shape))
-        views[name] = vector[start:stop].reshape(shape)
-        start = stop
-    return views
-
-
 @dataclass
 class AdamState:
     """Adam's step count and moments over one flat parameter vector whose
@@ -209,30 +192,38 @@ class AdamState:
         return cls(step=0, m=np.zeros(size), v=np.zeros(size), layout=layout)
 
 
-def adam_step(flat: np.ndarray, grads: dict[str, np.ndarray],
-              state: AdamState, lr: float) -> None:
+def adam_step(flat: np.ndarray, grads, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update of ``flat``, the parameters packed in
-    ``state.layout`` order, and of ``state``, all in place.
+    ``state.layout`` order, and of ``state``, all in place. ``grads`` is
+    the gradient vector in that layout (as ``forward_with_params`` gives
+    it), or a name -> array map, checked against the layout and packed.
 
     The per-element arithmetic is the textbook per-array form, op for op,
     so the bits do not depend on how the parameters are packed.
     """
-    mismatch = len(grads) != len(state.layout)
-    for (name, g), (want, shape) in zip(grads.items(), state.layout):
-        mismatch = mismatch or name != want or g.shape != shape
-    if mismatch:
-        layout = [(name, g.shape) for name, g in grads.items()]
-        raise ParameterError(f"gradients {layout} do not match the "
-                             f"parameters {state.layout}")
-    g = np.concatenate(list(grads.values()), axis=None)
+    if isinstance(grads, dict):
+        mismatch = len(grads) != len(state.layout)
+        for (name, g), (want, shape) in zip(grads.items(), state.layout):
+            mismatch = mismatch or name != want or g.shape != shape
+        if mismatch:
+            layout = [(name, g.shape) for name, g in grads.items()]
+            raise ParameterError(f"gradients {layout} do not match the "
+                                 f"parameters {state.layout}")
+        g = np.concatenate(list(grads.values()), axis=None)
+    else:
+        g = grads
+        if g.shape != state.m.shape:
+            raise ParameterError(f"gradient vector of shape {g.shape} does not "
+                                 f"match the parameters {state.layout}")
     if not np.isfinite(g).all():
-        name = next(k for k, a in grads.items() if not np.isfinite(a).all())
+        name = next(k for k, a in unflatten(g, state.layout).items()
+                    if not np.isfinite(a).all())
         raise NumericError(f"non-finite gradient for parameter {name!r}")
     t = state.step + 1
     # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
     state.m *= ADAM_BETA1
     state.m += (1.0 - ADAM_BETA1) * g
-    g *= g
+    g = g * g
     g *= 1.0 - ADAM_BETA2
     state.v *= ADAM_BETA2
     state.v += g
@@ -343,25 +334,31 @@ def train(model: Model, train_ds: Dataset, config: TrainConfig,
 
     for epoch in range(config.max_epochs):
         order = shuffle_rng.permutation(n)
+        # the epoch's rows in batch order, and the half of every batch's
+        # penalty fit that reads only its features, in one pass
+        X_ep, y_ep = X_tr[order], y_tr[order]
+        columns = pen.epoch_columns(X_ep, spec, config.batch_size, config.lam,
+                                    config.baseline_mode)
         loss_sum = 0.0
         fits = []
-        for start in range(0, n, config.batch_size):
-            rows = order[start:start + config.batch_size]
-            xb, yb = X_tr[rows], y_tr[rows]
-            preds, nodes = forward_with_params(working, xb, training=True,
-                                               rng=dropout_rng)
+        for start, batch_columns in zip(range(0, n, config.batch_size), columns):
+            stop = start + config.batch_size
+            xb, yb = X_ep[start:stop], y_ep[start:stop]
+            preds, grad = forward_with_params(working, xb, training=True,
+                                              rng=dropout_rng)
             total, fit = pen.build_loss_terms(preds, yb, xb, spec, config.lam,
-                                              config.baseline_mode)
+                                              config.baseline_mode,
+                                              batch_columns)
             loss = total.value.item()
             if not math.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch row {start}")
             backward_pass(total)
-            adam_step(flat, {name: node.grad for name, node in nodes.items()},
-                      state, config.learning_rate)
-            loss_sum += loss * rows.size
+            adam_step(flat, grad, state, config.learning_rate)
+            loss_sum += loss * fit.batch_size
             fits.append(fit)
         # at lambda 0 the fits are pending, and computed here in one pass
+        # per batch length over the epoch's column stacks
         penalty_sum = 0.0
         for fit, total in zip(fits, pen.batch_totals(fits)):
             penalty_sum += total * fit.batch_size

@@ -11,7 +11,9 @@ from typing import Callable
 
 import numpy as np
 
-from dimlab.autodiff import Node, as_tensor, backward_pass, leaf
+from dimlab.autodiff import (Node, _check_matmul, _dropout_mask, _masked,
+                             _op, _unbroadcast, as_tensor, backward_pass,
+                             constant, leaf, linear_head)
 from dimlab.data import _TRANSFORMS
 from dimlab.errors import DimensionError, NumericError, ParameterError
 from dimlab.penalty import (BASELINE_MODES, COMPLIANCE_ATOL, FeatureFit,
@@ -41,6 +43,54 @@ class ReferenceAdam:
             new[name] = p - lr * m_hat / (np.sqrt(v_hat) + EPS)
             self.m[name], self.v[name] = m, v
         return new
+
+
+def dense(h: Node, w: Node, b: Node, rate: float,
+          rng: np.random.Generator | None = None) -> Node:
+    """One hidden layer, relu(h @ w + b) under inverted dropout of ``rate``
+    (0 for none, as in eval mode), as a single node.
+
+    Its value, its three gradients and its draw from ``rng`` equal those of
+    ``dropout(relu(matmul(h, w) + b), rate, True, rng)`` bit for bit: it
+    makes the same numpy calls in the same order, the bias add and the
+    dropout product in place on arrays it owns.
+    """
+    _check_matmul(h, w)
+    units = w.value.shape[1]
+    if b.value.shape != (units,):
+        raise DimensionError(
+            f"bias must have shape ({units},), got {b.value.shape}")
+    drop = _dropout_mask((h.value.shape[0], units), rate, True, rng)
+    pre = h.value @ w.value
+    pre += b.value
+    mask = pre > 0
+    value = _masked(mask, pre)
+    if drop is not None:
+        value *= drop
+
+    # the vjps map the gradient of ``pre``, which backward computes once
+    out = _op("dense", value,
+              (h, lambda g: g @ w.value.T),
+              (w, lambda g: h.value.T @ g),
+              (b, lambda g: _unbroadcast(g, b.value.shape)))
+    to_parents = out._backward
+    out._backward = lambda g: to_parents(
+        _masked(mask, g if drop is None else g * drop))
+    return out
+
+
+def network_reference(model, batch, training=False, rng=None):
+    """A dense model's (ann, mlp3, mlp5) forward pass as a graph over
+    parameter leaves: one :func:`dense` node per hidden layer, then
+    ``linear_head``. Returns the prediction node and the leaves by name,
+    whose ``grad`` a backward pass fills."""
+    nodes = {name: leaf(value, requires_grad=True)
+             for name, value in model.parameters.items()}
+    rate = model.config.dropout_rate if training else 0.0
+    h = constant(as_tensor(batch))
+    for i in range(len(model.config.hidden_sizes)):
+        h = dense(h, nodes[f"layer{i}_w"], nodes[f"layer{i}_b"], rate, rng)
+    return linear_head(h, nodes["head_w"], nodes["head_b"]), nodes
 
 
 def conv1d_same_reference(x, kernels, bias, g):

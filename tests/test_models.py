@@ -9,6 +9,7 @@ from dimlab import autodiff as ad
 from dimlab import models as mz
 from dimlab import penalty as pen
 from dimlab.errors import ConfigError, DataError, DimensionError
+from oracles import loss_terms_reference, network_reference
 
 
 def cfg(arch, d=4, **kw):
@@ -156,12 +157,15 @@ def test_output_shape_and_all_parameter_grads():
     batch = np.random.default_rng(3).normal(size=(9, 4))
     for arch in mz.ARCHITECTURES:
         model = mz.build_model(cfg(arch, seed=2))
-        preds, nodes = mz.forward_with_params(model, batch)
+        preds, grad = mz.forward_with_params(model, batch)
         assert preds.value.shape == (9,)
         ad.backward_pass(ad.sum_all(ad.square(preds)))
-        for name, node in nodes.items():
-            assert node.grad.shape == model.parameters[name].shape
-            assert np.any(node.grad != 0.0), (arch, name)
+        grads = mz.unflatten(grad, [(k, p.shape)
+                                    for k, p in model.parameters.items()])
+        assert list(grads) == list(model.parameters)
+        for name, g in grads.items():
+            assert g.shape == model.parameters[name].shape
+            assert np.any(g != 0.0), (arch, name)
 
 
 def test_training_dropout_changes_output_but_eval_does_not():
@@ -192,6 +196,8 @@ def _graph(root):
 
 @pytest.mark.parametrize("arch", ["ann", "mlp3", "mlp5"])
 def test_training_step_builds_one_dense_node_per_hidden_layer(arch):
+    # every hidden layer's dense node, and the head, are folded into one
+    # straight-line network node over no parameter leaves
     model = mz.build_model(cfg(arch, seed=4))
     data = np.random.default_rng(4)
     batch = data.normal(size=(16, 4))
@@ -200,8 +206,48 @@ def test_training_step_builds_one_dense_node_per_hidden_layer(arch):
     total, _ = pen.build_loss_terms(preds, data.normal(size=16), batch,
                                     pen.MonotonicitySpec((2,)), 0.0)
     tags = Counter(node.op_tag for node in _graph(total))
-    assert tags["dense"] == len(model.config.hidden_sizes)
+    assert tags == {"objective": 1, "network": 1}
     assert tags["relu"] == tags["dropout"] == 0
+
+
+def _step_bits(model, forward, build, X, y, spec, lam, mode):
+    """One training step's predictions, objective, parameter gradients and
+    dropout generator state afterwards, as bytes."""
+    rng = np.random.default_rng(9)
+    preds, grads = forward(model, X, training=True, rng=rng)
+    total, _ = build(preds, y, X, spec, lam, mode)
+    ad.backward_pass(total)
+    if isinstance(grads, np.ndarray):  # the straight-line step's vector
+        grads = mz.unflatten(grads, [(k, p.shape)
+                                     for k, p in model.parameters.items()])
+    else:  # the reference graph's parameter leaves
+        grads = {name: node.grad for name, node in grads.items()}
+    return (preds.value.tobytes(), total.value.tobytes(),
+            {name: (g.shape, g.tobytes()) for name, g in grads.items()},
+            rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("arch", ["ann", "mlp3", "mlp5"])
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+def test_straight_line_step_matches_the_graph_reference_byte_for_byte(
+        arch, dropout):
+    # the network node and the objective against dense x L, linear_head
+    # and the objective as a graph of small ops, on a full and a short
+    # batch, with one monotonic column constant, in both modes at lambda 0
+    # and > 0
+    model = mz.build_model(cfg(arch, seed=5, dropout_rate=dropout))
+    data = np.random.default_rng(5)
+    X, y = data.normal(size=(21, 4)), data.normal(size=21)
+    X[:, 1] = 0.5
+    spec = pen.MonotonicitySpec((1, 2))
+    for rows in (slice(0, 16), slice(16, 21)):
+        for mode in pen.BASELINE_MODES:
+            for lam in (0.0, 0.7):
+                args = (X[rows], y[rows], spec, lam, mode)
+                got = _step_bits(model, mz.forward_with_params,
+                                 pen.build_loss_terms, *args)
+                assert got == _step_bits(model, network_reference,
+                                         loss_terms_reference, *args)
 
 
 def test_forward_rejects_wrong_width():

@@ -23,7 +23,7 @@ from dimlab import autodiff as ad
 from dimlab import penalty as pen
 from dimlab.errors import ConfigError, DimensionError
 from dimlab.models import set_numbers
-from oracles import (conv1d_same_reference, fit_batch_reference,
+from oracles import (conv1d_same_reference, dense, fit_batch_reference,
                      loss_terms_reference, topo_order_reference)
 
 # a failing example is reported as found: shrinking a byte-for-byte
@@ -163,8 +163,8 @@ def test_kernel_gives_each_batch_its_reference_fit_byte_for_byte(stack, mode):
     # features' line, dx, violations and coefficients where it has a line
     preds, X, spec = stack
     cols = np.ascontiguousarray(X.transpose(0, 2, 1)[:, spec.columns])
-    perm, lines, dx, v, coeffs = pen._fit_stacks(preds[:, None], cols,
-                                                 mode == "coupled")
+    perm, lines, dx, v, coeffs = pen._fit_stacks(
+        preds[:, None], pen.column_stats(cols, mode == "coupled"))
     for b in range(len(preds)):
         ref = fit_batch_reference(preds[b], X[b], spec, mode)
         assert perm[b, 0].tobytes() == ref.perm.tobytes()
@@ -212,6 +212,49 @@ def test_epoch_pass_matches_the_per_batch_reference_totals(epoch):
                 for s in starts]
         fits[0].total  # computed alone, before the others
         assert [bits(t) for t in pen.batch_totals(fits)] == expected
+
+
+@st.composite
+def shuffled_epochs(draw):
+    """(preds, X, spec, batch size): 1-6 batches of 2-9 rows, the last one
+    maybe shorter (down to 1 row), 1-4 columns of which 1-4 are monotonic,
+    each column constant in some batches."""
+    size = draw(st.integers(2, 9))
+    lengths = [size] * draw(st.integers(1, 6))
+    lengths[-1] = draw(st.integers(1, size))
+    d = draw(st.integers(1, 4))
+    X = np.concatenate([np.array([column_values(draw, m, draw(st.booleans()))
+                                  for _ in range(d)]).T for m in lengths])
+    preds = np.array(column_values(draw, len(X), False))
+    spec = pen.MonotonicitySpec(draw(st.permutations(range(d)))[
+        :draw(st.integers(1, d))])
+    return preds, X.copy(), spec, size
+
+
+@PROPERTY
+@given(shuffled_epochs(), st.sampled_from(pen.BASELINE_MODES))
+def test_column_pass_and_step_fits_match_the_reference_byte_for_byte(epoch,
+                                                                      mode):
+    # the column pass once per epoch, then each step's prediction half: at
+    # lambda > 0 every field of each batch's fit; at lambda 0 the epoch-end
+    # totals over the same stacks, at the fitted slope in either mode
+    preds, X, spec, size = epoch
+    starts = range(0, len(preds), size)
+    for lam in (1.0, 0.0):
+        columns = pen.epoch_columns(X, spec, size, lam, mode)
+        assert len(columns) == len(starts)
+        fits = [pen.build_loss_terms(ad.leaf(preds[s:s + size]),
+                                     np.zeros(len(preds[s:s + size])),
+                                     X[s:s + size], spec, lam, mode, c)[1]
+                for s, c in zip(starts, columns)]
+        if lam:
+            for s, fit in zip(starts, fits):
+                assert fit_bits(fit) == fit_bits(fit_batch_reference(
+                    preds[s:s + size], X[s:s + size], spec, mode))
+        else:
+            assert [bits(t) for t in pen.batch_totals(fits)] == [
+                bits(fit_batch_reference(preds[s:s + size], X[s:s + size],
+                                         spec).total) for s in starts]
 
 
 @st.composite
@@ -305,7 +348,7 @@ def test_dense_matches_its_unfused_chain_byte_for_byte(n, d, units, rate,
         arrays = [out.value, *(node.grad for node in nodes)]
         return [(a.shape, a.tobytes()) for a in arrays], rng.bit_generator.state
 
-    assert run(ad.dense) == run(lambda h, w, b, rate, rng: ad.dropout(
+    assert run(dense) == run(lambda h, w, b, rate, rng: ad.dropout(
         ad.relu(ad.add(ad.matmul(h, w), b)), rate, True, rng))
 
 

@@ -13,7 +13,8 @@ from dimlab import penalty as pen
 from dimlab import training as tr
 from dimlab.errors import ConfigError, DataError, NumericError, ParameterError
 from dimlab.penalty import MonotonicitySpec
-from oracles import ReferenceAdam, fit_batch_reference, gradient_check
+from oracles import (ReferenceAdam, fit_batch_reference, gradient_check,
+                     network_reference)
 
 
 def linear_dataset(n=200, seed=0, noise=0.0):
@@ -83,6 +84,25 @@ def test_adam_nonfinite_error_names_the_parameter_and_changes_nothing(bad):
     assert state.step == 1
     for got, want in zip((flat, state.m, state.v), before):
         assert got.tobytes() == want.tobytes()
+
+
+def test_adam_checks_a_gradient_vector_like_a_gradient_map():
+    # the training step's flat vector: refused when its size differs from
+    # the parameters', and a non-finite entry is named by its parameter
+    params = {"a": np.array([1.0, 2.0]), "b": np.array([[3.0], [4.0]])}
+    flat, _ = tr.flatten(params)
+    state = tr.AdamState.init_like(params)
+    with pytest.raises(ParameterError, match="do not match|does not match"):
+        tr.adam_step(flat, np.ones(3), state, 1e-3)
+    with pytest.raises(NumericError, match="'b'"):
+        tr.adam_step(flat, np.array([1.0, 1.0, 1.0, np.nan]), state, 1e-3)
+    assert state.step == 0
+    assert flat.tobytes() == tr.flatten(params)[0].tobytes()
+    tr.adam_step(flat, np.ones(4), state, 1e-3)
+    want, _ = tr.flatten(params)
+    tr.adam_step(want, {"a": np.ones(2), "b": np.ones((2, 1))},
+                 tr.AdamState.init_like(params), 1e-3)
+    assert flat.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("grads", [
@@ -309,8 +329,8 @@ def penalty_free_loop(ds, cfg, architecture):
         for start in range(0, X_tr.shape[0], cfg.batch_size):
             rows = order[start:start + cfg.batch_size]
             work = mz.Model(config=ref.config, parameters=params)
-            preds, nodes = mz.forward_with_params(work, X_tr[rows],
-                                                  training=True, rng=drop)
+            preds, nodes = network_reference(work, X_tr[rows],
+                                             training=True, rng=drop)
             diff = ad.sub(preds, ad.constant(y_tr[rows]))
             loss = ad.scale(ad.sum_all(ad.square(diff)), 1.0 / rows.size)
             ad.backward_pass(loss)
