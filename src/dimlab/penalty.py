@@ -13,15 +13,15 @@ variances, which of them get a line, and the coupled coefficients. The
 kernel, :func:`_fit_stacks`, fits the predictions (..., 1, N) against it:
 a sort per batch, a line per column (:func:`fit_linear_baseline`), one
 gather and one hinge (:func:`adjacent_violations`). A batch's
-:class:`BatchFit`, from :func:`fit_batch`, runs the column pass on the
-batch's (k, N) stack at once and the kernel when first read. In
-training, :func:`epoch_columns` runs the column pass once per epoch over
-every batch, and :func:`build_loss_terms` puts the objective, the MSE plus
-lambda times the fit's penalty, into the autodiff graph as one node over
-the predictions (:func:`_objective_node`), whose backward runs over the
-fit's stacks. At lambda = 0 the penalty is only reported: no step reads
-its fit, and :func:`batch_totals` runs the kernel once per batch length
-over the epoch's (batches x features x rows) stack.
+:class:`BatchFit`, from :func:`fit_batch`, runs both halves on the
+batch's (k, N) stack. In training at lambda > 0, :func:`epoch_columns`
+runs the column pass once per epoch over every batch, and
+:func:`build_loss_terms` puts the objective, the MSE plus lambda times the
+fit's penalty, into the autodiff graph as one node over the predictions
+(:func:`_objective_node`), whose backward runs over the fit's stacks. At
+lambda = 0 the penalty is only reported: no step fits it, and
+:func:`epoch_totals` runs both halves once per batch length over the
+epoch's (batches x features x rows) stack.
 
 Every stack is C-contiguous and every row-wise reduce runs over its last
 axis, so each row takes numpy's pairwise summation exactly as a 1-D reduce
@@ -150,10 +150,9 @@ class Columns(NamedTuple):
     fitted: np.ndarray     # bool: False for a constant or zero-variance column
     coeffs: np.ndarray | None  # coupled: centred / (N * x_var), 0 if unfitted
 
-    def batch(self, rows) -> "Columns":
-        """The columns of the batches ``rows`` (an index or a list) of a
-        stack (B, k, N)."""
-        return Columns._make(None if f is None else f[rows] for f in self)
+    def batch(self, b: int) -> "Columns":
+        """The columns of batch ``b`` of a stack (B, k, N)."""
+        return Columns._make(None if f is None else f[b] for f in self)
 
 
 def column_stats(cols, coupled: bool) -> Columns:
@@ -253,66 +252,40 @@ def _refuse_empty(batch_size: int) -> None:
         raise DimensionError("a batch penalty needs at least one row, got 0")
 
 
-def _one_batch(indices, preds, stack, row) -> dict:
-    """The stacks of a checked batch: the kernel on its predictions and
-    row ``row`` of the column pass ``stack`` (None when there is nothing to
-    fit), cut down to the rows of the fitted features when some feature is
-    skipped."""
-    if stack is None:
-        empty = np.empty((0, max(preds.shape[0] - 1, 0)))
-        return dict(perm=np.argsort(preds, kind="stable"), fitted=(),
-                    lines=None, dx=empty, violations=empty, coeffs=None)
-    perm, lines, dx, violations, coeffs = _fit_stacks(preds[None],
-                                                      stack.batch(row))
-    keep = lines.fitted[:, 0]
-    fitted = tuple(compress(indices, keep.tolist()))
-    if len(fitted) < len(indices):  # the stacks hold only the fitted rows
-        dx, violations = dx[keep], violations[keep]
-        coeffs = None if coeffs is None else coeffs[keep]
-    return dict(perm=perm[0], fitted=fitted, lines=lines, dx=dx,
-                violations=violations, coeffs=coeffs)
-
-
-class _Stack:
-    """A :class:`BatchFit` stack: reading any computes them all, once."""
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, fit, owner=None):
-        if fit is None:
-            return self
-        fit.__dict__.update(_one_batch(fit.indices, *fit.pending),
-                            pending=None)
-        return fit.__dict__[self.name]
-
-
 class BatchFit:
     """The shared per-batch work of every penalty and compliance path,
-    and the batch penalty it measures.
+    and the batch penalty it measures: the fit of checked predictions
+    (N,) against ``columns``, the column pass over the batch's (k, N)
+    stack of the monotonic features ``indices``, or None when there is
+    nothing to fit.
 
-    The monotonic features ``indices`` are in spec order, and so are the
-    rows of ``lines``; those in ``fitted`` are the rows of the other
-    stacks, and the rest are degenerate in the batch (``skipped``). A
-    ``pending`` fit holds its checked predictions and its row of a column
-    pass, (preds, stack, row), until a stack is read (``stack`` is None
-    when there is nothing to fit); ``stacks`` gives them instead. ``features``,
-    ``per_feature`` and ``total`` are computed when first read; on a 0-row
-    batch reading the penalty raises DimensionError, while ``skipped`` and
-    ``compliance()`` still answer.
+    ``indices`` are in spec order, and so are the rows of ``lines``; those
+    in ``fitted`` are the rows of the other stacks, and the rest are
+    degenerate in the batch (``skipped``). The stacks: ``perm``, the
+    stable ascending sort of the predictions; ``lines``, the Lines of the
+    (k, N) stack, None when there is nothing to fit; ``dx`` (fitted, N-1),
+    diff(x[perm]); ``violations`` (fitted, N-1), at the mode's slope; and
+    in coupled mode ``coeffs`` (fitted, N), slope = preds @ row.
+    ``features``, ``per_feature`` and ``total`` are computed when first
+    read; on a 0-row batch reading the penalty raises DimensionError,
+    while ``skipped`` and ``compliance()`` still answer.
     """
 
-    perm = _Stack()        # stable ascending sort of the predictions
-    fitted = _Stack()
-    lines = _Stack()       # Lines of the stack (k, N); None if N < 2 or k = 0
-    dx = _Stack()          # (fitted, N-1): diff(x[perm])
-    violations = _Stack()  # (fitted, N-1), at the mode's slope
-    coeffs = _Stack()      # coupled: (fitted, N), slope = preds @ row
-
-    def __init__(self, batch_size, indices, pending=None, **stacks):
-        self.batch_size = batch_size
-        self.indices = indices
-        self.pending = pending
-        self.__dict__.update(stacks)
+    def __init__(self, indices, preds, columns):
+        self.batch_size, self.indices = preds.shape[0], indices
+        if columns is None:
+            self.perm = np.argsort(preds, kind="stable")
+            self.fitted, self.lines, self.coeffs = (), None, None
+            self.dx = self.violations = np.empty((0, max(self.batch_size - 1, 0)))
+            return
+        perm, self.lines, dx, violations, coeffs = _fit_stacks(preds[None],
+                                                               columns)
+        keep = self.lines.fitted[:, 0]
+        self.perm, self.fitted = perm[0], tuple(compress(indices, keep.tolist()))
+        if len(self.fitted) < len(indices):  # the stacks hold only the fitted rows
+            dx, violations = dx[keep], violations[keep]
+            coeffs = None if coeffs is None else coeffs[keep]
+        self.dx, self.violations, self.coeffs = dx, violations, coeffs
 
     @property
     def skipped(self) -> tuple[int, ...]:
@@ -373,11 +346,18 @@ def _check_batch(preds, X, spec: MonotonicitySpec):
     return preds, X
 
 
+def _batch_columns(X, spec: MonotonicitySpec, coupled: bool):
+    """The column pass over a checked batch's (k, N) stack, or None when
+    the batch has nothing to fit (N < 2 or k = 0)."""
+    if X.shape[0] >= 2 and spec.indices:
+        return column_stats(X.T[spec.columns], coupled)
+    return None
+
+
 def fit_batch(preds, X, spec: MonotonicitySpec,
               baseline_mode: str = "frozen") -> BatchFit:
-    """Validate a batch; its fit sorts it once by prediction, fits every
-    monotonic feature against that one order and measures its shortfalls
-    when first read.
+    """Validate a batch and fit it: sort it once by prediction, fit every
+    monotonic feature against that one order and measure its shortfalls.
 
     Frozen mode measures them at the fitted slope. Coupled mode measures
     them at the slope as training differentiates it, ``sum(preds *
@@ -388,84 +368,65 @@ def fit_batch(preds, X, spec: MonotonicitySpec,
     """
     _check_mode(baseline_mode)
     preds, X = _check_batch(preds, X, spec)
-    return _pending_fit(preds, X, spec, baseline_mode == "coupled")
+    return BatchFit(spec.indices, preds,
+                    _batch_columns(X, spec, baseline_mode == "coupled"))
 
 
-def _pending_fit(preds, X, spec: MonotonicitySpec, coupled: bool,
-                 columns=None) -> BatchFit:
-    """The pending fit of a checked batch over its row of a column pass:
-    ``columns``, a (stack, row) pair from :func:`epoch_columns`, or when
-    None, a pass over this batch alone, run now."""
-    n, stack, row = preds.shape[0], None, None
-    if n >= 2 and spec.indices:
-        if columns is None:
-            stack, row = column_stats(X.T[spec.columns][None], coupled), 0
-        else:
-            stack, row = columns
-            if ((stack.coeffs is not None) != coupled
-                    or stack.cols.shape[-2:] != (len(spec.indices), n)):
-                raise ParameterError(
-                    "the column pass does not fit this batch, its features "
-                    "and its mode")
-    return BatchFit(n, spec.indices, (preds, stack, row))
-
-
-def _is_coupled(lam: float, baseline_mode: str) -> bool:
-    """Whether a training fit hinges at the coupled slope: at lambda 0 the
-    penalty is only reported, at the fitted slope, in either mode."""
-    return lam > 0 and baseline_mode == "coupled"
-
-
-def epoch_columns(X, spec: MonotonicitySpec, batch_size: int, lam: float,
-                  baseline_mode: str) -> list:
-    """The column pass of every batch of an epoch whose rows ``X`` are in
-    batch order (``batch_size`` rows each, the last one possibly fewer),
-    for the fits of that lambda and mode: one (stack, row) pair per batch
-    for :func:`build_loss_terms`, or None for a batch with nothing to fit.
-    The full batches share one (batches x features x rows) stack, and a
-    short last batch has its own."""
+def _epoch_stacks(X, spec: MonotonicitySpec, batch_size: int) -> list:
+    """The monotonic columns of an epoch's batches, rows ``X`` in batch
+    order (``batch_size`` rows each, the last one possibly fewer), as
+    (batches x features x rows) stacks, each with the index of its first
+    batch: the full batches' stack, then a short last batch's when it has
+    2 rows or more. No stack holds a batch with nothing to fit."""
     spec.validate_for(X.shape[1])
-    n = X.shape[0]
-    full, rest = divmod(n, batch_size)
     if not spec.indices:
-        return [None] * (full + (rest > 0))
-    coupled = _is_coupled(lam, baseline_mode)
+        return []
     cols = X.T[spec.columns]  # (k, n), C-contiguous
-    k, cut = cols.shape[0], full * batch_size
-    batches = []
+    k, n = cols.shape
+    full, rest = divmod(n, batch_size)
+    cut = full * batch_size
+    stacks = []
     if full:
-        stack = column_stats(cols[:, :cut].reshape(k, full, batch_size)
-                             .transpose(1, 0, 2), coupled)
-        batches = [(stack, b) for b in range(full)]
-    if rest:
-        batches.append((column_stats(cols[None, :, cut:], coupled), 0)
-                       if rest >= 2 else None)
+        stacks.append((0, cols[:, :cut].reshape(k, full, batch_size)
+                       .transpose(1, 0, 2)))
+    if rest >= 2:
+        stacks.append((full, cols[None, :, cut:]))
+    return stacks
+
+
+def epoch_columns(X, spec: MonotonicitySpec, batch_size: int,
+                  coupled: bool) -> list:
+    """The column pass of every batch of an epoch whose rows ``X`` are in
+    batch order, for the fits of a lambda > 0 in that mode: one (k, N)
+    :class:`Columns` per batch for :func:`build_loss_terms`, or None for a
+    batch with nothing to fit. The full batches share one pass over their
+    (batches x features x rows) stack, and a short last batch has its
+    own."""
+    batches = [None] * len(range(0, X.shape[0], batch_size))
+    for first, cols in _epoch_stacks(X, spec, batch_size):
+        stack = column_stats(cols, coupled)
+        for b in range(len(cols)):
+            batches[first + b] = stack.batch(b)
     return batches
 
 
-def batch_totals(fits) -> list[float]:
-    """Each fit's batch penalty (``total``), in order, with the bytes it
-    gives alone. A computed fit, or one with nothing to fit, gives its own;
-    the pending fits over one column-pass stack, such as an epoch's batches
-    of one length, take one kernel call over it, and stay pending."""
-    totals = [None] * len(fits)
-    groups: dict[int, list[int]] = {}
-    for i, fit in enumerate(fits):
-        if fit.pending is None or fit.pending[1] is None:
-            totals[i] = fit.total  # computed, or nothing to fit
-        else:
-            groups.setdefault(id(fit.pending[1]), []).append(i)
-    for members in groups.values():
-        pending = [fits[i].pending for i in members]
-        stack, rows = pending[0][1], [row for _, _, row in pending]
-        if rows != list(range(len(stack.cols))):  # not the whole stack
-            stack = stack.batch(rows)
-        preds = np.stack([p for p, _, _ in pending])[:, None]  # (B, 1, N)
-        _, lines, _, v, _ = _fit_stacks(preds, stack)
+def epoch_totals(X, preds, spec: MonotonicitySpec,
+                 batch_size: int) -> list[float]:
+    """The lambda-0 penalty of every batch of an epoch whose rows ``X``
+    and predictions ``preds`` (n,) are in batch order: each batch's
+    ``total`` from :func:`fit_batch` in frozen mode, with the bytes it
+    gives alone, or 0.0 when the batch has nothing to fit. The column pass
+    and the kernel run once per stack of :func:`_epoch_stacks`."""
+    totals = [0.0] * len(range(0, preds.shape[0], batch_size))
+    for first, cols in _epoch_stacks(X, spec, batch_size):
+        b, _, m = cols.shape
+        start = first * batch_size
+        _, lines, _, v, _ = _fit_stacks(
+            preds[start:start + b * m].reshape(b, 1, m),
+            column_stats(cols, False))
         energy = np.where(lines.fitted[..., 0], np.add.reduce(v * v, axis=-1),
                           0.0)
-        for i, e in zip(members, energy.tolist()):
-            totals[i] = _total(e, preds.shape[-1])
+        totals[first:first + b] = [_total(e, m) for e in energy.tolist()]
     return totals
 
 
@@ -496,28 +457,28 @@ def compliance_score(preds, X, spec: MonotonicitySpec) -> float | None:
     return fit_batch(preds, X, spec).compliance()
 
 
-def _objective_node(preds: Node, y: np.ndarray, fit: BatchFit,
+def _objective_node(preds: Node, y: np.ndarray, fit: BatchFit | None,
                     lam: float) -> Node:
     """The objective L = MSE + lambda * penalty as one node over ``preds``,
     with the value and gradient bits of the op graph ``add(mse, scale(
     penalty, lam))``. The MSE is ``scale(sum_all(square(preds - y)), 1/n)``.
-    The penalty term is there when lambda > 0 and some feature was fitted:
-    its value is ``fit.total``, and its graph is ``scale(sum_j sum_all(
-    square(relu(dg_j - adjacent_diff(gather_rows(preds, perm))))), 1/n)``,
-    where ``dg_j`` is the constant ``slope_j * dx_j`` (frozen) or
-    ``sum_all(preds * coeffs_j) * dx_j`` (coupled), whose relu is the fit's
-    violations. The backward works on the fit's stacks and adds to
-    ``preds.grad`` as that graph's backward pass did, one contribution at a
-    time: the MSE's, then in coupled mode ``coeffs_j`` times the slope's
-    gradient, per feature in spec order, then the hinge gradient, chained
-    ``((-g_0) - g_1) - ...`` in spec order and scattered back through
-    ``perm``.
+    The penalty term is there when there is a fit (lambda > 0) and some
+    feature was fitted: its value is ``fit.total``, and its graph is
+    ``scale(sum_j sum_all(square(relu(dg_j - adjacent_diff(gather_rows(
+    preds, perm))))), 1/n)``, where ``dg_j`` is the constant ``slope_j *
+    dx_j`` (frozen) or ``sum_all(preds * coeffs_j) * dx_j`` (coupled),
+    whose relu is the fit's violations. The backward works on the fit's
+    stacks and adds to ``preds.grad`` as that graph's backward pass did,
+    one contribution at a time: the MSE's, then in coupled mode
+    ``coeffs_j`` times the slope's gradient, per feature in spec order,
+    then the hinge gradient, chained ``((-g_0) - g_1) - ...`` in spec order
+    and scattered back through ``perm``.
     """
-    c = 1.0 / fit.batch_size
+    c = 1.0 / y.shape[0]
     r = preds.value - y
     value = np.add.reduce(r * r, axis=None) * c
     lam = float(lam)
-    with_penalty = lam > 0 and len(fit.fitted) > 0
+    with_penalty = fit is not None and len(fit.fitted) > 0
     if with_penalty:
         value = value + fit.total * lam
     out = Node(value, (preds,), "objective", preds.requires_grad)
@@ -553,22 +514,21 @@ def _objective_node(preds: Node, y: np.ndarray, fit: BatchFit,
 
 def build_loss_terms(preds: Node, y, X, spec: MonotonicitySpec, lam: float,
                      baseline_mode: str = "frozen",
-                     columns=None) -> tuple[Node, BatchFit]:
+                     columns=None) -> tuple[Node, BatchFit | None]:
     """The training objective L = MSE + lambda * penalty, as one graph node
-    (:func:`_objective_node`), and the batch's one fit.
+    (:func:`_objective_node`), and the batch's one fit, None at lambda = 0.
 
     In frozen mode the fitted slope is a constant of the backward pass; in
     coupled mode gradients also flow through the covariance/variance
     formulas. The sort permutation is constant in backward either way.
     With an empty spec or with every feature degenerate the objective is
-    the MSE alone. At lambda = 0 it is the MSE alone too, and the fit is
-    returned pending, the frozen-mode fit in either mode: it reports the
-    penalty at the fitted slope when read, and :func:`batch_totals`
-    reports an epoch's at once. ``columns`` is the batch's entry of
-    :func:`epoch_columns` for this lambda and mode; when None the column
-    pass runs on this batch alone. The batch is checked either way: a 0-row
-    batch raises DimensionError, and so does a lambda that is a bool or
-    not finite and >= 0 (a ParameterError).
+    the MSE alone. At lambda = 0 it is the MSE alone too, and no fit is
+    made: the penalty is only reported, at the fitted slope in either mode,
+    by :func:`fit_batch`, or for an epoch at once by :func:`epoch_totals`.
+    ``columns`` is the batch's entry of :func:`epoch_columns` for this
+    mode; when None the column pass runs on this batch alone. The batch is
+    checked at any lambda: a 0-row batch raises DimensionError, and so
+    does a lambda that is a bool or not finite and >= 0 (a ParameterError).
     """
     if isinstance(lam, (bool, np.bool_)) or not 0.0 <= lam < math.inf:
         raise ParameterError(
@@ -580,5 +540,9 @@ def build_loss_terms(preds: Node, y, X, spec: MonotonicitySpec, lam: float,
         raise DimensionError(
             f"targets shape {y.shape} does not match predictions {p.shape}")
     _refuse_empty(p.shape[0])
-    fit = _pending_fit(p, X, spec, _is_coupled(lam, baseline_mode), columns)
+    fit = None
+    if lam > 0:
+        if columns is None:
+            columns = _batch_columns(X, spec, baseline_mode == "coupled")
+        fit = BatchFit(spec.indices, p, columns)
     return _objective_node(preds, y, fit, lam), fit

@@ -192,29 +192,18 @@ class AdamState:
         return cls(step=0, m=np.zeros(size), v=np.zeros(size), layout=layout)
 
 
-def adam_step(flat: np.ndarray, grads, state: AdamState, lr: float) -> None:
+def adam_step(flat: np.ndarray, g: np.ndarray, state: AdamState,
+              lr: float) -> None:
     """One bias-corrected Adam update of ``flat``, the parameters packed in
-    ``state.layout`` order, and of ``state``, all in place. ``grads`` is
-    the gradient vector in that layout (as ``forward_with_params`` gives
-    it), or a name -> array map, checked against the layout and packed.
+    ``state.layout`` order, and of ``state``, all in place. ``g`` is the
+    gradient vector in that layout, as ``forward_with_params`` gives it.
 
     The per-element arithmetic is the textbook per-array form, op for op,
     so the bits do not depend on how the parameters are packed.
     """
-    if isinstance(grads, dict):
-        mismatch = len(grads) != len(state.layout)
-        for (name, g), (want, shape) in zip(grads.items(), state.layout):
-            mismatch = mismatch or name != want or g.shape != shape
-        if mismatch:
-            layout = [(name, g.shape) for name, g in grads.items()]
-            raise ParameterError(f"gradients {layout} do not match the "
-                                 f"parameters {state.layout}")
-        g = np.concatenate(list(grads.values()), axis=None)
-    else:
-        g = grads
-        if g.shape != state.m.shape:
-            raise ParameterError(f"gradient vector of shape {g.shape} does not "
-                                 f"match the parameters {state.layout}")
+    if g.shape != state.m.shape:
+        raise ParameterError(f"gradient vector of shape {g.shape} does not "
+                             f"match the parameters {state.layout}")
     if not np.isfinite(g).all():
         name = next(k for k, a in unflatten(g, state.layout).items()
                     if not np.isfinite(a).all())
@@ -334,14 +323,17 @@ def train(model: Model, train_ds: Dataset, config: TrainConfig,
 
     for epoch in range(config.max_epochs):
         order = shuffle_rng.permutation(n)
-        # the epoch's rows in batch order, and the half of every batch's
-        # penalty fit that reads only its features, in one pass
+        # the epoch's rows in batch order; at lambda > 0 the half of every
+        # batch's penalty fit that reads only its features, in one pass
         X_ep, y_ep = X_tr[order], y_tr[order]
-        columns = pen.epoch_columns(X_ep, spec, config.batch_size, config.lam,
-                                    config.baseline_mode)
-        loss_sum = 0.0
-        fits = []
-        for start, batch_columns in zip(range(0, n, config.batch_size), columns):
+        starts = range(0, n, config.batch_size)
+        if config.lam > 0:
+            columns = pen.epoch_columns(X_ep, spec, config.batch_size,
+                                        config.baseline_mode == "coupled")
+        else:  # the penalty is only reported, from the epoch's predictions
+            columns, preds_ep = [None] * len(starts), np.empty(n)
+        loss_sum = penalty_sum = 0.0
+        for start, batch_columns in zip(starts, columns):
             stop = start + config.batch_size
             xb, yb = X_ep[start:stop], y_ep[start:stop]
             preds, grad = forward_with_params(working, xb, training=True,
@@ -355,13 +347,15 @@ def train(model: Model, train_ds: Dataset, config: TrainConfig,
                     f"non-finite loss at epoch {epoch}, batch row {start}")
             backward_pass(total)
             adam_step(flat, grad, state, config.learning_rate)
-            loss_sum += loss * fit.batch_size
-            fits.append(fit)
-        # at lambda 0 the fits are pending, and computed here in one pass
-        # per batch length over the epoch's column stacks
-        penalty_sum = 0.0
-        for fit, total in zip(fits, pen.batch_totals(fits)):
-            penalty_sum += total * fit.batch_size
+            loss_sum += loss * yb.shape[0]
+            if fit is None:
+                preds_ep[start:stop] = preds.value
+            else:
+                penalty_sum += fit.total * fit.batch_size
+        if config.lam == 0:  # one fit per stack of the epoch's batches
+            totals = pen.epoch_totals(X_ep, preds_ep, spec, config.batch_size)
+            for start, batch_total in zip(starts, totals):
+                penalty_sum += batch_total * min(config.batch_size, n - start)
 
         val_mse = _val_mse(working, val_ds)
         history.append(EpochRecord(train_loss=loss_sum / n,

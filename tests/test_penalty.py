@@ -160,12 +160,13 @@ def test_violations_nonnegative():
 
 def test_feature_penalty_values():
     def feature_penalty(violations):
-        # slope 1 and no prediction increments: violations == dx
-        line = pen.LinearBaseline(slope=1.0, intercept=0.0, x_mean=0.0,
-                                  x_var=1.0)
-        fit = pen.BatchFit(batch_size=1, perm=np.arange(1), indices=(0,),
-                           fitted=(0,), lines=line, dx=violations[None],
-                           violations=violations[None])
+        # a one-feature batch's fit (slope 0: no violations), its
+        # violations then set to the given ones
+        n = len(violations) + 1
+        fit = pen.fit_batch(np.zeros(n), np.arange(n, dtype=np.float64)[:, None],
+                            spec_for(0))
+        assert fit.fitted == (0,) and fit.violations.shape == (1, n - 1)
+        fit.violations = violations[None]
         return fit.per_feature[0]
 
     assert feature_penalty(np.zeros(5)) == 0.0
@@ -646,8 +647,9 @@ def test_penalty_node_matches_the_op_graph_byte_for_byte(name, mode, kind):
 def test_loss_terms_take_one_hinge_per_fitted_feature(mode, lam, monkeypatch):
     """A batch takes one hinge call, over the stack of all its monotonic
     features, and its stacks keep exactly the fitted features' rows:
-    features 0 and 2 here, and not the constant 1. At lambda 0 the fit is
-    pending until it is read."""
+    features 0 and 2 here, and not the constant 1. At lambda 0 the loss
+    terms make no fit, and the batch's frozen-mode fit, as the epoch's end
+    reports it, takes that one call."""
     calls = []
 
     def counting(dpred, dx, slope, hinge=pen.adjacent_violations):
@@ -661,6 +663,9 @@ def test_loss_terms_take_one_hinge_per_fitted_feature(mode, lam, monkeypatch):
                                       lam, mode)
     ad.backward_pass(total)
     assert len(calls) == (1 if lam else 0)
+    if not lam:
+        assert fit is None
+        fit = pen.fit_batch(p, X, pen.MonotonicitySpec(indices))
     assert fit.skipped == (1,)
     assert len(calls) == 1
     sorted_x = X[np.argsort(p, kind="stable")][:, [0, 2]].T
@@ -711,6 +716,9 @@ def test_the_penalty_adds_no_graph_node(arch, mode):
                                           rng=np.random.default_rng(0))
         total, fit = pen.build_loss_terms(preds, y, X, spec_for(0, 1, 2),
                                           lam, mode)
+        if not lam:
+            assert fit is None
+            fit = pen.fit_batch(preds.value, X, spec_for(0, 1, 2), mode)
         assert fit.skipped == ()
         assert total.parents == (preds,)
         assert total.value.shape == (1,)

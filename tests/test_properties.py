@@ -199,25 +199,19 @@ def epochs(draw):
 @PROPERTY
 @given(epochs())
 def test_epoch_pass_matches_the_per_batch_reference_totals(epoch):
-    # the lambda-0 fits of an epoch, in both modes (lambda 0 fits frozen),
-    # computed together; a fit already read keeps its own total
+    # the lambda-0 penalties of an epoch (frozen, in either mode), computed
+    # together
     preds, X, spec, size = epoch
     starts = range(0, len(preds), size)
     expected = [bits(fit_batch_reference(preds[s:s + size], X[s:s + size],
                                          spec).total) for s in starts]
-    for mode in pen.BASELINE_MODES:
-        fits = [pen.build_loss_terms(ad.leaf(preds[s:s + size]),
-                                     np.zeros(len(preds[s:s + size])),
-                                     X[s:s + size], spec, 0.0, mode)[1]
-                for s in starts]
-        fits[0].total  # computed alone, before the others
-        assert [bits(t) for t in pen.batch_totals(fits)] == expected
+    assert [bits(t) for t in pen.epoch_totals(X, preds, spec, size)] == expected
 
 
 @st.composite
 def shuffled_epochs(draw):
     """(preds, X, spec, batch size): 1-6 batches of 2-9 rows, the last one
-    maybe shorter (down to 1 row), 1-4 columns of which 1-4 are monotonic,
+    maybe shorter (down to 1 row), 1-4 columns of which 0-4 are monotonic,
     each column constant in some batches."""
     size = draw(st.integers(2, 9))
     lengths = [size] * draw(st.integers(1, 6))
@@ -227,7 +221,7 @@ def shuffled_epochs(draw):
                                   for _ in range(d)]).T for m in lengths])
     preds = np.array(column_values(draw, len(X), False))
     spec = pen.MonotonicitySpec(draw(st.permutations(range(d)))[
-        :draw(st.integers(1, d))])
+        :draw(st.integers(0, d))])
     return preds, X.copy(), spec, size
 
 
@@ -237,24 +231,21 @@ def test_column_pass_and_step_fits_match_the_reference_byte_for_byte(epoch,
                                                                       mode):
     # the column pass once per epoch, then each step's prediction half: at
     # lambda > 0 every field of each batch's fit; at lambda 0 the epoch-end
-    # totals over the same stacks, at the fitted slope in either mode
+    # totals over the same batches, at the fitted slope in either mode
     preds, X, spec, size = epoch
     starts = range(0, len(preds), size)
-    for lam in (1.0, 0.0):
-        columns = pen.epoch_columns(X, spec, size, lam, mode)
-        assert len(columns) == len(starts)
-        fits = [pen.build_loss_terms(ad.leaf(preds[s:s + size]),
-                                     np.zeros(len(preds[s:s + size])),
-                                     X[s:s + size], spec, lam, mode, c)[1]
-                for s, c in zip(starts, columns)]
-        if lam:
-            for s, fit in zip(starts, fits):
-                assert fit_bits(fit) == fit_bits(fit_batch_reference(
-                    preds[s:s + size], X[s:s + size], spec, mode))
-        else:
-            assert [bits(t) for t in pen.batch_totals(fits)] == [
-                bits(fit_batch_reference(preds[s:s + size], X[s:s + size],
-                                         spec).total) for s in starts]
+    columns = pen.epoch_columns(X, spec, size, mode == "coupled")
+    assert len(columns) == len(starts)
+    fits = [pen.build_loss_terms(ad.leaf(preds[s:s + size]),
+                                 np.zeros(len(preds[s:s + size])),
+                                 X[s:s + size], spec, 1.0, mode, c)[1]
+            for s, c in zip(starts, columns)]
+    for s, fit in zip(starts, fits):
+        assert fit_bits(fit) == fit_bits(fit_batch_reference(
+            preds[s:s + size], X[s:s + size], spec, mode))
+    assert [bits(t) for t in pen.epoch_totals(X, preds, spec, size)] == [
+        bits(fit_batch_reference(preds[s:s + size], X[s:s + size],
+                                 spec).total) for s in starts]
 
 
 @st.composite
@@ -272,9 +263,15 @@ def bits(value):
 
 def loss_terms_bits(build, preds, y, X, spec, lam, mode, weight):
     """The objective's value, the predictions' gradient under the loss
-    ``weight * objective``, and the fit's fields, as bytes."""
+    ``weight * objective``, and the fit's fields, as bytes. At lambda 0,
+    where :func:`penalty.build_loss_terms` makes no fit, the fields are
+    those of the batch's frozen-mode ``fit_batch``, as training reports
+    them."""
     node = ad.leaf(preds, requires_grad=True)
     total, b = build(node, y, X, spec, lam, mode)
+    if build is pen.build_loss_terms and lam == 0:
+        assert b is None
+        b = pen.fit_batch(preds, X, spec)
     ad.backward_pass(ad.sum_all(ad.mul(total, ad.constant([weight]))))
     return (total.value.tobytes(), node.grad.tobytes(), b.batch_size,
             b.skipped, bits(b.total),

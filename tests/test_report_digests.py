@@ -81,3 +81,34 @@ def test_short_cnn1d_sweep_reports_match_recorded_digest(n_features,
     text = "".join(tr.report_to_json(r) for r in reports)
     assert (hashlib.sha256(text.encode()).hexdigest()
             == SHORT_CNN1D_DIGESTS[n_features])
+
+
+def edge_grid_text() -> str:
+    """The reports of a small grid at the penalty's edges, concatenated:
+    synthetic n=40 (29 fit rows after the split and the validation carve),
+    ann and cnn1d, batch sizes that leave one-row and two-row last
+    batches, one batch larger than the epoch and stacks of one-row
+    batches, in both modes at lambda 0 and 0.5."""
+    ds = dimlab.generate_synthetic(dimlab.SyntheticConfig(n=40, seed=3))
+    text = []
+    for arch in ("ann", "cnn1d"):
+        for batch_size in (1, 2, 3, 7, 64):
+            for mode in ("frozen", "coupled"):
+                reports = tr.lambda_grid_search(
+                    ds, ModelConfig(arch, 4, hidden_sizes=(4,)),
+                    tr.TrainConfig(batch_size=batch_size, max_epochs=2,
+                                   baseline_mode=mode),
+                    grid=(0.0, 0.5), seeds=(1,))
+                assert all(r.error is None for r in reports)
+                text.extend(tr.report_to_json(r) for r in reports)
+    return "".join(text)
+
+
+EDGE_GRID_DIGEST = ("3415404d10ed0d46c0b683d44593dd07"
+                    "08e955bd3d38dea6ad4c426949bc09eb")
+
+
+def test_edge_batch_grid_reports_match_recorded_digest(monkeypatch):
+    monkeypatch.setattr(ad, "_CPUS", 2)  # conv1d_same splits on any host
+    assert (hashlib.sha256(edge_grid_text().encode()).hexdigest()
+            == EDGE_GRID_DIGEST)

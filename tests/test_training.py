@@ -39,7 +39,7 @@ def test_adam_zero_gradient_is_identity():
     grads = {"w": np.zeros(2)}
     flat, new = tr.flatten(params)
     state = tr.AdamState.init_like(params)
-    tr.adam_step(flat, grads, state, 1e-3)
+    tr.adam_step(flat, tr.flatten(grads)[0], state, 1e-3)
     assert np.array_equal(new["w"], params["w"])
     assert state.step == 1
 
@@ -48,7 +48,7 @@ def test_adam_first_step_is_learning_rate_sized():
     params = {"w": np.array([0.5])}
     flat, new = tr.flatten(params)
     state = tr.AdamState.init_like(params)
-    tr.adam_step(flat, {"w": np.array([1.0])}, state, 1e-3)
+    tr.adam_step(flat, tr.flatten({"w": np.array([1.0])})[0], state, 1e-3)
     # bias-corrected unit moments: step = lr * 1/(1 + eps)
     assert abs((params["w"][0] - new["w"][0]) - 1e-3) < 1e-9
 
@@ -59,7 +59,7 @@ def test_adam_converges_on_quadratic():
     state = tr.AdamState.init_like(params)
     for _ in range(3000):
         grads = {"w": 2.0 * params["w"]}
-        tr.adam_step(flat, grads, state, 1e-3)
+        tr.adam_step(flat, tr.flatten(grads)[0], state, 1e-3)
     assert abs(params["w"][0]) < 1e-2
 
 
@@ -68,7 +68,8 @@ def test_adam_rejects_nonfinite_gradient():
     flat, _ = tr.flatten(params)
     state = tr.AdamState.init_like(params)
     with pytest.raises(NumericError, match="w"):
-        tr.adam_step(flat, {"w": np.array([np.nan])}, state, 1e-3)
+        tr.adam_step(flat, tr.flatten({"w": np.array([np.nan])})[0], state,
+                     1e-3)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -76,10 +77,12 @@ def test_adam_nonfinite_error_names_the_parameter_and_changes_nothing(bad):
     params = {"a": np.array([1.0, 2.0]), "b": np.array([[3.0], [4.0]])}
     flat, _ = tr.flatten(params)
     state = tr.AdamState.init_like(params)
-    tr.adam_step(flat, {"a": np.ones(2), "b": np.ones((2, 1))}, state, 1e-3)
+    tr.adam_step(flat, tr.flatten({"a": np.ones(2), "b": np.ones((2, 1))})[0],
+                 state, 1e-3)
     before = (flat.copy(), state.m.copy(), state.v.copy())
     with pytest.raises(NumericError, match="'b'"):
-        tr.adam_step(flat, {"a": np.ones(2), "b": np.array([[1.0], [bad]])},
+        tr.adam_step(flat, tr.flatten({"a": np.ones(2),
+                                       "b": np.array([[1.0], [bad]])})[0],
                      state, 1e-3)
     assert state.step == 1
     for got, want in zip((flat, state.m, state.v), before):
@@ -100,23 +103,9 @@ def test_adam_checks_a_gradient_vector_like_a_gradient_map():
     assert flat.tobytes() == tr.flatten(params)[0].tobytes()
     tr.adam_step(flat, np.ones(4), state, 1e-3)
     want, _ = tr.flatten(params)
-    tr.adam_step(want, {"a": np.ones(2), "b": np.ones((2, 1))},
+    tr.adam_step(want, tr.flatten({"a": np.ones(2), "b": np.ones((2, 1))})[0],
                  tr.AdamState.init_like(params), 1e-3)
     assert flat.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("grads", [
-    {"b": np.ones(2), "a": np.ones(2)},
-    {"a": np.ones(2)},
-    {"a": np.ones((2, 1)), "b": np.ones(2)},
-], ids=["order", "missing", "shape"])
-def test_adam_rejects_gradients_of_another_layout(grads):
-    params = {"a": np.zeros(2), "b": np.zeros(2)}
-    flat, _ = tr.flatten(params)
-    state = tr.AdamState.init_like(params)
-    with pytest.raises(ParameterError, match="do not match the parameters"):
-        tr.adam_step(flat, grads, state, 1e-3)
-    assert state.step == 0 and not flat.any()
 
 
 def test_flatten_packs_one_vector_with_named_views():
@@ -154,7 +143,7 @@ def test_flat_adam_matches_per_parameter_reference_bit_for_bit(arch):
     rng = np.random.default_rng(11)
     for _ in range(50):
         grads = random_grads(rng, expected)
-        tr.adam_step(flat, grads, state, 1e-2)
+        tr.adam_step(flat, tr.flatten(grads)[0], state, 1e-2)
         expected = ref.step(expected, grads, 1e-2)
     assert state.step == ref.t == 50
     for name in expected:
